@@ -85,6 +85,8 @@ from .duality import (
     c_of_distributor,
     check_conditions,
     function_space,
+    join_homomorphisms,
+    join_irreducibles,
     phi_of,
     representability_audit,
     total_partial_audit,

@@ -13,19 +13,30 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Iterator, Optional, Sequence
 
-from .duality import FunctionSpace, Functional
+from .duality import (
+    FunctionSpace,
+    Functional,
+    join_homomorphisms,
+    join_irreducibles,
+)
 from .reports import CheckReport
 from .tnorms import GridChain, GridOps, Quantale
 from .values import ONE, ZERO, format_value
 from .vcat import VCategory, is_poset_based, is_separated, validate_vcategory
 
 
+FULLNESS_CAP = 200_000
+
+
 def enumerate_cx(X: VCategory, n: int) -> FunctionSpace:
     """All grid tables psi with a(x,y) <= hom(psi(y), psi(x)).
 
     These are the morphisms into the opposite interval; the space always
-    contains the representables a(-, x) and is closed under join, action,
-    truncated minus and powers whenever the grid is closed.
+    contains the representables a(-, x) and is closed under pointwise
+    join, meet and action whenever the grid is closed.  It need not be
+    closed under truncated minus or powers: under the minimum tensor the
+    pair with a(0,1) = 1/2 admits (1/2, 1) but not (0, 1/2) = (1/2, 1)
+    minus 1/2.
     """
     gops = GridOps(X.quantale, n)
     ht = gops.hom_t
@@ -169,7 +180,10 @@ def adjunction_audit(X: VCategory, n: int) -> CheckReport:
     Retraction after representation must be the identity on distributors
     (exact); representation after retraction is checked against every
     join/action-preserving functional, any positive gap logged in grid
-    steps as a finding.
+    steps as a finding.  Those functionals are found among the tables of
+    ``join_homomorphisms``; the scan runs when their predicted count
+    (n+1)^|J| stays under ``FULLNESS_CAP`` and is skipped, with a note,
+    past it.
     """
     failures = []
     findings = []
@@ -196,9 +210,12 @@ def adjunction_audit(X: VCategory, n: int) -> CheckReport:
             failures.append(f"retract(c(phi)) != phi at phi={_row(phi)}")
 
     max_gap = 0
-    total = (n + 1) ** space.size
-    if total <= 200_000:
-        for itable in iproduct(range(n + 1), repeat=space.size):
+    irreducibles = len(join_irreducibles(space))
+    sizes = f"|J| = {irreducibles}, {n + 1}^{space.size} grid tables"
+    if (n + 1) ** irreducibles <= FULLNESS_CAP:
+        scanned = 0
+        for itable in join_homomorphisms(space):
+            scanned += 1
             func = Functional.from_levels(space, itable)
             if not is_finsup_functional(func):
                 continue
@@ -210,9 +227,15 @@ def adjunction_audit(X: VCategory, n: int) -> CheckReport:
             max_gap = max(max_gap, gap)
         if max_gap > 0:
             findings.append(f"fullness gap: max {max_gap}/{n} grid steps")
-        notes.append(f"fullness direction max gap {max_gap}/{n}")
+        notes.append(
+            f"fullness direction max gap {max_gap}/{n} over {scanned} "
+            f"join-preserving tables ({sizes})"
+        )
     else:
-        notes.append("fullness direction skipped: functional space above cap")
+        notes.append(
+            f"fullness direction skipped: {n + 1}^{irreducibles} exceeds cap "
+            f"{FULLNESS_CAP} ({sizes})"
+        )
     return CheckReport(
         name="enriched-adjunction",
         checked=checked,

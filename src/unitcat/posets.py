@@ -119,10 +119,6 @@ def mask_elements(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def is_upper(P: FinPoset, mask: int) -> bool:
-    return up_closure(P, mask) == mask
-
-
 @lru_cache(maxsize=4096)
 def _upper_sets_of(leq: tuple[tuple[bool, ...], ...]) -> tuple[int, ...]:
     n = len(leq)

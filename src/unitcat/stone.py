@@ -82,7 +82,10 @@ def generate_closure(
     if "tensor" in ops:
         add(space.top_index, "monoid unit")
 
-    act_t, minus_t, power_t = space.unary_ops()
+    act_t, minus_t, power_t = (
+        space.closed_unary(op) if op in ops else None
+        for op in ("act", "minus", "power")
+    )
     tt = space.gops.tensor_t
     idx = space.iindex
     fs = space.ifuncs
@@ -240,7 +243,10 @@ def sep_premise_audit(L: SubStructure) -> CheckReport:
 def _closed_under(L: SubStructure, required) -> Optional[str]:
     space = L.space
     members = set(L.members)
-    act_t, minus_t, power_t = space.unary_ops()
+    minus_t, power_t = (
+        space.closed_unary(op) if op in required else None
+        for op in ("minus", "power")
+    )
     tt = space.gops.tensor_t
     fs = space.ifuncs
     idx = space.iindex

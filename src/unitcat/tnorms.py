@@ -161,14 +161,6 @@ def truncated_minus(u, v) -> Fraction:
     return d if d > 0 else ZERO
 
 
-def tensor_power(q: Quantale, u: Fraction, n: int) -> Fraction:
-    """u tensored with itself n times (n >= 1)."""
-    acc = u
-    for _ in range(n - 1):
-        acc = q.tensor(acc, u)
-    return acc
-
-
 def is_idempotent(q: Quantale, u) -> bool:
     u = as_value(u)
     return q.tensor(u, u) == u

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 from itertools import product as iproduct
 
+import pytest
+
 from unitcat import duality as D
 from unitcat import posets as P
 from unitcat import tnorms as T
@@ -223,3 +225,77 @@ def test_total_partial_audit_examples():
     full_row = ((1, 1), (1, 1))
     assert not D.is_deterministic(full_row, P.antichain(2))
     assert D.total_partial_audit(full_row, P.antichain(2), P.antichain(2), LUK, 2).passed
+
+
+def _brute_force_cut(sp, drop_tenlax):
+    return [
+        t
+        for t in iproduct(range(sp.n + 1), repeat=sp.size)
+        if D.passes_cut(sp, t, drop_tenlax)
+    ]
+
+
+def test_join_homomorphism_scan_matches_brute_force():
+    # every poset of size <= 3 at n <= 2 and the chains at n = 3, wherever
+    # the brute-force scan over (n+1)^|CX| tables stays at 60,000 or below
+    cases = [(Q, n) for size in (1, 2, 3) for Q in P.all_posets(size) for n in (1, 2)]
+    cases += [(P.chain(size), 3) for size in (1, 2, 3)]
+    scanned = 0
+    for Q, n in cases:
+        for q in (LUK, MIN):
+            sp = D.function_space(Q, q, n)
+            if (n + 1) ** sp.size > 60_000:
+                continue
+            drop = T.nilpotent_free(q)
+            fast = [t for t in D.join_homomorphisms(sp) if D.passes_cut(sp, t, drop)]
+            assert fast == _brute_force_cut(sp, drop), (Q.leq, n, q.name)
+            scanned += 1
+    assert scanned == 68
+
+
+def test_join_homomorphisms_are_the_join_preserving_tables():
+    # brute force: bottom at 0 and every binary join preserved
+    for Q, n in ((POINT, 3), (CHAIN2, 2), (P.antichain(2), 2), (P.vee(), 1)):
+        sp = D.function_space(Q, LUK, n)
+        brute = [
+            t
+            for t in iproduct(range(n + 1), repeat=sp.size)
+            if t[sp.bottom_index] == 0
+            and all(t[k] == max(t[i], t[j]) for i, j, k, _ in sp.pair_ops())
+        ]
+        assert list(D.join_homomorphisms(sp)) == brute, (Q.leq, n)
+
+
+def test_join_homomorphism_counts_on_antichains():
+    # monotone maps J -> {0..n} on the k-antichain: C(2n, n)^k of them
+    for k, n, count in ((3, 2, 216), (2, 3, 400), (1, 1, 2)):
+        sp = D.function_space(P.antichain(k), LUK, n)
+        assert len(D.join_irreducibles(sp)) == k * n
+        tables = list(D.join_homomorphisms(sp))
+        assert len(tables) == count
+        assert tables == sorted(set(tables))
+
+
+def test_representability_corpus_past_the_bound():
+    # 4^12 monotone maps on the 12 join-irreducibles exceed the cap
+    rep = D.representability_audit(P.chain(4), LUK, 3)
+    assert rep.passed and rep.checked == 512
+    assert rep.notes == (
+        "corpus mode (512 functionals): 4^12 exceeds cap 2000000 "
+        "(|J| = 12, 4^35 grid tables)",
+    )
+
+
+def test_minus_leaving_the_space_is_refused():
+    from unitcat import enriched as E
+    from unitcat import vcat as VC
+
+    X = VC.vcategory(MIN, [["1", "1/2"], ["0", "1"]])
+    sp = E.enumerate_cx(X, 2)
+    _, minus, _ = sp.unary_ops()
+    assert -1 in minus[1]
+    with pytest.raises(ValueError, match="minus of f3 at 1/2 leaves"):
+        D.passes_cut(sp, (0,) * sp.size)
+    with pytest.raises(ValueError, match="leaves the function space"):
+        D.check_conditions(D.Functional.from_levels(sp, (0,) * sp.size))
+    assert len(sp.closed_unary("act")) == 3

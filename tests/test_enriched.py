@@ -207,3 +207,39 @@ def test_enriched_product_mode_needs_unit_grid():
     assert sp.size == 2
     rep = E.adjunction_audit(VC.unit_category(T.product()), 1)
     assert rep.passed
+
+
+def test_fullness_scan_matches_brute_force():
+    # the finitely cocontinuous functionals found among the join-preserving
+    # tables are exactly those of the brute-force scan over all tables
+    from itertools import product as iproduct
+
+    scanned = 0
+    for q in (LUK, T.minimum()):
+        for size in (1, 2):
+            for n in (1, 2):
+                for X in E.enumerate_enriched_categories(size, q, n):
+                    sp = E.enumerate_cx(X, n)
+
+                    def finsup(tables):
+                        return [
+                            t
+                            for t in tables
+                            if E.is_finsup_functional(D.Functional.from_levels(sp, t))
+                        ]
+
+                    brute = finsup(iproduct(range(n + 1), repeat=sp.size))
+                    assert finsup(D.join_homomorphisms(sp)) == brute, (X.matrix, n)
+                    scanned += 1
+    assert scanned == 26
+
+
+def test_adjunction_audit_under_minimum():
+    # minus and power tables leave the space here; the audit reads neither
+    X = VC.vcategory(T.minimum(), [["1", "1/2"], ["0", "1"]])
+    rep = E.adjunction_audit(X, 2)
+    assert rep.passed and not rep.findings
+    assert rep.notes == (
+        "fullness direction max gap 0/2 over 25 join-preserving tables "
+        "(|J| = 4, 3^7 grid tables)",
+    )

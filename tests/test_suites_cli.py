@@ -4,7 +4,7 @@ import pytest
 
 from unitcat import cli
 from unitcat import suites as SU
-from unitcat.instances import InstanceError
+from unitcat.instances import InstanceError, parse_tnorm
 from unitcat.reports import emit_report, strip_timing
 from unitcat.tnorms import lukasiewicz, minimum, product
 
@@ -155,3 +155,17 @@ def test_cli_ordinal_tnorm(capsys):
     )
     assert code == 0
     capsys.readouterr()
+
+
+def test_enriched_roundtrip_where_minus_leaves_the_space():
+    ordinal = parse_tnorm("ordinal:0-1/2-lukasiewicz")
+    for q, grid in ((minimum(), 2), (minimum(), 3), (ordinal, 2)):
+        rep = run("enriched-roundtrip", quantale=q, grid=grid, max_size=2)
+        assert rep.exit_code() == 0 and not rep.findings, rep.failures[:3]
+
+
+def test_representability_exhaustive_through_size_three():
+    for q in (lukasiewicz(), minimum()):
+        rep = run("representability", quantale=q, grid=2, max_size=3)
+        assert rep.exit_code() == 0 and rep.instances == 1 + 3 + 19
+        assert not any("corpus mode" in note for note in rep.notes)
