@@ -1,10 +1,10 @@
 """Function spaces over finite posets and their [0,1]-valued functionals.
 
 CX is the grid-restricted space of antitone maps X -> Q_n with pointwise
-operations; functionals are tables on its enumeration.  The checkers for
-the monotonicity / action / join / tensor / top / truncated-minus
-conditions and the two inverse constructions (zero set, anti set) all
-work on integer grid indices internally, Fractions at the boundary.
+operations; functionals are tables on its enumeration.  Spaces, functionals,
+the condition checkers (monotonicity / action / join / tensor / top /
+truncated minus) and the inverse constructions (zero set, anti set) hold
+only grid levels; Fractions appear at the boundary, via the space's GridOps.
 """
 
 from __future__ import annotations
@@ -12,12 +12,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iproduct
 from typing import Iterator, Optional, Sequence
 
 from .posets import FinPoset, is_irreducible, mask_elements, upper_sets
 from .reports import CheckReport
-from .tnorms import GridChain, GridOps, Quantale, nilpotent_free
+from .tnorms import GridOps, Quantale, nilpotent_free
 
 EXHAUSTIVE_CAP = 2_000_000
 UNARY_OPS = ("act", "minus", "power")
@@ -26,23 +27,19 @@ UNARY_OPS = ("act", "minus", "power")
 class FunctionSpace:
     """Deterministically enumerated finite function space with pointwise ops.
 
-    ``functions`` are tuples of Fractions in ascending lexicographic
-    order; ``ifuncs`` carries the same tables as grid numerators for the
-    hot loops.  Pairwise operation tables are built lazily and cached.
+    ``ifuncs`` are grid-level tuples in ascending lexicographic order;
+    ``functions``/``index`` are their Fraction views, rendered on first
+    use.  Pairwise operation tables are built lazily and cached.
     """
 
-    def __init__(self, base, quantale: Quantale, n: int, functions):
+    def __init__(self, base, gops: GridOps, levels):
         self.base = base
-        self.quantale = quantale
-        self.n = n
-        self.gops = GridOps(quantale, n)
-        self.functions = tuple(functions)
-        self.index = {f: i for i, f in enumerate(self.functions)}
-        self.ifuncs = tuple(
-            tuple(int(v * n) for v in f) for f in self.functions
-        )
+        self.gops = gops
+        self.quantale = gops.quantale
+        self.n = gops.n
+        self.ifuncs = tuple(levels)
         self.iindex = {f: i for i, f in enumerate(self.ifuncs)}
-        self.carrier_size = len(self.functions[0]) if self.functions else 0
+        self.carrier_size = len(self.ifuncs[0]) if self.ifuncs else 0
         self._le_pairs = None
         self._pair_ops = None
         self._unary_ops = None
@@ -50,7 +47,16 @@ class FunctionSpace:
 
     @property
     def size(self) -> int:
-        return len(self.functions)
+        return len(self.ifuncs)
+
+    @cached_property
+    def functions(self) -> tuple[tuple[Fraction, ...], ...]:
+        values = self.gops.values
+        return tuple(tuple(values[a] for a in f) for f in self.ifuncs)
+
+    @cached_property
+    def index(self) -> dict:
+        return {f: i for i, f in enumerate(self.functions)}
 
     def constant_index(self, level: int) -> int:
         return self.iindex[(level,) * self.carrier_size]
@@ -148,40 +154,38 @@ class FunctionSpace:
 
 def function_space(P: FinPoset, q: Quantale, n: int) -> FunctionSpace:
     """All antitone maps X -> Q_n (morphisms into the opposite interval)."""
-    values = GridChain(n).elements
     m = P.size
-    functions = []
-    for f in iproduct(values, repeat=m):
-        if all(
-            f[x] >= f[y]
-            for x in range(m)
-            for y in range(m)
-            if P.leq[x][y] and x != y
-        ):
-            functions.append(f)
-    return FunctionSpace(P, q, n, functions)
+    pairs = [(x, y) for x in range(m) for y in range(m) if P.leq[x][y] and x != y]
+    levels = [
+        f for f in iproduct(range(n + 1), repeat=m) if all(f[x] >= f[y] for x, y in pairs)
+    ]
+    return FunctionSpace(P, GridOps(q, n), levels)
 
 
 class Functional:
-    """A [0,1]-valued table on an enumerated function space."""
+    """A [0,1]-valued table on an enumerated function space, held as grid
+    levels; Fractions pass through the space's GridOps, off-grid ones raise."""
 
-    __slots__ = ("space", "table", "itable")
+    __slots__ = ("space", "itable")
 
     def __init__(self, space: FunctionSpace, table):
         self.space = space
-        self.table = tuple(table)
-        self.itable = tuple(int(v * space.n) for v in self.table)
+        self.itable = tuple(space.gops.index(v) for v in table)
 
     @classmethod
     def from_levels(cls, space: FunctionSpace, itable) -> "Functional":
         f = cls.__new__(cls)
         f.space = space
         f.itable = tuple(itable)
-        f.table = tuple(space.gops.value(i) for i in f.itable)
         return f
 
+    @property
+    def table(self) -> tuple[Fraction, ...]:
+        values = self.space.gops.values
+        return tuple(values[i] for i in self.itable)
+
     def __call__(self, i: int) -> Fraction:
-        return self.table[i]
+        return self.space.gops.values[self.itable[i]]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Functional) and self.itable == other.itable

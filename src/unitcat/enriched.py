@@ -42,19 +42,17 @@ def enumerate_cx(X: VCategory, n: int) -> FunctionSpace:
     ht = gops.hom_t
     m = X.size
     ia = [[gops.index(X.a(x, y)) for y in range(m)] for x in range(m)]
-    functions = []
-    for f in iproduct(gops.values, repeat=m):
-        fi = [int(v * n) for v in f]
-        if all(
-            ia[x][y] <= ht[fi[y]][fi[x]] for x in range(m) for y in range(m)
-        ):
-            functions.append(f)
-    return FunctionSpace(X, X.quantale, n, functions)
+    levels = [
+        f
+        for f in iproduct(range(n + 1), repeat=m)
+        if all(ia[x][y] <= ht[f[y]][f[x]] for x in range(m) for y in range(m))
+    ]
+    return FunctionSpace(X, gops, levels)
 
 
 def representable_index(space: FunctionSpace, x: int) -> int:
     X: VCategory = space.base
-    return space.index[tuple(X.a(y, x) for y in range(X.size))]
+    return space.iindex[tuple(space.gops.index(X.a(y, x)) for y in range(X.size))]
 
 
 def is_cogenerated(X: VCategory, space: Optional[FunctionSpace] = None, n: Optional[int] = None) -> bool:

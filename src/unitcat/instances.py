@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .posets import FinPoset, InvalidPoset, is_continuous_distributor, poset
+from .posets import FinPoset, InvalidPoset, poset
 from .tnorms import (
     Lukasiewicz,
     Minimum,
@@ -26,7 +26,8 @@ from .tnorms import (
     product,
 )
 from .values import RationalFormatError, UnitRangeError, parse_value
-from .vcat import VCategory, validate_vcategory, vcategory
+from .vcat import VCategory, from_poset, validate_vcategory, vcategory
+from .vrel import VRelation, distributor_violation
 
 KINDS = ("poset", "vcategory", "distributor", "generators")
 
@@ -137,15 +138,21 @@ def parse_instance(text: str, exhaustive: bool = True) -> InstanceDoc:
         out.poset = _parse_poset(doc.get("src"), "src")
         out.dst_poset = _parse_poset(doc.get("dst"), "dst")
         out.matrix = _matrix(doc.get("matrix"), "matrix")
-        rows01 = tuple(tuple(int(v) if v in (0, 1) else -1 for v in row) for row in out.matrix)
-        if any(v == -1 for row in rows01 for v in row):
-            if not all(0 <= v <= 1 for row in out.matrix for v in row):
-                raise InstanceError("value-out-of-range", "distributor entries must lie in [0,1]")
-        elif len(rows01) != out.poset.size or any(len(r) != out.dst_poset.size for r in rows01):
+        src, dst = out.poset.size, out.dst_poset.size
+        if len(out.matrix) != src or any(len(r) != dst for r in out.matrix):
             raise InstanceError("bad-document", "distributor shape mismatch", "matrix")
-        elif not is_continuous_distributor(rows01, out.poset, out.dst_poset):
+        # over 0/1 structure matrices the distributor laws do not depend on
+        # the tensor, so any one decides them
+        violation = distributor_violation(
+            VRelation(minimum(), src, dst, out.matrix),
+            from_poset(out.poset, minimum()),
+            from_poset(out.dst_poset, minimum()),
+        )
+        if violation is not None:
             raise InstanceError(
-                "bad-document", "matrix is not down/up-closed for the posets", "matrix"
+                "bad-document",
+                f"matrix is not a distributor between the posets: {violation}",
+                "matrix",
             )
     elif kind == "generators":
         out.poset = _parse_poset(doc.get("poset"), "poset")

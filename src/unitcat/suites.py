@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import duality, enriched, posets, stone, tnorms
@@ -34,6 +34,15 @@ SUITES = (
 
 POSET_SIZE_CAP = 5
 GRID_CAP = 12
+
+# Per-suite bounds on the config, applied by run_suite before the runner,
+# so the echoed config is the one that ran.
+SUITE_CAPS = {
+    "total-partial": {"max_size": 3},
+    "enriched-roundtrip": {"max_size": 3},
+    "lemma1": {"max_size": 3},
+    "tensor-maximality": {"grid": 2, "max_size": 2},
+}
 
 
 @dataclass
@@ -65,6 +74,10 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
         raise InstanceError("cap-exceeded", f"max size capped at {POSET_SIZE_CAP}")
     if config.grid > GRID_CAP:
         raise InstanceError("cap-exceeded", f"grid capped at {GRID_CAP}")
+    caps = SUITE_CAPS.get(config.suite, {})
+    config = replace(
+        config, **{key: min(getattr(config, key), cap) for key, cap in caps.items()}
+    )
     report = SuiteReport(suite=config.suite, config=config.echo())
     start = time.perf_counter()
     _RUNNERS[config.suite](config, report)
@@ -175,8 +188,7 @@ def _random_distributor(rng: random.Random, X: FinPoset, Y: FinPoset):
 def _run_total_partial(config: SuiteConfig, report: SuiteReport):
     q = config.quantale
     _require_closed(q, config.grid)
-    size_cap = min(config.max_size, 3)
-    pool = [P for size in range(1, size_cap + 1) for P in all_posets(size)]
+    pool = [P for size in range(1, config.max_size + 1) for P in all_posets(size)]
     for xi, X in enumerate(pool):
         for yi, Y in enumerate(pool):
             for k, phi in enumerate(posets.continuous_distributors(X, Y)):
@@ -186,10 +198,10 @@ def _run_total_partial(config: SuiteConfig, report: SuiteReport):
 
 def _run_stone(config: SuiteConfig, report: SuiteReport):
     q = config.quantale
-    _require_closed(q, config.grid)
     doc = config.instance
     if doc is not None and doc.kind == "generators" and doc.functions is not None:
         n = doc.grid or config.grid
+        _require_closed(q, n)
         space = duality.function_space(doc.poset, q, n)
         try:
             gens = [space.index[f] for f in doc.functions]
@@ -199,6 +211,7 @@ def _run_stone(config: SuiteConfig, report: SuiteReport):
             )
         report.absorb(stone.sw_audit(doc.poset, q, n, generators=gens), "instance")
         return
+    _require_closed(q, *range(1, config.grid + 1))
     for label, P in _poset_sweep(config):
         for n in range(1, config.grid + 1):
             report.absorb(stone.sw_audit(P, q, n), f"{label} n={n}")
@@ -206,8 +219,7 @@ def _run_stone(config: SuiteConfig, report: SuiteReport):
 
 def _enriched_sweep(config: SuiteConfig):
     q = config.quantale
-    size_cap = min(config.max_size, 3)
-    for size in range(1, size_cap + 1):
+    for size in range(1, config.max_size + 1):
         for n in range(1, config.grid + 1):
             for k, X in enumerate(
                 enriched.enumerate_enriched_categories(size, q, n)
@@ -216,14 +228,14 @@ def _enriched_sweep(config: SuiteConfig):
 
 
 def _run_enriched_roundtrip(config: SuiteConfig, report: SuiteReport):
-    _require_closed(config.quantale, config.grid)
+    _require_closed(config.quantale, *range(1, config.grid + 1))
     for label, X, n in _enriched_sweep(config):
         report.absorb(enriched.adjunction_audit(X, n), label)
         report.absorb(enriched.pointsep_extension_audit(X, n), label)
 
 
 def _run_lemma1(config: SuiteConfig, report: SuiteReport):
-    _require_closed(config.quantale, config.grid)
+    _require_closed(config.quantale, *range(1, config.grid + 1))
     for label, X, n in _enriched_sweep(config):
         report.absorb(enriched.lemma1_audit(X, n), label)
 
@@ -241,10 +253,9 @@ def _run_twovalued(config: SuiteConfig, report: SuiteReport):
 
 def _run_tensor_maximality(config: SuiteConfig, report: SuiteReport):
     q = config.quantale
-    n = min(config.grid, 2)
+    n = config.grid
     _require_closed(q, n)
-    size_cap = min(config.max_size, 2)
-    for size in range(1, size_cap + 1):
+    for size in range(1, config.max_size + 1):
         for pk, P in enumerate(all_posets(size)):
             X = from_poset(P, q)
             space = enriched.enumerate_cx(X, n)
@@ -253,12 +264,14 @@ def _run_tensor_maximality(config: SuiteConfig, report: SuiteReport):
                 report.absorb(rep, f"poset {size}.{pk} psi0={fi}")
 
 
-def _require_closed(q: Quantale, n: int):
-    if not grid_closed(q, n):
-        raise InstanceError(
-            "grid-not-closed",
-            f"Q_{n} is not closed under the {q.name} tensor: exhaustive suites need closure",
-        )
+def _require_closed(q: Quantale, *grids: int):
+    """Refuse, before any work, the first grid of the run that is not closed."""
+    for n in grids:
+        if not grid_closed(q, n):
+            raise InstanceError(
+                "grid-not-closed",
+                f"Q_{n} is not closed under the {q.name} tensor: exhaustive suites need closure",
+            )
 
 
 _RUNNERS = {

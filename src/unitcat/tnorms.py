@@ -231,43 +231,39 @@ class GridNotClosed(ValueError):
 
 def grid_closed(q: Quantale, n: int) -> bool:
     """True iff Q_n is closed under tensor, hom and truncated minus."""
-    grid = GridChain(n).elements
-    on_grid = set(grid)
-    for u in grid:
-        for v in grid:
-            if q.tensor(u, v) not in on_grid or q.hom(u, v) not in on_grid:
-                return False
-    # truncated minus of grid points is always a grid point
+    try:
+        GridOps(q, n)
+    except GridNotClosed:
+        return False
     return True
 
 
 class GridOps:
-    """Integer-indexed tensor/hom/minus tables over a closed grid Q_n.
+    """Integer-level tensor/hom/minus tables over a closed grid Q_n.
 
-    Index i stands for the value i/n; the hot enumeration loops work on
-    these small ints and only convert to Fractions at the boundary.
+    Level i stands for the value i/n.  The one place that decides closure
+    (raising GridNotClosed) and converts Fractions to levels and back.
     """
 
     def __init__(self, q: Quantale, n: int):
-        if not grid_closed(q, n):
-            raise GridNotClosed(f"Q_{n} is not closed under the {q.name} tensor")
         self.quantale = q
         self.n = n
         self.values = GridChain(n).elements
-        size = n + 1
-        self.tensor_t = [
-            [int(q.tensor(self.values[i], self.values[j]) * n) for j in range(size)]
-            for i in range(size)
-        ]
-        self.hom_t = [
-            [int(q.hom(self.values[i], self.values[j]) * n) for j in range(size)]
-            for i in range(size)
-        ]
-        self.minus_t = [[max(i - j, 0) for j in range(size)] for i in range(size)]
+        try:
+            self.tensor_t = [
+                [self.index(q.tensor(u, v)) for v in self.values] for u in self.values
+            ]
+            self.hom_t = [
+                [self.index(q.hom(u, v)) for v in self.values] for u in self.values
+            ]
+        except GridNotClosed:
+            raise GridNotClosed(f"Q_{n} is not closed under the {q.name} tensor") from None
+        # truncated minus of grid points always stays on the grid
+        self.minus_t = [[max(i - j, 0) for j in range(n + 1)] for i in range(n + 1)]
 
     def index(self, v: Fraction) -> int:
         iv = v * self.n
-        if iv.denominator != 1:
+        if iv.denominator != 1 or not 0 <= iv <= self.n:
             raise GridNotClosed(f"{v} is not a point of Q_{self.n}")
         return iv.numerator
 

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .posets import FinPoset
 from .reports import CheckReport
-from .tnorms import GridChain, GridNotClosed, Quantale, grid_closed
+from .tnorms import GridChain, GridOps, Quantale
 from .values import ONE, ZERO, as_value, format_value
 
 
@@ -134,24 +134,20 @@ def power_space(q: Quantale, s: int, n: int) -> VCategory:
     Structure [h,l] = meet over S of hom(h(s), l(s)); the carrier order
     matches power_functions(s, n).
     """
-    if not grid_closed(q, n):
-        raise GridNotClosed(f"power space needs a grid closed under {q.name}")
-    tables = power_functions(s, n)
+    gops = GridOps(q, n)
+    ht, values = gops.hom_t, gops.values
+    tables = tuple(iproduct(range(n + 1), repeat=s))
     matrix = tuple(
-        tuple(
-            min((q.hom(h[i], l[i]) for i in range(s)), default=ONE)
-            for l in tables
-        )
+        tuple(values[min((ht[a][b] for a, b in zip(h, l)), default=n)] for l in tables)
         for h in tables
     )
-    labels = tuple("(" + ",".join(format_value(v) for v in h) + ")" for h in tables)
+    labels = tuple("(" + ",".join(format_value(values[a]) for a in h) + ")" for h in tables)
     return VCategory(q, matrix, labels)
 
 
 def grid_chain_category(q: Quantale, n: int) -> VCategory:
     """Q_n with structure hom: the one-generator power space."""
-    if not grid_closed(q, n):
-        raise GridNotClosed(f"grid chain needs a grid closed under {q.name}")
-    values = GridChain(n).elements
-    matrix = tuple(tuple(q.hom(u, v) for v in values) for u in values)
+    gops = GridOps(q, n)
+    values = gops.values
+    matrix = tuple(tuple(values[h] for h in row) for row in gops.hom_t)
     return VCategory(q, matrix, tuple(format_value(v) for v in values))

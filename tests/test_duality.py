@@ -41,6 +41,34 @@ def test_function_space_is_antitone_and_closed():
     assert sp.top_index >= 0 and sp.bottom_index >= 0
 
 
+def test_function_space_matches_fraction_enumeration():
+    # witness indices f{i} depend on this lexicographic order
+    for q in (LUK, MIN):
+        for n in (1, 2, 3):
+            values = T.GridChain(n).elements
+            for size in (1, 2, 3):
+                for Q in P.all_posets(size):
+                    want = tuple(
+                        f
+                        for f in iproduct(values, repeat=size)
+                        if all(
+                            f[x] >= f[y]
+                            for x in range(size)
+                            for y in range(size)
+                            if Q.leq[x][y]
+                        )
+                    )
+                    sp = D.function_space(Q, q, n)
+                    assert sp.functions == want
+                    assert all(sp.index[f] == i for i, f in enumerate(want))
+
+
+def test_functional_rejects_off_grid_values():
+    sp = D.function_space(CHAIN2, LUK, 2)
+    with pytest.raises(T.GridNotClosed):
+        D.Functional(sp, [F(1, 3)] * sp.size)
+
+
 def test_phi_of_examples():
     sp = D.function_space(CHAIN2, LUK, 2)
     psi = sp.index[(F(1), F(1, 2))]

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import product as iproduct
 
 import pytest
 
@@ -34,6 +35,20 @@ def test_enumerate_cx_agrees_with_poset_space():
             assert got == want
 
 
+def test_enumerate_cx_matches_fraction_enumeration():
+    # witness indices f{i} depend on this lexicographic order
+    for q in (LUK, T.minimum()):
+        for n in (1, 2):
+            values = T.GridChain(n).elements
+            for X in E.enumerate_enriched_categories(2, q, n, require_cogenerated=False):
+                want = tuple(
+                    f
+                    for f in iproduct(values, repeat=2)
+                    if all(X.a(x, y) <= q.hom(f[y], f[x]) for x in range(2) for y in range(2))
+                )
+                assert E.enumerate_cx(X, n).functions == want
+
+
 def test_cx_contains_representables():
     for X in (HALF_PAIR, CHAIN2):
         sp = E.enumerate_cx(X, 2)
@@ -54,7 +69,7 @@ def test_cogeneration_fails_on_truncated_space():
     sp = E.enumerate_cx(HALF_PAIR, 2)
     constants = [i for i, f in enumerate(sp.ifuncs) if len(set(f)) == 1]
     truncated = D.FunctionSpace(
-        HALF_PAIR, LUK, 2, [sp.functions[i] for i in constants]
+        HALF_PAIR, sp.gops, [sp.ifuncs[i] for i in constants]
     )
     assert not E.is_cogenerated(HALF_PAIR, truncated)
 

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction as F
 
 import pytest
 
@@ -37,6 +38,29 @@ def test_distributor_doc():
     )
     doc = I.parse_instance(text)
     assert doc.matrix == ((1,), (1,))
+
+
+def _distributor(src, dst, matrix):
+    return json.dumps(
+        {
+            "kind": "distributor",
+            "tensor": "lukasiewicz",
+            "grid": 2,
+            "src": {"leq": src},
+            "dst": {"leq": dst},
+            "matrix": matrix,
+        }
+    )
+
+
+def test_fractional_distributor_docs_are_validated():
+    chain2, point = [[1, 1], [0, 1]], [[1]]
+    doc = I.parse_instance(_distributor(chain2, point, [["1"], ["1/2"]]))
+    assert doc.matrix == ((1,), (F(1, 2),))
+    for matrix in ([["1/2", "0", "1"]], [["1/2"], ["1"]]):
+        with pytest.raises(I.InstanceError) as e:
+            I.parse_instance(_distributor(chain2, point, matrix))
+        assert e.value.code == "bad-document"
 
 
 def test_error_codes_distinct():

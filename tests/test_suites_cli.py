@@ -44,6 +44,28 @@ def test_representability_rejects_open_grid():
     assert e.value.code == "grid-not-closed"
 
 
+def test_swept_open_grid_refused_before_any_work():
+    # Q_1, Q_2 and Q_4 are closed under this tensor, Q_3 is not
+    q = parse_tnorm("ordinal:0-1/2-lukasiewicz")
+    for suite in ("stone-weierstrass", "enriched-roundtrip", "lemma1"):
+        with pytest.raises(InstanceError) as e:
+            run(suite, quantale=q, grid=4, max_size=2)
+        assert e.value.code == "grid-not-closed" and "Q_3" in str(e.value)
+
+
+def test_run_suite_echoes_clamped_config(monkeypatch):
+    rep = run("tensor-maximality", grid=6, max_size=4)
+    assert (rep.config["grid"], rep.config["max-size"]) == (2, 2)
+    assert rep.instances == run("tensor-maximality", grid=2, max_size=2).instances
+    for suite in ("total-partial", "enriched-roundtrip", "lemma1"):
+        ran = []
+        monkeypatch.setitem(SU._RUNNERS, suite, lambda config, report: ran.append(config))
+        rep = run(suite, grid=3, max_size=4)
+        assert rep.config["max-size"] == 3 and ran[0].max_size == 3
+        assert rep.config["grid"] == 3 and ran[0].grid == 3
+    assert run("monad-laws", max_size=4).config["max-size"] == 4
+
+
 def test_every_suite_passes_at_small_defaults():
     for suite in SU.SUITES:
         kwargs = {"max_size": 2, "corpus": 30}

@@ -185,3 +185,30 @@ def test_rational_sample_deterministic():
     a = T.rational_sample(T.SampleSpec(seed=11, count=40))
     b = T.rational_sample(T.SampleSpec(seed=11, count=40))
     assert a == b and F(0) in a and F(1) in a
+
+
+def _grid_closed_by_membership(q, n):
+    """Oracle: every tensor and hom of two grid points is a grid point."""
+    grid = T.GridChain(n).elements
+    on_grid = set(grid)
+    return all(
+        q.tensor(u, v) in on_grid and q.hom(u, v) in on_grid
+        for u in grid
+        for v in grid
+    )
+
+
+def test_grid_closed_agrees_with_membership_scan():
+    ordinals = (
+        T.ordinal_sum((F(0), F(1, 2), T.Lukasiewicz())),
+        T.ordinal_sum((F(0), F(1, 2), T.Lukasiewicz()), (F(1, 2), F(1), T.Product())),
+    )
+    for q in (MIN, LUK, PROD) + ordinals:
+        for n in range(1, 9):
+            closed = _grid_closed_by_membership(q, n)
+            assert T.grid_closed(q, n) == closed, (q.name, n)
+            if not closed:
+                with pytest.raises(
+                    T.GridNotClosed, match=f"Q_{n} is not closed under the {q.name} tensor"
+                ):
+                    T.GridOps(q, n)

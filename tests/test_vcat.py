@@ -118,3 +118,15 @@ def test_functors_are_monotone():
                 for y in range(X.size):
                     if ox[x][y]:
                         assert oy[f[x]][f[y]]
+
+
+def test_power_space_matches_fraction_formula():
+    for q in (LUK, T.minimum()):
+        for s in (1, 2):
+            for n in (1, 2, 3):
+                tables = VC.power_functions(s, n)
+                want = tuple(
+                    tuple(min(q.hom(a, b) for a, b in zip(h, l)) for l in tables)
+                    for h in tables
+                )
+                assert VC.power_space(q, s, n).matrix == want
