@@ -29,7 +29,8 @@ class FunctionSpace:
 
     ``ifuncs`` are grid-level tuples in ascending lexicographic order;
     ``functions``/``index`` are their Fraction views, rendered on first
-    use.  Pairwise operation tables are built lazily and cached.
+    use.  Pairwise operation tables are built lazily and cached; readers
+    take the pointwise join and tensor from ``pair_ops`` or ``op_table``.
     """
 
     def __init__(self, base, gops: GridOps, levels):
@@ -103,6 +104,18 @@ class FunctionSpace:
             self._pair_ops = out
         return self._pair_ops
 
+    @cached_property
+    def op_table(self) -> tuple[list[list[int]], list[list[int]]]:
+        """(join, tensor) index matrices filled from ``pair_ops``: entry
+        [i][j] is the index of the pointwise join or tensor of f_i and f_j,
+        and a tensor entry is -1 where the result leaves the space."""
+        join = [[0] * self.size for _ in range(self.size)]
+        tensor = [[0] * self.size for _ in range(self.size)]
+        for i, j, k_join, k_tens in self.pair_ops():
+            join[i][j] = join[j][i] = k_join
+            tensor[i][j] = tensor[j][i] = k_tens
+        return join, tensor
+
     def unary_ops(self):
         """Per grid level u: action, truncated minus and power tables.
 
@@ -145,12 +158,6 @@ class FunctionSpace:
             raise ValueError(self._unary_escapes[op])
         return table
 
-    def distance(self, i: int, j: int) -> Fraction:
-        """Structure of CX: meet over the carrier of hom(f_i(x), f_j(x))."""
-        ht = self.gops.hom_t
-        vals = [ht[a][b] for a, b in zip(self.ifuncs[i], self.ifuncs[j])]
-        return self.gops.value(min(vals, default=self.n))
-
 
 def function_space(P: FinPoset, q: Quantale, n: int) -> FunctionSpace:
     """All antitone maps X -> Q_n (morphisms into the opposite interval)."""
@@ -159,7 +166,7 @@ def function_space(P: FinPoset, q: Quantale, n: int) -> FunctionSpace:
     levels = [
         f for f in iproduct(range(n + 1), repeat=m) if all(f[x] >= f[y] for x, y in pairs)
     ]
-    return FunctionSpace(P, GridOps(q, n), levels)
+    return FunctionSpace(P, q.grid(n), levels)
 
 
 class Functional:
@@ -281,29 +288,40 @@ def check_conditions(phi: Functional) -> ConditionReport:
     return ConditionReport(mon, act, sup, tenlax, ten, top, minus, zero_witness)
 
 
+def _acts_and_joins(space: FunctionSpace, t) -> bool:
+    """The level table t commutes with the action and with binary joins."""
+    tt = space.gops.tensor_t
+    for u, au in enumerate(space.closed_unary("act")):
+        tu = tt[u]
+        for i in range(space.size):
+            if t[au[i]] != tu[t[i]]:
+                return False
+    for i, j, k_join, _ in space.pair_ops():
+        a, b = t[i], t[j]
+        if t[k_join] != (a if a >= b else b):
+            return False
+    return True
+
+
 def passes_cut(space: FunctionSpace, itable, drop_tenlax: bool = False) -> bool:
     """Fast path for the representability cut (act, sup, minus[, tenlax]).
 
     Monotonicity is implied by sup, so it is not re-checked here.
     """
     t = itable
-    tt = space.gops.tensor_t
-    n = space.n
-    act_t, minus_t = space.closed_unary("act"), space.closed_unary("minus")
-    for u in range(n + 1):
-        au, mu = act_t[u], minus_t[u]
+    minus_t = space.closed_unary("minus")  # refuses an escaping minus before any check
+    if not _acts_and_joins(space, t):
+        return False
+    for u, mu in enumerate(minus_t):
         for i in range(space.size):
             ti = t[i]
-            if t[au[i]] != tt[u][ti]:
-                return False
             if t[mu[i]] != (ti - u if ti > u else 0):
                 return False
-    for i, j, k_join, k_tens in space.pair_ops():
-        a, b = t[i], t[j]
-        if t[k_join] != (a if a >= b else b):
-            return False
-        if not drop_tenlax and k_tens >= 0 and t[k_tens] > tt[a][b]:
-            return False
+    if not drop_tenlax:
+        tt = space.gops.tensor_t
+        for i, j, _, k_tens in space.pair_ops():
+            if k_tens >= 0 and t[k_tens] > tt[t[i]][t[j]]:
+                return False
     return True
 
 

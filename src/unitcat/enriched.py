@@ -16,11 +16,12 @@ from typing import Iterator, Optional, Sequence
 from .duality import (
     FunctionSpace,
     Functional,
+    _acts_and_joins,
     join_homomorphisms,
     join_irreducibles,
 )
 from .reports import CheckReport
-from .tnorms import GridChain, GridOps, Quantale
+from .tnorms import GridChain, Quantale
 from .values import ONE, ZERO, format_value
 from .vcat import VCategory, is_poset_based, is_separated, validate_vcategory
 
@@ -38,7 +39,7 @@ def enumerate_cx(X: VCategory, n: int) -> FunctionSpace:
     pair with a(0,1) = 1/2 admits (1/2, 1) but not (0, 1/2) = (1/2, 1)
     minus 1/2.
     """
-    gops = GridOps(X.quantale, n)
+    gops = X.quantale.grid(n)
     ht = gops.hom_t
     m = X.size
     ia = [[gops.index(X.a(x, y)) for y in range(m)] for x in range(m)]
@@ -156,20 +157,7 @@ def retract_phi_simplified(phi_func: Functional) -> tuple[Fraction, ...]:
 def is_finsup_functional(phi_func: Functional) -> bool:
     """Monotone, action-preserving and join-preserving table (the finitely
     cocontinuous maps out of the function space)."""
-    space = phi_func.space
-    t = phi_func.itable
-    tt = space.gops.tensor_t
-    act_t, _, _ = space.unary_ops()
-    for u in range(space.n + 1):
-        au = act_t[u]
-        for i in range(space.size):
-            if t[au[i]] != tt[u][t[i]]:
-                return False
-    for i, j, k_join, _ in space.pair_ops():
-        a, b = t[i], t[j]
-        if t[k_join] != (a if a >= b else b):
-            return False
-    return True
+    return _acts_and_joins(phi_func.space, phi_func.itable)
 
 
 def adjunction_audit(X: VCategory, n: int) -> CheckReport:
@@ -339,9 +327,8 @@ def tensor_maximality_audit(X: VCategory, psi0: Sequence[Fraction], n: int) -> C
         raise ValueError("maximality scan is limited to poset-based carriers, |X| <= 3, n <= 2")
     space = enumerate_cx(X, n)
     gops = space.gops
-    tt = gops.tensor_t
-    ipsi0 = [gops.index(v) for v in psi0]
-    if tuple(ipsi0) not in space.iindex:
+    ipsi0 = tuple(gops.index(v) for v in psi0)
+    if ipsi0 not in space.iindex:
         raise ValueError("psi0 must be a member of the function space")
     q = X.quantale
     m = X.size
@@ -350,9 +337,7 @@ def tensor_maximality_audit(X: VCategory, psi0: Sequence[Fraction], n: int) -> C
     checked = 0
 
     # the expected maximum: psi |-> psi0 tensor psi pointwise
-    expected = [
-        space.iindex[tuple(tt[a][b] for a, b in zip(ipsi0, f))] for f in space.ifuncs
-    ]
+    expected = tuple(space.op_table[1][space.iindex[ipsi0]])
 
     survivors = []
     found_expected = False
@@ -380,7 +365,7 @@ def tensor_maximality_audit(X: VCategory, psi0: Sequence[Fraction], n: int) -> C
         ):
             continue
         survivors.append(cmap)
-        if list(cmap) == expected:
+        if cmap == expected:
             found_expected = True
         for i in range(space.size):
             img = space.ifuncs[cmap[i]]

@@ -28,9 +28,6 @@ class FinPoset:
     def size(self) -> int:
         return len(self.leq)
 
-    def le(self, x: int, y: int) -> bool:
-        return self.leq[x][y]
-
 
 def poset(rows) -> FinPoset:
     """Validate and build a finite poset from a 0/1 (or bool) matrix."""

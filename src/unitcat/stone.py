@@ -57,8 +57,11 @@ def generate_closure(
 
     ops is a subset of {join, tensor, act, power, minus, constants};
     'tensor' also seeds the unit constant (it is the monoid structure),
-    'constants' seeds both constants.  The trace records one line per new
-    member: operation, operand indices, result index.
+    'constants' seeds both constants.  A worklist: each member meets
+    itself and every earlier member in the space's ``op_table``, then
+    the unary tables.  The trace records one line per new member:
+    operation, operand indices, result index.  A reached pair whose
+    tensor leaves the space raises ValueError naming the pair.
     """
     unknown = set(ops) - set(KNOWN_OPS)
     if unknown:
@@ -82,48 +85,31 @@ def generate_closure(
     if "tensor" in ops:
         add(space.top_index, "monoid unit")
 
-    act_t, minus_t, power_t = (
-        space.closed_unary(op) if op in ops else None
-        for op in ("act", "minus", "power")
-    )
-    tt = space.gops.tensor_t
-    idx = space.iindex
-    fs = space.ifuncs
-    frontier = list(members)
-    while frontier:
-        current = list(members)
-        next_frontier = []
-
-        def emit(i, how):
-            before = len(members)
-            add(i, how)
-            if len(members) > before:
-                next_frontier.append(i)
-
-        for i in frontier:
-            fi = fs[i]
-            if "join" in ops or "tensor" in ops:
-                for j in current:
-                    fj = fs[j]
-                    if "join" in ops:
-                        emit(
-                            idx[tuple(a if a >= b else b for a, b in zip(fi, fj))],
-                            f"join(f{i},f{j})",
-                        )
-                    if "tensor" in ops:
-                        emit(
-                            idx[tuple(tt[a][b] for a, b in zip(fi, fj))],
-                            f"tensor(f{i},f{j})",
-                        )
-            for u in range(space.n + 1):
-                if "act" in ops:
-                    emit(act_t[u][i], f"act({u}/{space.n},f{i})")
-                if "power" in ops:
-                    emit(power_t[u][i], f"power(f{i},{u}/{space.n})")
-                if "minus" in ops:
-                    emit(minus_t[u][i], f"minus(f{i},{u}/{space.n})")
-        frontier = next_frontier
+    binary = [
+        (op, space.op_table[k]) for k, op in enumerate(("join", "tensor")) if op in ops
+    ]
+    unary = [(op, space.closed_unary(op)) for op in ("act", "power", "minus") if op in ops]
+    n = space.n
+    # members grows while it is walked: it is the worklist
+    for k, i in enumerate(members):
+        for op, table in binary:
+            row = table[i]
+            for j in members[: k + 1]:
+                r = row[j]
+                if r not in seen:
+                    if r < 0:
+                        raise _tensor_escape(i, j)
+                    add(r, f"{op}(f{i},f{j})")
+        for u in range(n + 1):
+            for op, table in unary:
+                r = table[u][i]
+                if r not in seen:
+                    add(r, f"act({u}/{n},f{i})" if op == "act" else f"{op}(f{i},{u}/{n})")
     return SubStructure(space, tuple(sorted(members)), tuple(trace))
+
+
+def _tensor_escape(i: int, j: int) -> ValueError:
+    return ValueError(f"tensor of f{i} and f{j} leaves the function space")
 
 
 def check_sep(L: SubStructure) -> CheckReport:
@@ -247,9 +233,6 @@ def _closed_under(L: SubStructure, required) -> Optional[str]:
         space.closed_unary(op) if op in required else None
         for op in ("minus", "power")
     )
-    tt = space.gops.tensor_t
-    fs = space.ifuncs
-    idx = space.iindex
     for i in L.members:
         for u in range(space.n + 1):
             if "power" in required and power_t[u][i] not in members:
@@ -259,9 +242,11 @@ def _closed_under(L: SubStructure, required) -> Optional[str]:
         if "tensor" in required:
             if space.top_index not in members:
                 return "tensor"
+            row = space.op_table[1][i]
             for j in L.members:
-                t = idx[tuple(tt[a][b] for a, b in zip(fs[i], fs[j]))]
-                if t not in members:
+                if row[j] < 0:
+                    raise _tensor_escape(i, j)
+                if row[j] not in members:
                     return "tensor"
     return None
 

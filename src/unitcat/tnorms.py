@@ -9,7 +9,7 @@ exhaustive suites are built on.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -114,10 +114,19 @@ class Quantale:
     tnorm: TNormSpec
     unit: Fraction = ONE
     bottom: Fraction = ZERO
+    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def name(self) -> str:
         return self.tnorm.name
+
+    def grid(self, n: int) -> "GridOps":
+        """The GridOps of Q_n, built on first use and kept on this quantale;
+        raises GridNotClosed, keeping nothing, when Q_n is not closed."""
+        gops = self._grids.get(n)
+        if gops is None:
+            gops = self._grids[n] = GridOps(self, n)
+        return gops
 
     def tensor(self, u: Fraction, v: Fraction) -> Fraction:
         return self.tnorm.tensor(u, v)
@@ -232,7 +241,7 @@ class GridNotClosed(ValueError):
 def grid_closed(q: Quantale, n: int) -> bool:
     """True iff Q_n is closed under tensor, hom and truncated minus."""
     try:
-        GridOps(q, n)
+        q.grid(n)
     except GridNotClosed:
         return False
     return True
@@ -243,6 +252,7 @@ class GridOps:
 
     Level i stands for the value i/n.  The one place that decides closure
     (raising GridNotClosed) and converts Fractions to levels and back.
+    ``Quantale.grid(n)`` builds one per quantale and grid.
     """
 
     def __init__(self, q: Quantale, n: int):

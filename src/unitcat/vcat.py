@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .posets import FinPoset
 from .reports import CheckReport
-from .tnorms import GridChain, GridOps, Quantale
+from .tnorms import GridChain, Quantale
 from .values import ONE, ZERO, as_value, format_value
 
 
@@ -134,7 +134,7 @@ def power_space(q: Quantale, s: int, n: int) -> VCategory:
     Structure [h,l] = meet over S of hom(h(s), l(s)); the carrier order
     matches power_functions(s, n).
     """
-    gops = GridOps(q, n)
+    gops = q.grid(n)
     ht, values = gops.hom_t, gops.values
     tables = tuple(iproduct(range(n + 1), repeat=s))
     matrix = tuple(
@@ -147,7 +147,7 @@ def power_space(q: Quantale, s: int, n: int) -> VCategory:
 
 def grid_chain_category(q: Quantale, n: int) -> VCategory:
     """Q_n with structure hom: the one-generator power space."""
-    gops = GridOps(q, n)
+    gops = q.grid(n)
     values = gops.values
     matrix = tuple(tuple(values[h] for h in row) for row in gops.hom_t)
     return VCategory(q, matrix, tuple(format_value(v) for v in values))

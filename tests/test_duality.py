@@ -322,8 +322,10 @@ def test_minus_leaving_the_space_is_refused():
     sp = E.enumerate_cx(X, 2)
     _, minus, _ = sp.unary_ops()
     assert -1 in minus[1]
-    with pytest.raises(ValueError, match="minus of f3 at 1/2 leaves"):
-        D.passes_cut(sp, (0,) * sp.size)
+    # refused before any table is read: the all-ones table fails the action
+    for level in (0, 1):
+        with pytest.raises(ValueError, match="minus of f3 at 1/2 leaves"):
+            D.passes_cut(sp, (level,) * sp.size)
     with pytest.raises(ValueError, match="leaves the function space"):
         D.check_conditions(D.Functional.from_levels(sp, (0,) * sp.size))
     assert len(sp.closed_unary("act")) == 3

@@ -179,6 +179,18 @@ def test_grid_ops_tables_match_fractions():
 def test_grid_ops_rejects_open_grid():
     with pytest.raises(T.GridNotClosed):
         T.GridOps(PROD, 3)
+    for _ in range(2):  # an open grid is refused again, not remembered as built
+        with pytest.raises(T.GridNotClosed):
+            PROD.grid(3)
+
+
+def test_grid_is_built_once_per_quantale():
+    q = T.lukasiewicz()
+    assert q.grid(3) is q.grid(3)
+    assert q.grid(3) is not q.grid(2)
+    assert q.grid(3) is not T.lukasiewicz().grid(3)
+    assert q == T.lukasiewicz() and hash(q) == hash(T.lukasiewicz())
+    assert repr(q) == repr(T.lukasiewicz())
 
 
 def test_rational_sample_deterministic():
