@@ -33,7 +33,7 @@ X = vcategory(luk, [["1", "1/2"], ["0", "1"]], labels=("p", "q"))
 print("== the function space of the enriched pair ==")
 cx = enumerate_cx(X, 2)
 print(f"{cx.size} of 9 grid tables qualify; (0,1) is rejected by the 1/2 gap")
-print("cogenerated by the interval:", is_cogenerated(X, cx))
+print("cogenerated by the interval:", is_cogenerated(cx))
 
 print("\n== represent and retract every grid distributor ==")
 for phi in grid_distributors_into(X, 2):

@@ -13,7 +13,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product as iproduct
 from typing import Iterator, Optional, Sequence
 
 from .posets import FinPoset, is_irreducible, mask_elements, upper_sets
@@ -21,7 +20,6 @@ from .reports import CheckReport
 from .tnorms import GridOps, Quantale, nilpotent_free
 
 EXHAUSTIVE_CAP = 2_000_000
-UNARY_OPS = ("act", "minus", "power")
 
 
 class FunctionSpace:
@@ -29,8 +27,8 @@ class FunctionSpace:
 
     ``ifuncs`` are grid-level tuples in ascending lexicographic order;
     ``functions``/``index`` are their Fraction views, rendered on first
-    use.  Pairwise operation tables are built lazily and cached; readers
-    take the pointwise join and tensor from ``pair_ops`` or ``op_table``.
+    use.  Tables are built on first read and kept: join and tensor in
+    ``pair_ops``/``op_table``, each unary op in ``unary_ops``.
     """
 
     def __init__(self, base, gops: GridOps, levels):
@@ -41,10 +39,8 @@ class FunctionSpace:
         self.ifuncs = tuple(levels)
         self.iindex = {f: i for i, f in enumerate(self.ifuncs)}
         self.carrier_size = len(self.ifuncs[0]) if self.ifuncs else 0
-        self._le_pairs = None
         self._pair_ops = None
-        self._unary_ops = None
-        self._unary_escapes: dict[str, str] = {}
+        self._unary: dict[str, list[tuple[int, ...]]] = {}
 
     @property
     def size(self) -> int:
@@ -70,18 +66,15 @@ class FunctionSpace:
     def bottom_index(self) -> int:
         return self.constant_index(0)
 
-    def le_pairs(self):
-        """(i, j) with f_i <= f_j pointwise, i != j."""
-        if self._le_pairs is None:
-            fs = self.ifuncs
-            m = len(fs)
-            self._le_pairs = [
-                (i, j)
-                for i in range(m)
-                for j in range(m)
-                if i != j and all(a <= b for a, b in zip(fs[i], fs[j]))
-            ]
-        return self._le_pairs
+    def le_pairs(self) -> list[tuple[int, int]]:
+        """(i, j) with f_i <= f_j pointwise, i != j, in ascending order,
+        read off the join table: f_i <= f_j iff their join is f_j."""
+        return [
+            (i, j)
+            for i, row in enumerate(self.op_table[0])
+            for j, k in enumerate(row)
+            if k == j != i
+        ]
 
     def pair_ops(self):
         """(i, j, join_index, tensor_index) for i <= j (both ops symmetric).
@@ -116,57 +109,57 @@ class FunctionSpace:
             tensor[i][j] = tensor[j][i] = k_tens
         return join, tensor
 
-    def unary_ops(self):
-        """Per grid level u: action, truncated minus and power tables.
-
-        A minus or power entry is -1 when the result leaves the space,
-        which can happen over enriched carriers (the action always stays).
-        Readers of those two tables go through ``closed_unary``.
-        """
-        if self._unary_ops is None:
-            fs = self.ifuncs
-            tt = self.gops.tensor_t
-            ht = self.gops.hom_t
-            idx = self.iindex
-            act, minus, power = [], [], []
-            for u in range(self.n + 1):
-                act.append(tuple(idx[tuple(tt[u][a] for a in f)] for f in fs))
-                minus.append(
-                    tuple(
-                        idx.get(tuple(a - u if a > u else 0 for a in f), -1)
-                        for f in fs
+    def unary_ops(self, op: str) -> list[tuple[int, ...]]:
+        """The "act", "minus" or "power" table, built on first read: row u
+        holds the index of u tensor f, f minus u or u hom f for each f.
+        Minus and powers can leave the space over enriched carriers; such
+        a table raises ValueError naming its first escaping function."""
+        table = self._unary.get(op)
+        if table is None:
+            n, idx = self.n, self.iindex
+            maps = {
+                "act": self.gops.tensor_t,
+                "minus": [[max(a - u, 0) for a in range(n + 1)] for u in range(n + 1)],
+                "power": self.gops.hom_t,
+            }[op]
+            table = []
+            for u, level in enumerate(maps):
+                row = [idx.get(tuple(level[a] for a in f), -1) for f in self.ifuncs]
+                if -1 in row:
+                    raise ValueError(
+                        f"{op} of f{row.index(-1)} at {u}/{n} leaves the function space"
                     )
-                )
-                power.append(
-                    tuple(idx.get(tuple(ht[u][a] for a in f), -1) for f in fs)
-                )
-            self._unary_ops = (act, minus, power)
-            for op, table in zip(UNARY_OPS, self._unary_ops):
-                for u, row in enumerate(table):
-                    if -1 in row and op not in self._unary_escapes:
-                        self._unary_escapes[op] = (
-                            f"{op} of f{row.index(-1)} at {u}/{self.n} "
-                            "leaves the function space"
-                        )
-        return self._unary_ops
-
-    def closed_unary(self, op: str):
-        """The "act", "minus" or "power" table of ``unary_ops``; raises
-        ValueError when one of its results leaves the space."""
-        table = self.unary_ops()[UNARY_OPS.index(op)]
-        if op in self._unary_escapes:
-            raise ValueError(self._unary_escapes[op])
+                table.append(tuple(row))
+            self._unary[op] = table
         return table
+
+
+def cx_levels(gops: GridOps, ia) -> list[tuple[int, ...]]:
+    """The level tables f with ia[x][y] <= hom(f(y), f(x)) for all x, y, in
+    ascending lexicographic order: the grid-valued morphisms into the
+    opposite interval from a carrier with structure levels ``ia``.  Tables
+    grow one coordinate at a time, checked against the earlier coordinates
+    with a positive level either way (level 0 and the diagonal always hold)."""
+    ht = gops.hom_t
+    levels = range(gops.n + 1)
+    tables = [()]
+    for k in range(len(ia)):
+        cons = [(x, ia[x][k], ia[k][x]) for x in range(k) if ia[x][k] or ia[k][x]]
+        tables = [
+            f + (v,)
+            for f in tables
+            for v in levels
+            if all(a <= ht[v][f[x]] and b <= ht[f[x]][v] for x, a, b in cons)
+        ]
+    return tables
 
 
 def function_space(P: FinPoset, q: Quantale, n: int) -> FunctionSpace:
     """All antitone maps X -> Q_n (morphisms into the opposite interval)."""
     m = P.size
-    pairs = [(x, y) for x in range(m) for y in range(m) if P.leq[x][y] and x != y]
-    levels = [
-        f for f in iproduct(range(n + 1), repeat=m) if all(f[x] >= f[y] for x, y in pairs)
-    ]
-    return FunctionSpace(P, q.grid(n), levels)
+    ia = [[n if P.leq[x][y] else 0 for y in range(m)] for x in range(m)]
+    gops = q.grid(n)
+    return FunctionSpace(P, gops, cx_levels(gops, ia))
 
 
 class Functional:
@@ -261,7 +254,7 @@ def check_conditions(phi: Functional) -> ConditionReport:
         if sup and tenlax and ten:
             break
 
-    act_t, minus_t = sp.closed_unary("act"), sp.closed_unary("minus")
+    act_t, minus_t = sp.unary_ops("act"), sp.unary_ops("minus")
     act = minus = None
     for u in range(n + 1):
         au, mu = act_t[u], minus_t[u]
@@ -291,7 +284,7 @@ def check_conditions(phi: Functional) -> ConditionReport:
 def _acts_and_joins(space: FunctionSpace, t) -> bool:
     """The level table t commutes with the action and with binary joins."""
     tt = space.gops.tensor_t
-    for u, au in enumerate(space.closed_unary("act")):
+    for u, au in enumerate(space.unary_ops("act")):
         tu = tt[u]
         for i in range(space.size):
             if t[au[i]] != tu[t[i]]:
@@ -309,7 +302,7 @@ def passes_cut(space: FunctionSpace, itable, drop_tenlax: bool = False) -> bool:
     Monotonicity is implied by sup, so it is not re-checked here.
     """
     t = itable
-    minus_t = space.closed_unary("minus")  # refuses an escaping minus before any check
+    minus_t = space.unary_ops("minus")  # refuses an escaping minus before any check
     if not _acts_and_joins(space, t):
         return False
     for u, mu in enumerate(minus_t):
@@ -506,6 +499,7 @@ def make_corpus(space: FunctionSpace, count: int, seed: int) -> list[Functional]
     n = space.n
     m = space.size
     ups = upper_sets(space.base) if isinstance(space.base, FinPoset) else (0,)
+    le_pairs = space.le_pairs()
     out = []
     for k in range(count):
         kind = k % 3
@@ -514,7 +508,7 @@ def make_corpus(space: FunctionSpace, count: int, seed: int) -> list[Functional]
         elif kind == 1:
             raw = [rng.randint(0, n) for _ in range(m)]
             itable = list(raw)
-            for i, j in space.le_pairs():
+            for i, j in le_pairs:
                 if itable[j] < itable[i]:
                     itable[j] = itable[i]
         else:

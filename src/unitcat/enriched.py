@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .duality import (
     FunctionSpace,
     Functional,
     _acts_and_joins,
+    cx_levels,
     join_homomorphisms,
     join_irreducibles,
 )
@@ -40,15 +41,9 @@ def enumerate_cx(X: VCategory, n: int) -> FunctionSpace:
     minus 1/2.
     """
     gops = X.quantale.grid(n)
-    ht = gops.hom_t
     m = X.size
     ia = [[gops.index(X.a(x, y)) for y in range(m)] for x in range(m)]
-    levels = [
-        f
-        for f in iproduct(range(n + 1), repeat=m)
-        if all(ia[x][y] <= ht[f[y]][f[x]] for x in range(m) for y in range(m))
-    ]
-    return FunctionSpace(X, gops, levels)
+    return FunctionSpace(X, gops, cx_levels(gops, ia))
 
 
 def representable_index(space: FunctionSpace, x: int) -> int:
@@ -56,26 +51,20 @@ def representable_index(space: FunctionSpace, x: int) -> int:
     return space.iindex[tuple(space.gops.index(X.a(y, x)) for y in range(X.size))]
 
 
-def is_cogenerated(X: VCategory, space: Optional[FunctionSpace] = None, n: Optional[int] = None) -> bool:
-    """The cone into the opposite interval is point-separating and initial:
-    the structure is the pointwise infimum of hom gaps over the space."""
-    if space is None:
-        space = enumerate_cx(X, n)
-    gops = space.gops
+def is_cogenerated(space: FunctionSpace) -> bool:
+    """The cone of the space into the opposite interval is point-separating
+    and initial: the structure of its base category is the pointwise
+    infimum of hom gaps over the space."""
+    X: VCategory = space.base
+    gops, fs = space.gops, space.ifuncs
     ht = gops.hom_t
-    for x in range(X.size):
-        for y in range(X.size):
-            target = gops.index(X.a(x, y))
-            best = min(
-                (ht[f[y]][f[x]] for f in space.ifuncs), default=gops.n
-            )
-            if best != target:
-                return False
-    for x in range(X.size):
-        for y in range(X.size):
-            if x != y and all(f[x] == f[y] for f in space.ifuncs):
-                return False
-    return True
+    pairs = [(x, y) for x in range(X.size) for y in range(X.size)]
+    if any(
+        min((ht[f[y]][f[x]] for f in fs), default=gops.n) != gops.index(X.a(x, y))
+        for x, y in pairs
+    ):
+        return False
+    return not any(x != y and all(f[x] == f[y] for f in fs) for x, y in pairs)
 
 
 def grid_distributors_into(X: VCategory, n: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -176,7 +165,7 @@ def adjunction_audit(X: VCategory, n: int) -> CheckReport:
     notes = []
     checked = 0
     space = enumerate_cx(X, n)
-    if not is_cogenerated(X, space):
+    if not is_cogenerated(space):
         return CheckReport(
             name="enriched-adjunction",
             checked=0,
@@ -238,7 +227,7 @@ def lemma1_audit(X: VCategory, n: int) -> CheckReport:
     gops = space.gops
     failures = []
     checked = 0
-    if not is_cogenerated(X, space):
+    if not is_cogenerated(space):
         return CheckReport(
             name="structure-recovery",
             checked=0,
@@ -386,13 +375,12 @@ def tensor_maximality_audit(X: VCategory, psi0: Sequence[Fraction], n: int) -> C
     )
 
 
-def enumerate_enriched_categories(
-    size: int, q: Quantale, n: int, require_cogenerated: bool = True
-) -> Iterator[VCategory]:
+def enumerate_enriched_categories(size: int, q: Quantale, n: int) -> Iterator[VCategory]:
     """All separated grid-valued categories on the carrier, deterministically.
 
     Diagonal entries are the unit; off-diagonal cells range over the grid,
-    filtered by transitivity, separation and (optionally) cogeneration.
+    filtered by transitivity and separation; by Yoneda each is cogenerated
+    (the representables separate points and attain the infimum).
     """
     values = GridChain(n).elements
     cells = [(x, y) for x in range(size) for y in range(size) if x != y]
@@ -403,11 +391,8 @@ def enumerate_enriched_categories(
         X = VCategory(q, tuple(tuple(row) for row in matrix))
         if not validate_vcategory(X).passed:
             continue
-        if not is_separated(X):
-            continue
-        if require_cogenerated and not is_cogenerated(X, n=n):
-            continue
-        yield X
+        if is_separated(X):
+            yield X
 
 
 def _row(vals) -> str:

@@ -88,7 +88,7 @@ def generate_closure(
     binary = [
         (op, space.op_table[k]) for k, op in enumerate(("join", "tensor")) if op in ops
     ]
-    unary = [(op, space.closed_unary(op)) for op in ("act", "power", "minus") if op in ops]
+    unary = [(op, space.unary_ops(op)) for op in ("act", "power", "minus") if op in ops]
     n = space.n
     # members grows while it is walked: it is the worklist
     for k, i in enumerate(members):
@@ -230,7 +230,7 @@ def _closed_under(L: SubStructure, required) -> Optional[str]:
     space = L.space
     members = set(L.members)
     minus_t, power_t = (
-        space.closed_unary(op) if op in required else None
+        space.unary_ops(op) if op in required else None
         for op in ("minus", "power")
     )
     for i in L.members:

@@ -44,6 +44,14 @@ SUITE_CAPS = {
     "tensor-maximality": {"grid": 2, "max_size": 2},
 }
 
+# The instance document kinds each suite reads; run_suite refuses the rest.
+DOCUMENT_KINDS = {
+    "monad-laws": ("poset",),
+    "representability": ("poset",),
+    "twovalued": ("poset",),
+    "stone-weierstrass": ("poset", "generators"),
+}
+
 
 @dataclass
 class SuiteConfig:
@@ -70,6 +78,9 @@ class SuiteConfig:
 def run_suite(config: SuiteConfig) -> SuiteReport:
     if config.suite not in SUITES:
         raise InstanceError("unknown-suite", f"unknown suite {config.suite!r}")
+    for key, low in (("grid", 1), ("max_size", 1), ("corpus", 0)):
+        if getattr(config, key) < low:
+            raise InstanceError("bad-config", f"{key.replace('_', '-')} must be at least {low}")
     if config.max_size > POSET_SIZE_CAP:
         raise InstanceError("cap-exceeded", f"max size capped at {POSET_SIZE_CAP}")
     if config.grid > GRID_CAP:
@@ -78,6 +89,16 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     config = replace(
         config, **{key: min(getattr(config, key), cap) for key, cap in caps.items()}
     )
+    doc = config.instance
+    if doc is not None and doc.kind not in DOCUMENT_KINDS.get(config.suite, ()):
+        raise InstanceError("unsupported-document", f"{config.suite} reads no {doc.kind} document")
+    if doc is not None and (
+        doc.quantale not in (None, config.quantale) or doc.grid not in (None, config.grid)
+    ):
+        raise InstanceError(
+            "document-mismatch",
+            f"document tensor or grid differs from the run's ({config.quantale.name}, n={config.grid})",
+        )
     report = SuiteReport(suite=config.suite, config=config.echo())
     start = time.perf_counter()
     _RUNNERS[config.suite](config, report)
@@ -86,7 +107,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
 
 
 def _poset_sweep(config: SuiteConfig):
-    if config.instance is not None and config.instance.poset is not None:
+    if config.instance is not None:
         yield "instance", config.instance.poset
         return
     for size in range(1, config.max_size + 1):
@@ -199,17 +220,16 @@ def _run_total_partial(config: SuiteConfig, report: SuiteReport):
 def _run_stone(config: SuiteConfig, report: SuiteReport):
     q = config.quantale
     doc = config.instance
-    if doc is not None and doc.kind == "generators" and doc.functions is not None:
-        n = doc.grid or config.grid
-        _require_closed(q, n)
-        space = duality.function_space(doc.poset, q, n)
+    if doc is not None and doc.kind == "generators":
+        _require_closed(q, config.grid)
+        space = duality.function_space(doc.poset, q, config.grid)
         try:
             gens = [space.index[f] for f in doc.functions]
         except KeyError as exc:
             raise InstanceError(
                 "bad-document", f"generator {exc.args[0]} is not in the function space"
             )
-        report.absorb(stone.sw_audit(doc.poset, q, n, generators=gens), "instance")
+        report.absorb(stone.sw_audit(doc.poset, q, config.grid, generators=gens), "instance")
         return
     _require_closed(q, *range(1, config.grid + 1))
     for label, P in _poset_sweep(config):

@@ -32,8 +32,8 @@ def test_function_space_is_antitone_and_closed():
                 if P.vee().leq[x][y]:
                     assert f[x] >= f[y]
     # closure under join, action, minus, powers and both constants
-    act, minus, power = sp.unary_ops()
-    for table in (act, minus, power):
+    for op in ("act", "minus", "power"):
+        table = sp.unary_ops(op)
         for u in range(3):
             assert all(0 <= k < sp.size for k in table[u])
     for i, j, k_join, k_tens in sp.pair_ops():
@@ -229,8 +229,8 @@ def test_c_lands_in_antitone_space_and_is_finsup():
     for phi in P.continuous_distributors(CHAIN2, v):
         cmap = D.c_of_distributor(phi, spv, spc)
         # join and action preservation of the induced map
-        act_v, minus_v, _ = spv.unary_ops()
-        act_c, minus_c, _ = spc.unary_ops()
+        act_v, minus_v = spv.unary_ops("act"), spv.unary_ops("minus")
+        act_c, minus_c = spc.unary_ops("act"), spc.unary_ops("minus")
         for u in range(3):
             for i in range(spv.size):
                 assert cmap[act_v[u][i]] == act_c[u][cmap[i]]
@@ -320,12 +320,67 @@ def test_minus_leaving_the_space_is_refused():
 
     X = VC.vcategory(MIN, [["1", "1/2"], ["0", "1"]])
     sp = E.enumerate_cx(X, 2)
-    _, minus, _ = sp.unary_ops()
-    assert -1 in minus[1]
+    with pytest.raises(ValueError, match="minus of f3 at 1/2 leaves"):
+        sp.unary_ops("minus")
     # refused before any table is read: the all-ones table fails the action
     for level in (0, 1):
         with pytest.raises(ValueError, match="minus of f3 at 1/2 leaves"):
             D.passes_cut(sp, (level,) * sp.size)
     with pytest.raises(ValueError, match="leaves the function space"):
         D.check_conditions(D.Functional.from_levels(sp, (0,) * sp.size))
-    assert len(sp.closed_unary("act")) == 3
+    assert len(sp.unary_ops("act")) == 3
+
+
+def _spaces():
+    """Every poset space of size <= 3 at n <= 3 under lukasiewicz and min,
+    and every size-2 enriched C(X) at n <= 2."""
+    from unitcat import enriched as E
+
+    for q in (LUK, MIN):
+        for n in (1, 2, 3):
+            for size in (1, 2, 3):
+                for Q in P.all_posets(size):
+                    yield D.function_space(Q, q, n)
+        for n in (1, 2):
+            for X in E.enumerate_enriched_categories(2, q, n):
+                yield E.enumerate_cx(X, n)
+
+
+def test_le_pairs_is_the_pointwise_order():
+    for sp in _spaces():
+        fs = sp.functions
+        want = [
+            (i, j)
+            for i in range(sp.size)
+            for j in range(sp.size)
+            if i != j and all(a <= b for a, b in zip(fs[i], fs[j]))
+        ]
+        assert sp.le_pairs() == want, (sp.base, sp.n)
+
+
+def test_unary_tables_match_fraction_computation():
+    formulas = {
+        "act": lambda q, u, v: q.tensor(u, v),
+        "minus": lambda q, u, v: T.truncated_minus(v, u),
+        "power": lambda q, u, v: q.hom(u, v),
+    }
+    escapes = 0
+    for sp in _spaces():
+        for op, formula in formulas.items():
+            want, escape = [], None
+            for level, u in enumerate(sp.gops.values):
+                row = [
+                    sp.index.get(tuple(formula(sp.quantale, u, v) for v in f))
+                    for f in sp.functions
+                ]
+                if None in row:
+                    escape = f"{op} of f{row.index(None)} at {level}/{sp.n} leaves"
+                    break
+                want.append(tuple(row))
+            if escape is None:
+                assert sp.unary_ops(op) == want, (sp.base, sp.n, op)
+            else:
+                escapes += 1
+                with pytest.raises(ValueError, match=escape):
+                    sp.unary_ops(op)
+    assert escapes > 0

@@ -40,7 +40,7 @@ def test_enumerate_cx_matches_fraction_enumeration():
     for q in (LUK, T.minimum()):
         for n in (1, 2):
             values = T.GridChain(n).elements
-            for X in E.enumerate_enriched_categories(2, q, n, require_cogenerated=False):
+            for X in E.enumerate_enriched_categories(2, q, n):
                 want = tuple(
                     f
                     for f in iproduct(values, repeat=2)
@@ -58,11 +58,11 @@ def test_cx_contains_representables():
 
 
 def test_cogeneration():
-    assert E.is_cogenerated(ONE, n=2)
-    assert E.is_cogenerated(HALF_PAIR, n=2)
+    assert E.is_cogenerated(E.enumerate_cx(ONE, 2))
+    assert E.is_cogenerated(E.enumerate_cx(HALF_PAIR, 2))
     for size in (1, 2, 3):
         for Q in P.all_posets(size):
-            assert E.is_cogenerated(VC.from_poset(Q, LUK), n=2)
+            assert E.is_cogenerated(E.enumerate_cx(VC.from_poset(Q, LUK), 2))
 
 
 def test_cogeneration_fails_on_truncated_space():
@@ -71,7 +71,7 @@ def test_cogeneration_fails_on_truncated_space():
     truncated = D.FunctionSpace(
         HALF_PAIR, sp.gops, [sp.ifuncs[i] for i in constants]
     )
-    assert not E.is_cogenerated(HALF_PAIR, truncated)
+    assert not E.is_cogenerated(truncated)
 
 
 def test_enriched_c_point_example():
@@ -122,7 +122,7 @@ def test_adjunction_audit_examples():
 
 
 def test_adjunction_audit_skips_non_cogenerated(monkeypatch):
-    monkeypatch.setattr(E, "is_cogenerated", lambda X, space=None, n=None: False)
+    monkeypatch.setattr(E, "is_cogenerated", lambda space: False)
     rep = E.adjunction_audit(HALF_PAIR, 2)
     assert rep.checked == 0 and any("skipped" in x for x in rep.notes)
 
@@ -176,7 +176,7 @@ def test_category_enumeration_includes_half_pair():
     assert any(X.matrix == HALF_PAIR.matrix for X in cats)
     for X in cats:
         assert VC.is_separated(X)
-        assert E.is_cogenerated(X, n=2)
+        assert E.is_cogenerated(E.enumerate_cx(X, 2))
 
 
 def test_enriched_c_functorial_on_grid_distributors():
@@ -258,3 +258,22 @@ def test_adjunction_audit_under_minimum():
         "fullness direction max gap 0/2 over 25 join-preserving tables "
         "(|J| = 4, 3^7 grid tables)",
     )
+
+
+def test_enumerated_categories_are_cogenerated():
+    # the representables a(-, x) separate points and attain the infimum,
+    # so no separated category fails cogeneration
+    ordinal = T.ordinal_sum((F(0), F(1, 2), T.Lukasiewicz()))
+    cases = [
+        (q, n, size)
+        for q in (LUK, T.minimum(), ordinal)
+        for n in (1, 2)
+        for size in (1, 2, 3)
+    ]
+    cases += [(q, 3, size) for q in (LUK, T.minimum()) for size in (1, 2)]
+    counted = 0
+    for q, n, size in cases:
+        for X in E.enumerate_enriched_categories(size, q, n):
+            assert E.is_cogenerated(E.enumerate_cx(X, n)), (q.name, X.matrix)
+            counted += 1
+    assert counted == 718

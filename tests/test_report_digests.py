@@ -1,0 +1,148 @@
+"""Report text pinned by digest: one small config per suite.
+
+Each entry is the SHA-256 of the ``strip_timing`` table and JSON reports
+of one run.  A change that alters report text on purpose updates the
+digest here and says so in the change log; any other change must leave
+these runs byte-identical.  To print the current digests, run this file
+as a script: ``PYTHONPATH=src python tests/test_report_digests.py``.
+"""
+
+import hashlib
+
+import pytest
+
+from unitcat import suites as SU
+from unitcat.instances import parse_instance, parse_tnorm
+from unitcat.reports import emit_report, strip_timing
+
+GENERATORS_DOC = (
+    '{"kind": "generators", "tensor": "lukasiewicz", "grid": 2,'
+    ' "poset": {"leq": [[1, 0, 1], [0, 1, 1], [0, 0, 1]]},'
+    ' "functions": [["1", "0", "0"], ["0", "1", "0"], ["1/2", "1/2", "0"]]}'
+)
+
+# (suite, tnorm, grid, max-size, corpus, instance document or None)
+CONFIGS = (
+    ("quantale-axioms", "lukasiewicz", 3, 2, 1000, None),
+    ("quantale-axioms", "product", 2, 2, 50, None),
+    ("monad-laws", "lukasiewicz", 2, 3, 1000, None),
+    ("representability", "lukasiewicz", 2, 2, 1000, None),
+    ("representability", "min", 3, 2, 1000, None),
+    ("functoriality", "lukasiewicz", 2, 2, 20, None),
+    ("total-partial", "lukasiewicz", 2, 2, 1000, None),
+    ("total-partial", "min", 3, 1, 1000, None),
+    ("stone-weierstrass", "lukasiewicz", 2, 3, 1000, None),
+    ("stone-weierstrass", "min", 3, 2, 1000, None),
+    ("stone-weierstrass", "lukasiewicz", 2, 2, 1000, GENERATORS_DOC),
+    ("enriched-roundtrip", "lukasiewicz", 2, 2, 1000, None),
+    ("enriched-roundtrip", "min", 2, 2, 1000, None),
+    ("lemma1", "lukasiewicz", 2, 2, 1000, None),
+    ("lemma1", "ordinal:0-1/2-lukasiewicz", 2, 2, 1000, None),
+    ("twovalued", "lukasiewicz", 2, 2, 1000, None),
+    ("tensor-maximality", "lukasiewicz", 2, 1, 1000, None),
+)
+
+DIGESTS = {
+    "quantale-axioms lukasiewicz g3 m2 c1000": (
+        "b210783897cc669fa31d31d8b2296464a5099f2333f34b0196a712316fa6b8f0",
+        "7f96f85fff0bf2bb6333ae7b2a41a51e1a1e7b0c4e8d205424b2ec735397ab45",
+    ),
+    "quantale-axioms product g2 m2 c50": (
+        "656e63bc6b82510475e1ca52ff919b9a7d021c9242b9f0b2dd5820d2b2f922ed",
+        "16444c63a0cab48b1ed8deb3000b5f001aec45c2750514c0474bd95287c83e47",
+    ),
+    "monad-laws lukasiewicz g2 m3 c1000": (
+        "f9f1115cd0ed2e212828a932bfbd72ea6522117d8a3e9152718af83e842d3b2e",
+        "4380e1af21a201be4b906585c80940f77fd58c43a709e5cc88460059c98f65e8",
+    ),
+    "representability lukasiewicz g2 m2 c1000": (
+        "996ea0990da480d533866b0f41785fe51f8f08a76b388b5eeea1c20727c7a9e3",
+        "fb692ac6fd19fa8474e93807600c64b5c825c97c77f357dd7cc86047c5db3ea3",
+    ),
+    "representability min g3 m2 c1000": (
+        "73684abfce5e1f9bb0a20f0c866b64fc91fc24153789ee7cee975fe1a1eb0766",
+        "702c4d9ceab097f1737e4649ad15bb7c4bcf1e1a1d2c7b3db4b38862be33b38c",
+    ),
+    "functoriality lukasiewicz g2 m2 c20": (
+        "0a353cf71482f315a7139323ddac11eccc7731895cc94f6583b0a7da7492eddf",
+        "79be220a9e762e89cbb12c44162f19ec4cc56ba66db6f4c392a087756725ba80",
+    ),
+    "total-partial lukasiewicz g2 m2 c1000": (
+        "223f6a8a222f4d0194e75ab1d8818aa591bf2fc182cb024b46174f955e0e528a",
+        "878a677029e41679b9450a9549f7a4a6500762710df3d19cfaec31abb7ea21a9",
+    ),
+    "total-partial min g3 m1 c1000": (
+        "71e052fe1f4b782734ad9d65d00c4124f028154a86437785705ae0ed28eba50d",
+        "713d63fc1ca07e2126bd43c7ae63c5b1bf5e288bed00ff692526e27a13adc0d9",
+    ),
+    "stone-weierstrass lukasiewicz g2 m3 c1000": (
+        "40721c871c3950accaeff1f099cffc9d699e8927098704b686a877e8db35733a",
+        "a865964c1d26c45c662bec32fe184ef6d90a5c9ea3350081e55b442f2a91f05c",
+    ),
+    "stone-weierstrass min g3 m2 c1000": (
+        "d3905fcc1da4c81132b02812ece3625c91f894c383267427fb2ad2a0f2626f60",
+        "d0ad5686cdc0e478daf8f906381c340a7ca9a84f3d7c51997e4bac874c82c26e",
+    ),
+    "stone-weierstrass lukasiewicz g2 m2 c1000 doc": (
+        "b32cf70b2de37ead617bb5166e96472091ae655598b6b97e9a1241ad9f21bf86",
+        "9e759c39b528a1ab82ecd875f907b3c8f902331fa54db49faf9a1c4cfe53c589",
+    ),
+    "enriched-roundtrip lukasiewicz g2 m2 c1000": (
+        "afbdaabbae59ddf327d96c3328eb6511f55d98b05f9875090800c3066dc317f7",
+        "e1779c94fcdf024faa4b1dd102be385202bb945ea5c4bd57c7fb21ec26d46103",
+    ),
+    "enriched-roundtrip min g2 m2 c1000": (
+        "ea23f3a10028b288aaa2d2b7918449f04be2708e02a385b19870aa3c901fca6e",
+        "7a4985798853e6c9a255ba3614cb1302956bffe86a7e32c1074ad2edc87c88f3",
+    ),
+    "lemma1 lukasiewicz g2 m2 c1000": (
+        "04a3f685474c58318679c5240f63ab4d86af3c8f991dcddf11c603130af575df",
+        "f980606f69b80ee7728e755fa6f57e6169ed637140817b0cf33adbe79c3d0a30",
+    ),
+    "lemma1 ordinal:0-1/2-lukasiewicz g2 m2 c1000": (
+        "5fc6e5c30c0539727fe60c9ba1e90c0b7d0b8956da52ccbe4482ecf1b9dae8eb",
+        "b9c8ef43b1b9d60dcb637eb0ac8b16a4ad5960d02a0c59ee3521c502a494ecf1",
+    ),
+    "twovalued lukasiewicz g2 m2 c1000": (
+        "f26b299cf9e1077736874fa48166dc2267f489c684f66814c5be4ec373abe34b",
+        "592a7956282c9749afdb67f3e7f24ef1387027b9b812dbbf3b12dafe7c2633a8",
+    ),
+    "tensor-maximality lukasiewicz g2 m1 c1000": (
+        "a88fe0482beae4f514af73db7eebc4b535269d52414e452440e0d10bd18b9a94",
+        "826c7059e4c4291ce4b746bde6bf90c6d5c39083b20800483348e2e637e9df74",
+    ),
+}
+
+
+def _label(config) -> str:
+    suite, tnorm, grid, max_size, corpus, doc = config
+    return f"{suite} {tnorm} g{grid} m{max_size} c{corpus}" + (" doc" if doc else "")
+
+
+def _digests(config) -> tuple[str, str]:
+    suite, tnorm, grid, max_size, corpus, doc = config
+    report = SU.run_suite(
+        SU.SuiteConfig(
+            suite=suite,
+            quantale=parse_tnorm(tnorm),
+            grid=grid,
+            max_size=max_size,
+            corpus=corpus,
+            instance=parse_instance(doc) if doc else None,
+        )
+    )
+    return tuple(
+        hashlib.sha256(strip_timing(emit_report(report, fmt)).encode()).hexdigest()
+        for fmt in ("table", "json")
+    )
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=_label)
+def test_report_text_unchanged(config):
+    assert _digests(config) == DIGESTS[_label(config)]
+
+
+if __name__ == "__main__":
+    for config in CONFIGS:
+        table, blob = _digests(config)
+        print(f'    "{_label(config)}": (\n        "{table}",\n        "{blob}",\n    ),')

@@ -191,3 +191,55 @@ def test_representability_exhaustive_through_size_three():
         rep = run("representability", quantale=q, grid=2, max_size=3)
         assert rep.exit_code() == 0 and rep.instances == 1 + 3 + 19
         assert not any("corpus mode" in note for note in rep.notes)
+
+
+def test_cli_refuses_bad_numeric_flags(capsys):
+    for args in (
+        ["--suite", "representability", "--grid", "0"],
+        ["--suite", "quantale-axioms", "--tnorm", "product", "--corpus", "-4"],
+        ["--suite", "monad-laws", "--max-size", "0"],
+    ):
+        assert cli.main(["verify", *args]) == 3, args
+        assert "[bad-config]" in capsys.readouterr().err, args
+
+
+def test_cli_refuses_documents_a_suite_does_not_read(tmp_path, capsys):
+    vcat_doc = (
+        '{"kind": "vcategory", "tensor": "lukasiewicz",'
+        ' "matrix": [["1", "1/2"], ["0", "1"]]}'
+    )
+    dist_doc = (
+        '{"kind": "distributor", "src": [[1, 1], [0, 1]], "dst": [[1]],'
+        ' "matrix": [["1"], ["1"]]}'
+    )
+    poset_doc = '{"kind": "poset", "leq": [[1, 1], [0, 1]]}'
+    for suite, text in (
+        ("enriched-roundtrip", vcat_doc),
+        ("representability", dist_doc),
+        ("total-partial", poset_doc),
+    ):
+        doc = tmp_path / "doc.json"
+        doc.write_text(text)
+        assert cli.main(["verify", "--suite", suite, "--instance", str(doc)]) == 3, suite
+        assert "[unsupported-document]" in capsys.readouterr().err, suite
+
+
+def test_cli_refuses_a_document_for_another_tensor_or_grid(tmp_path, capsys):
+    poset_doc = tmp_path / "poset.json"
+    poset_doc.write_text('{"kind": "poset", "tensor": "min", "grid": 3, "leq": [[1, 1], [0, 1]]}')
+    gens_doc = tmp_path / "gens.json"
+    gens_doc.write_text(
+        '{"kind": "generators", "tensor": "lukasiewicz", "grid": 4,'
+        ' "poset": {"leq": [[1, 1], [0, 1]]}, "functions": [["1", "0"]]}'
+    )
+    for suite, doc in (("representability", poset_doc), ("stone-weierstrass", gens_doc)):
+        argv = ["verify", "--suite", suite, "--tnorm", "lukasiewicz", "--grid", "2"]
+        assert cli.main([*argv, "--instance", str(doc)]) == 3, suite
+        assert "[document-mismatch]" in capsys.readouterr().err, suite
+    # the same documents run when the flags agree with them
+    argv = ["verify", "--suite", "representability", "--tnorm", "min", "--grid", "3"]
+    assert cli.main([*argv, "--instance", str(poset_doc)]) == 0
+    capsys.readouterr()
+    argv = ["verify", "--suite", "stone-weierstrass", "--grid", "4", "--report", "json"]
+    assert cli.main([*argv, "--instance", str(gens_doc)]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["grid"] == 4
