@@ -154,12 +154,42 @@ def cx_levels(gops: GridOps, ia) -> list[tuple[int, ...]]:
     return tables
 
 
+SPACES_KEPT = 2
+
+
+def cx_space(base, gops: GridOps, ia) -> FunctionSpace:
+    """The space of ``cx_levels(gops, ia)`` over ``base``, shared.
+
+    ``gops.spaces`` keeps the ``SPACES_KEPT`` most recently requested
+    spaces, oldest first, matched by their base (a FinPoset never equals a
+    VCategory; comparing two bases is cheaper than hashing one).  A kept
+    base gets the same object back, with the tables it has built; a new
+    one evicts the least recently requested.  Two slots cover the audits
+    that alternate between a target and a source carrier, and keep sweeps
+    that never repeat a carrier from holding more.  Callers share the
+    returned space and must not mutate it.
+    """
+    kept = gops.spaces
+    for k, space in enumerate(kept):
+        if space.base == base:
+            del kept[k]
+            break
+    else:
+        space = FunctionSpace(base, gops, cx_levels(gops, ia))
+        del kept[: len(kept) + 1 - SPACES_KEPT]
+    kept.append(space)
+    return space
+
+
 def function_space(P: FinPoset, q: Quantale, n: int) -> FunctionSpace:
-    """All antitone maps X -> Q_n (morphisms into the opposite interval)."""
+    """All antitone maps X -> Q_n (morphisms into the opposite interval).
+
+    Served by ``cx_space``: the two most recently requested spaces of
+    each grid are reused, so the result is shared and must not be mutated.
+    """
     m = P.size
     ia = [[n if P.leq[x][y] else 0 for y in range(m)] for x in range(m)]
-    gops = q.grid(n)
-    return FunctionSpace(P, gops, cx_levels(gops, ia))
+    return cx_space(P, q.grid(n), ia)
 
 
 class Functional:

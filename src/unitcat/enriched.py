@@ -17,7 +17,7 @@ from .duality import (
     FunctionSpace,
     Functional,
     _acts_and_joins,
-    cx_levels,
+    cx_space,
     join_homomorphisms,
     join_irreducibles,
 )
@@ -39,11 +39,15 @@ def enumerate_cx(X: VCategory, n: int) -> FunctionSpace:
     closed under truncated minus or powers: under the minimum tensor the
     pair with a(0,1) = 1/2 admits (1/2, 1) but not (0, 1/2) = (1/2, 1)
     minus 1/2.
+
+    Served by ``duality.cx_space``: the two most recently requested spaces
+    of each grid are reused, so the result is shared and must not be
+    mutated.
     """
     gops = X.quantale.grid(n)
     m = X.size
     ia = [[gops.index(X.a(x, y)) for y in range(m)] for x in range(m)]
-    return FunctionSpace(X, gops, cx_levels(gops, ia))
+    return cx_space(X, gops, ia)
 
 
 def representable_index(space: FunctionSpace, x: int) -> int:

@@ -25,7 +25,7 @@ from .tnorms import (
     ordinal_sum,
     product,
 )
-from .values import RationalFormatError, UnitRangeError, parse_value
+from .values import RationalFormatError, UnitRangeError, as_value
 from .vcat import VCategory, from_poset, validate_vcategory, vcategory
 from .vrel import VRelation, distributor_violation
 
@@ -55,6 +55,8 @@ class InstanceDoc:
 
 def parse_tnorm(spec: str) -> Quantale:
     """min | product | lukasiewicz | ordinal:a-b-inner[,a-b-inner...]"""
+    if not isinstance(spec, str):
+        raise InstanceError("bad-document", f"tensor must be a name, got {spec!r}")
     name = spec.strip().lower()
     if name in ("min", "minimum"):
         return minimum()
@@ -81,7 +83,7 @@ def parse_tnorm(spec: str) -> Quantale:
 
 def _value(text, where="") -> Fraction:
     try:
-        return parse_value(text)
+        return as_value(text)
     except RationalFormatError as exc:
         raise InstanceError("bad-rational", str(exc), where) from exc
     except UnitRangeError as exc:
@@ -102,7 +104,7 @@ def parse_instance(text: str, exhaustive: bool = True) -> InstanceDoc:
     tensor/grid pair under which the grid is closed."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
         raise InstanceError("bad-document", f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "kind" not in doc:
         raise InstanceError("bad-document", "document must be an object with a 'kind'")
@@ -112,7 +114,7 @@ def parse_instance(text: str, exhaustive: bool = True) -> InstanceDoc:
 
     q = parse_tnorm(doc["tensor"]) if "tensor" in doc else None
     grid = doc.get("grid")
-    if grid is not None and (not isinstance(grid, int) or grid < 1):
+    if grid is not None and (type(grid) is not int or grid < 1):
         raise InstanceError("bad-document", "grid must be a positive integer")
     if q is not None and grid is not None and exhaustive and not grid_closed(q, grid):
         raise InstanceError(
@@ -163,7 +165,7 @@ def parse_instance(text: str, exhaustive: bool = True) -> InstanceDoc:
 def _parse_poset(rows, where) -> FinPoset:
     if isinstance(rows, dict):
         rows = rows.get("leq")
-    if not isinstance(rows, list):
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InstanceError("bad-document", "poset needs a 'leq' matrix", where)
     try:
         return poset(rows)

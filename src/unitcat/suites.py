@@ -122,6 +122,10 @@ def _run_quantale_axioms(config: SuiteConfig, report: SuiteReport):
             report.absorb(tnorms.verify_quantale_axioms(q, GridChain(n)), f"Q_{n}")
             report.absorb(tnorms.no_zero_divisor_audit(q, GridChain(n)), f"Q_{n}")
     else:
+        if config.corpus < 1:
+            raise InstanceError(
+                "bad-config", f"corpus must be at least 1 to sample an open grid under {q.name}"
+            )
         report.absorb(
             tnorms.verify_quantale_axioms_sampled(q, config.seed, config.corpus),
             "sampled-triples",

@@ -270,6 +270,9 @@ class GridOps:
             raise GridNotClosed(f"Q_{n} is not closed under the {q.name} tensor") from None
         # truncated minus of grid points always stays on the grid
         self.minus_t = [[max(i - j, 0) for j in range(n + 1)] for i in range(n + 1)]
+        # the most recently requested C(X) spaces on this grid, oldest
+        # first; kept and evicted by duality.cx_space alone
+        self.spaces: list = []
 
     def index(self, v: Fraction) -> int:
         iv = v * self.n
@@ -365,8 +368,11 @@ def verify_quantale_axioms_sampled(q: Quantale, seed: int, count: int) -> CheckR
     """Check every law on `count` independent seeded rational triples.
 
     The honest mode for tensors whose grids are not closed (product,
-    general ordinal sums).
+    general ordinal sums).  An empty sample would check nothing, so
+    ``count`` below 1 raises ValueError.
     """
+    if count < 1:
+        raise ValueError(f"sampled axiom audit needs count >= 1, got {count}")
     rng = random.Random(seed)
     failures = []
     checked = 0

@@ -2,8 +2,11 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from unitcat import instances as I
+from unitcat.posets import all_posets
 
 
 def test_minimal_poset_doc():
@@ -117,3 +120,105 @@ def test_generators_doc():
     )
     doc = I.parse_instance(text)
     assert len(doc.functions) == 2
+
+
+# ---- properties over generated documents ----
+
+POSETS = [Q for size in (1, 2, 3, 4) for Q in all_posets(size)]
+posets = st.sampled_from(POSETS)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _leq_rows(Q, as_bools):
+    return [[v if as_bools else int(v) for v in row] for row in Q.leq]
+
+
+@given(posets, st.sampled_from(["poset", "generators"]), st.booleans(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_every_small_poset_roundtrips_through_a_document(Q, kind, as_bools, wrapped):
+    leq = _leq_rows(Q, as_bools)
+    if kind == "poset":
+        doc = {"kind": "poset", "leq": leq}
+    else:
+        doc = {"kind": "generators", "poset": {"leq": leq} if wrapped else leq, "functions": []}
+    assert I.parse_instance(json.dumps(doc)).poset == Q
+
+
+def _code(text):
+    with pytest.raises(I.InstanceError) as e:
+        I.parse_instance(text)
+    return e.value.code
+
+
+@given(st.text())
+@example("1" * 5000)  # past the interpreter's integer digit limit
+@example("[" * 100_000)  # nested past the recursion limit
+@settings(max_examples=150, deadline=None)
+def test_non_json_text_is_a_bad_document(text):
+    try:
+        json.loads(text)
+    except (ValueError, RecursionError):
+        assert _code(text) == "bad-document"
+    else:
+        assume(False)
+
+
+@given(json_values)
+@settings(max_examples=100, deadline=None)
+def test_unknown_kinds_are_refused(kind):
+    assume(kind not in I.KINDS)
+    assert _code(json.dumps({"kind": kind})) == "unknown-kind"
+
+
+@given(posets, st.data())
+@settings(max_examples=150, deadline=None)
+def test_broken_orders_are_bad_posets(Q, data):
+    leq = _leq_rows(Q, False)
+    m = len(leq)
+    i = data.draw(st.integers(0, m - 1))
+    if m == 1 or data.draw(st.booleans()):
+        leq[i][i] = 0  # not reflexive
+    else:
+        j = data.draw(st.integers(0, m - 1).filter(lambda j: j != i))
+        leq[i][j] = leq[j][i] = 1  # not antisymmetric
+    assert _code(json.dumps({"kind": "poset", "leq": leq})) == "bad-poset"
+
+
+outside = st.fractions().filter(lambda v: v < 0 or v > 1).map(
+    lambda v: f"{v.numerator}/{v.denominator}"
+) | st.integers().filter(lambda k: k < 0 or k > 1)
+
+
+@given(posets, outside)
+@settings(max_examples=150, deadline=None)
+def test_generator_values_outside_the_interval_are_refused(Q, entry):
+    doc = {"kind": "generators", "poset": {"leq": _leq_rows(Q, False)}, "functions": [[entry]]}
+    assert _code(json.dumps(doc)) == "value-out-of-range"
+
+
+@given(st.integers(max_value=0) | st.booleans())
+@settings(max_examples=50, deadline=None)
+def test_non_positive_grids_are_bad_documents(grid):
+    doc = {"kind": "poset", "tensor": "lukasiewicz", "grid": grid, "leq": [[1]]}
+    assert _code(json.dumps(doc)) == "bad-document"
+
+
+@given(
+    st.sampled_from(I.KINDS),
+    st.dictionaries(
+        st.sampled_from(["tensor", "grid", "leq", "poset", "src", "dst", "matrix", "functions"]),
+        json_values,
+    ),
+)
+@settings(max_examples=120, deadline=None)
+def test_arbitrary_payloads_parse_or_raise_a_coded_error(kind, fields):
+    try:
+        I.parse_instance(json.dumps({"kind": kind, **fields}))
+    except I.InstanceError as exc:
+        assert exc.code in (
+            "bad-document", "bad-rational", "value-out-of-range", "bad-poset", "grid-not-closed"
+        )

@@ -40,6 +40,11 @@ CONFIGS = (
     ("lemma1", "ordinal:0-1/2-lukasiewicz", 2, 2, 1000, None),
     ("twovalued", "lukasiewicz", 2, 2, 1000, None),
     ("tensor-maximality", "lukasiewicz", 2, 1, 1000, None),
+    # the runs whose C(X) spaces are reused most
+    ("tensor-maximality", "lukasiewicz", 2, 2, 1000, None),
+    ("twovalued", "lukasiewicz", 2, 3, 1000, None),
+    ("total-partial", "lukasiewicz", 3, 2, 1000, None),
+    ("enriched-roundtrip", "lukasiewicz", 3, 2, 1000, None),
 )
 
 DIGESTS = {
@@ -110,6 +115,22 @@ DIGESTS = {
     "tensor-maximality lukasiewicz g2 m1 c1000": (
         "a88fe0482beae4f514af73db7eebc4b535269d52414e452440e0d10bd18b9a94",
         "826c7059e4c4291ce4b746bde6bf90c6d5c39083b20800483348e2e637e9df74",
+    ),
+    "tensor-maximality lukasiewicz g2 m2 c1000": (
+        "50a9f4387a402983d921a726178d51436fa92de68def8d6536e330b6ad80b49a",
+        "30d69df8c0b51215c1cc14c42b66c9325490aec26abccedfbda5ba85c7bacb5c",
+    ),
+    "twovalued lukasiewicz g2 m3 c1000": (
+        "bfd5a283f2c6f340e4776b844de5d3198563e37820e0f9534b6a89c91aff667e",
+        "fdb6285174732461411598e6d5a68ae764934ffc9e3a24e4ad048c4535ff8205",
+    ),
+    "total-partial lukasiewicz g3 m2 c1000": (
+        "4c1bf955f59d6313fca2dd89c58126dc07754f4c41187170f978a24ddfaaf60f",
+        "6e0a5c83dbce33911be7c5aba55209f047cdfdaf40fd65282bdf052620f15c51",
+    ),
+    "enriched-roundtrip lukasiewicz g3 m2 c1000": (
+        "6d943f02d99665f6417cfe280904acedd42d67fda7c7f31a7fa95541451d419f",
+        "3992a4b68892c5a90bbbe82788761afa45165c6a77f0921ace1cf2cbebaf56f1",
     ),
 }
 

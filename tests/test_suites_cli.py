@@ -203,6 +203,14 @@ def test_cli_refuses_bad_numeric_flags(capsys):
         assert "[bad-config]" in capsys.readouterr().err, args
 
 
+def test_cli_refuses_an_empty_sample_on_an_open_grid(capsys):
+    argv = ["verify", "--suite", "quantale-axioms", "--corpus", "0"]
+    assert cli.main([*argv, "--tnorm", "product"]) == 3
+    assert "[bad-config]" in capsys.readouterr().err
+    # closed grids are swept exhaustively and never read --corpus
+    assert cli.main([*argv, "--tnorm", "lukasiewicz"]) == 0
+
+
 def test_cli_refuses_documents_a_suite_does_not_read(tmp_path, capsys):
     vcat_doc = (
         '{"kind": "vcategory", "tensor": "lukasiewicz",'

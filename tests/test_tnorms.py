@@ -142,6 +142,8 @@ def test_axioms_exhaustive():
 
 def test_axioms_sampled_product_and_ordinal():
     assert T.verify_quantale_axioms_sampled(PROD, seed=7, count=500).passed
+    with pytest.raises(ValueError):
+        T.verify_quantale_axioms_sampled(PROD, seed=0, count=0)
     two_seg = T.ordinal_sum(
         (F(0), F(1, 2), T.Lukasiewicz()), (F(1, 2), F(1), T.Product())
     )
