@@ -4,7 +4,8 @@ Over a genuinely enriched two-point category (an asymmetric 1/2 gap),
 every grid distributor is represented as a sup-tensor functional and
 recovered exactly by the infimum retraction; the structure itself is
 recovered from the function space, and the action of a fixed function is
-the largest constrained endomap.
+the largest constrained endomap.  Distributor rows are grid levels (level
+i is i/2 here), rendered as values.
 """
 
 from fractions import Fraction as F
@@ -28,6 +29,13 @@ from unitcat.posets import chain
 from unitcat.vcat import from_poset, unit_category
 
 luk = lukasiewicz()
+gops = luk.grid(2)
+
+
+def show(levels):
+    return tuple(str(gops.values[v]) for v in levels)
+
+
 X = vcategory(luk, [["1", "1/2"], ["0", "1"]], labels=("p", "q"))
 
 print("== the function space of the enriched pair ==")
@@ -40,7 +48,7 @@ for phi in grid_distributors_into(X, 2):
     func = enriched_c(phi, cx)
     back = retract_phi(func)
     status = "ok" if back == phi else "MISMATCH"
-    print(f"phi={tuple(map(str, phi))} -> table={tuple(map(str, func.table))} -> {tuple(map(str, back))} {status}")
+    print(f"phi={show(phi)} -> table={show(func.itable)} -> {show(back)} {status}")
 
 print("\n== the audits, over every cogenerated category on <= 3 points ==")
 count = 0
@@ -55,8 +63,9 @@ print(f"{count} categories: exact roundtrips, structure recovery, point separati
 
 print("\n== two-valued distributors are the lax-tensor ones ==")
 Xc = from_poset(chain(2), luk)
-print("order relation:", twovalued_audit(Xc.matrix, Xc, Xc, 2).summary())
-half = ((F(0), F(1, 2)),)
+order = [[gops.index(v) for v in row] for row in Xc.matrix]
+print("order relation:", twovalued_audit(order, Xc, Xc, 2).summary())
+half = ((0, 1),)  # the row (0, 1/2)
 rep = twovalued_audit(half, unit_category(luk), Xc, 2)
 print("row with a 1/2 entry:", rep.summary(), "|", "; ".join(rep.notes))
 

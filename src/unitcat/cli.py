@@ -51,7 +51,6 @@ def main(argv=None) -> int:
             max_size=args.max_size,
             seed=args.seed,
             corpus=args.corpus,
-            report_format=args.report,
             instance=instance,
         )
         report = run_suite(config)

@@ -68,13 +68,9 @@ class FunctionSpace:
 
     def le_pairs(self) -> list[tuple[int, int]]:
         """(i, j) with f_i <= f_j pointwise, i != j, in ascending order,
-        read off the join table: f_i <= f_j iff their join is f_j."""
-        return [
-            (i, j)
-            for i, row in enumerate(self.op_table[0])
-            for j, k in enumerate(row)
-            if k == j != i
-        ]
+        read off ``pair_ops``: f_i <= f_j iff their join is f_j, and then
+        i < j, since the enumeration is lexicographic."""
+        return [(i, j) for i, j, k_join, _ in self.pair_ops() if k_join == j != i]
 
     def pair_ops(self):
         """(i, j, join_index, tensor_index) for i <= j (both ops symmetric).
@@ -252,10 +248,6 @@ class ConditionReport:
     def holds(self, *names: str) -> bool:
         return all(getattr(self, name) is None for name in names)
 
-    def cut(self, drop_tenlax: bool = False) -> bool:
-        names = ["mon", "act", "sup", "minus"] + ([] if drop_tenlax else ["tenlax"])
-        return self.holds(*names)
-
 
 def check_conditions(phi: Functional) -> ConditionReport:
     """Evaluate every condition exhaustively over the space and the grid."""
@@ -264,15 +256,12 @@ def check_conditions(phi: Functional) -> ConditionReport:
     tt = sp.gops.tensor_t
     n = sp.n
 
-    mon = None
-    for i, j in sp.le_pairs():
-        if t[i] > t[j]:
-            mon = f"mon: f{i} <= f{j} but {t[i]}/{n} > {t[j]}/{n}"
-            break
-
-    sup = tenlax = ten = None
+    # the pairs with f_i <= f_j, i != j, are those whose join is f_j
+    mon = sup = tenlax = ten = None
     for i, j, k_join, k_tens in sp.pair_ops():
         a, b = t[i], t[j]
+        if mon is None and k_join == j != i and a > b:
+            mon = f"mon: f{i} <= f{j} but {a}/{n} > {b}/{n}"
         if sup is None and t[k_join] != (a if a >= b else b):
             sup = f"sup at (f{i}, f{j})"
         if k_tens >= 0:
@@ -281,7 +270,7 @@ def check_conditions(phi: Functional) -> ConditionReport:
                 tenlax = f"tenlax at (f{i}, f{j})"
             if ten is None and lhs != rhs:
                 ten = f"ten at (f{i}, f{j})"
-        if sup and tenlax and ten:
+        if mon and sup and tenlax and ten:
             break
 
     act_t, minus_t = sp.unary_ops("act"), sp.unary_ops("minus")

@@ -17,17 +17,23 @@ from .duality import (
     FunctionSpace,
     Functional,
     _acts_and_joins,
+    cx_levels,
     cx_space,
     join_homomorphisms,
     join_irreducibles,
 )
 from .reports import CheckReport
-from .tnorms import GridChain, Quantale
-from .values import ONE, ZERO, format_value
+from .tnorms import GridChain, GridOps, Quantale
+from .values import ONE, format_value
 from .vcat import VCategory, is_poset_based, is_separated, validate_vcategory
 
 
 FULLNESS_CAP = 200_000
+
+
+def structure_levels(X: VCategory, gops: GridOps) -> list[list[int]]:
+    """The structure a(x, y) of X as grid levels, row x, column y."""
+    return [[gops.index(X.a(x, y)) for y in range(X.size)] for x in range(X.size)]
 
 
 def enumerate_cx(X: VCategory, n: int) -> FunctionSpace:
@@ -45,57 +51,64 @@ def enumerate_cx(X: VCategory, n: int) -> FunctionSpace:
     mutated.
     """
     gops = X.quantale.grid(n)
-    m = X.size
-    ia = [[gops.index(X.a(x, y)) for y in range(m)] for x in range(m)]
-    return cx_space(X, gops, ia)
+    return cx_space(X, gops, structure_levels(X, gops))
 
 
 def representable_index(space: FunctionSpace, x: int) -> int:
-    X: VCategory = space.base
-    return space.iindex[tuple(space.gops.index(X.a(y, x)) for y in range(X.size))]
+    ia = structure_levels(space.base, space.gops)
+    return space.iindex[tuple(row[x] for row in ia)]
 
 
 def is_cogenerated(space: FunctionSpace) -> bool:
     """The cone of the space into the opposite interval is point-separating
     and initial: the structure of its base category is the pointwise
     infimum of hom gaps over the space."""
-    X: VCategory = space.base
     gops, fs = space.gops, space.ifuncs
     ht = gops.hom_t
-    pairs = [(x, y) for x in range(X.size) for y in range(X.size)]
+    ia = structure_levels(space.base, gops)
+    pairs = [(x, y) for x in range(len(ia)) for y in range(len(ia))]
     if any(
-        min((ht[f[y]][f[x]] for f in fs), default=gops.n) != gops.index(X.a(x, y))
+        min((ht[f[y]][f[x]] for f in fs), default=gops.n) != ia[x][y]
         for x, y in pairs
     ):
         return False
     return not any(x != y and all(f[x] == f[y] for f in fs) for x, y in pairs)
 
 
-def grid_distributors_into(X: VCategory, n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """All grid-valued distributors out of the unit: rows phi with
-    phi(y) tensor a(y,z) <= phi(z)."""
-    q = X.quantale
-    values = GridChain(n).elements
-    out = []
-    for phi in iproduct(values, repeat=X.size):
-        if all(
-            q.tensor(phi[y], X.a(y, z)) <= phi[z]
-            for y in range(X.size)
-            for z in range(X.size)
-        ):
-            out.append(phi)
-    return tuple(out)
+def grid_distributors_into(X: VCategory, n: int) -> list[tuple[int, ...]]:
+    """All grid-valued distributors out of the unit, as level rows phi with
+    phi(y) tensor a(y,z) <= phi(z), in ascending lexicographic order.
+
+    Such a row is a [0,1]-functor from X into the interval, so the rows are
+    the C(X^op) tables: ``cx_levels`` over the transposed structure.
+    """
+    gops = X.quantale.grid(n)
+    ia = structure_levels(X, gops)
+    return cx_levels(gops, [list(col) for col in zip(*ia)])
 
 
-def enriched_c(phi: Sequence[Fraction], space: FunctionSpace) -> Functional:
-    """The functional of a distributor out of the unit: sup of psi tensor phi."""
-    X: VCategory = space.base
-    gops = space.gops
+def grid_endodistributors(X: VCategory, n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """All grid-valued distributors X -|-> X, as level matrices phi with
+    a(x2,x) tensor phi(x,y) tensor a(y,y2) <= phi(x2,y2), in ascending
+    lexicographic order: the C(.) tables on the cells (x, y), row-major,
+    with structure a(x2,x) tensor a(y,y2) from (x2,y2) to (x,y)."""
+    gops = X.quantale.grid(n)
     tt = gops.tensor_t
-    iphi = [gops.index(v) for v in phi]
+    ia = structure_levels(X, gops)
+    m = X.size
+    cells = [(x, y) for x in range(m) for y in range(m)]
+    icells = [[tt[ia[x2][x]][ia[y][y2]] for x, y in cells] for x2, y2 in cells]
+    return [
+        tuple(flat[i * m : (i + 1) * m] for i in range(m))
+        for flat in cx_levels(gops, icells)
+    ]
+
+
+def enriched_c(phi: Sequence[int], space: FunctionSpace) -> Functional:
+    """The functional of a level row out of the unit: sup of psi tensor phi."""
+    tt = space.gops.tensor_t
     itable = [
-        max((tt[f[x]][iphi[x]] for x in range(X.size)), default=0)
-        for f in space.ifuncs
+        max((tt[a][b] for a, b in zip(f, phi)), default=0) for f in space.ifuncs
     ]
     return Functional.from_levels(space, itable)
 
@@ -103,48 +116,37 @@ def enriched_c(phi: Sequence[Fraction], space: FunctionSpace) -> Functional:
 def enriched_c_map(
     phi_matrix, cy: FunctionSpace, cx: FunctionSpace
 ) -> tuple[int, ...]:
-    """Two-sided version: psi |-> (x |-> sup_y psi(y) tensor phi(x,y))."""
-    gops = cy.gops
-    tt = gops.tensor_t
-    rows = [[gops.index(v) for v in row] for row in phi_matrix]
+    """Two-sided version on level rows: psi |-> (x |-> sup_y psi(y) tensor phi(x,y))."""
+    tt = cy.gops.tensor_t
     out = []
     for f in cy.ifuncs:
         g = tuple(
-            max((tt[f[y]][rows[x][y]] for y in range(len(f))), default=0)
-            for x in range(cx.carrier_size)
+            max((tt[a][b] for a, b in zip(f, row)), default=0) for row in phi_matrix
         )
         out.append(cx.iindex[g])
     return tuple(out)
 
 
-def retract_phi(phi_func: Functional) -> tuple[Fraction, ...]:
-    """Recover a distributor row: inf over psi of hom(psi(x), value at psi)."""
+def retract_phi(phi_func: Functional) -> tuple[int, ...]:
+    """Recover a level row: inf over psi of hom(psi(x), value at psi)."""
     space = phi_func.space
-    gops = space.gops
-    ht = gops.hom_t
-    t = phi_func.itable
-    out = []
-    for x in range(space.carrier_size):
-        best = min(
-            (ht[f[x]][t[i]] for i, f in enumerate(space.ifuncs)), default=gops.n
-        )
-        out.append(gops.value(best))
-    return tuple(out)
+    ht = space.gops.hom_t
+    pairs = list(zip(space.ifuncs, phi_func.itable))
+    return tuple(
+        min((ht[f[x]][v] for f, v in pairs), default=space.n)
+        for x in range(space.carrier_size)
+    )
 
 
-def retract_phi_simplified(phi_func: Functional) -> tuple[Fraction, ...]:
+def retract_phi_simplified(phi_func: Functional) -> tuple[int, ...]:
     """Same infimum restricted to the functions hitting 1 at the point."""
     space = phi_func.space
-    gops = space.gops
-    n = gops.n
-    t = phi_func.itable
-    out = []
-    for x in range(space.carrier_size):
-        best = min(
-            (t[i] for i, f in enumerate(space.ifuncs) if f[x] == n), default=n
-        )
-        out.append(gops.value(best))
-    return tuple(out)
+    n = space.n
+    pairs = list(zip(space.ifuncs, phi_func.itable))
+    return tuple(
+        min((v for f, v in pairs if f[x] == n), default=n)
+        for x in range(space.carrier_size)
+    )
 
 
 def is_finsup_functional(phi_func: Functional) -> bool:
@@ -175,6 +177,7 @@ def adjunction_audit(X: VCategory, n: int) -> CheckReport:
             checked=0,
             notes=("skipped: category is not cogenerated by the interval",),
         )
+    gops = space.gops
     for phi in grid_distributors_into(X, n):
         checked += 1
         rep = enriched_c(phi, space)
@@ -182,11 +185,11 @@ def adjunction_audit(X: VCategory, n: int) -> CheckReport:
         simp = retract_phi_simplified(rep)
         if back != simp:
             failures.append(
-                f"retract formulas disagree at phi={_row(phi)}: "
-                f"{_row(back)} vs {_row(simp)}"
+                f"retract formulas disagree at phi={_row(gops, phi)}: "
+                f"{_row(gops, back)} vs {_row(gops, simp)}"
             )
         if back != phi:
-            failures.append(f"retract(c(phi)) != phi at phi={_row(phi)}")
+            failures.append(f"retract(c(phi)) != phi at phi={_row(gops, phi)}")
 
     max_gap = 0
     irreducibles = len(join_irreducibles(space))
@@ -229,6 +232,7 @@ def lemma1_audit(X: VCategory, n: int) -> CheckReport:
     functions hitting 1 at x."""
     space = enumerate_cx(X, n)
     gops = space.gops
+    ia = structure_levels(X, gops)
     failures = []
     checked = 0
     if not is_cogenerated(space):
@@ -243,10 +247,10 @@ def lemma1_audit(X: VCategory, n: int) -> CheckReport:
             best = min(
                 (f[y] for f in space.ifuncs if f[x] == gops.n), default=gops.n
             )
-            if gops.value(best) != X.a(y, x):
+            if best != ia[y][x]:
                 failures.append(
                     f"a({y},{x}) = {format_value(X.a(y, x))} but infimum gives "
-                    f"{format_value(gops.value(best))}"
+                    f"{format_value(gops.values[best])}"
                 )
     return CheckReport(
         name="structure-recovery", checked=checked, failures=tuple(failures)
@@ -256,6 +260,7 @@ def lemma1_audit(X: VCategory, n: int) -> CheckReport:
 def pointsep_extension_audit(X: VCategory, n: int) -> CheckReport:
     """Distinct grid distributors are separated by some function's sup-tensor."""
     space = enumerate_cx(X, n)
+    gops = space.gops
     phis = grid_distributors_into(X, n)
     reps = [enriched_c(phi, space) for phi in phis]
     failures = []
@@ -265,7 +270,7 @@ def pointsep_extension_audit(X: VCategory, n: int) -> CheckReport:
             checked += 1
             if reps[i].itable == reps[j].itable:
                 failures.append(
-                    f"{_row(phis[i])} and {_row(phis[j])} are inseparable"
+                    f"{_row(gops, phis[i])} and {_row(gops, phis[j])} are inseparable"
                 )
     return CheckReport(
         name="pointsep-extension", checked=checked, failures=tuple(failures[:8])
@@ -273,24 +278,23 @@ def pointsep_extension_audit(X: VCategory, n: int) -> CheckReport:
 
 
 def twovalued_audit(phi_matrix, src: VCategory, dst: VCategory, n: int) -> CheckReport:
-    """0/1-valued distributors are exactly the ones whose functional map is
-    lax for the pointwise tensor.  Only available over poset-based carriers,
-    where that tensor exists on the function space."""
+    """Distributors (level rows) valued in the grid tensor's idempotents are
+    exactly the ones whose functional map is lax for the pointwise tensor;
+    under Lukasiewicz those are the 0/1-valued ones.  Only available over
+    poset-based carriers, where that tensor exists on the function space."""
     if not (is_poset_based(src) and is_poset_based(dst)):
         raise ValueError("the pointwise tensor on the space needs poset-based carriers")
     space = enumerate_cx(dst, n)
     tt = space.gops.tensor_t
     rows = list(phi_matrix)
-    src = len(rows)
     failures = []
     checked = 0
-    two_valued = all(v in (ZERO, ONE) for row in rows for v in row)
+    idempotent = all(tt[v][v] == v for row in rows for v in row)
     # lax tensor check of the induced map on every row functional
     lax = True
     witness = None
-    for x in range(src):
-        func = enriched_c(rows[x], space)
-        t = func.itable
+    for x, row in enumerate(rows):
+        t = enriched_c(row, space).itable
         for i, j, _, k_tens in space.pair_ops():
             checked += 1
             if t[k_tens] > tt[t[i]][t[j]]:
@@ -299,13 +303,13 @@ def twovalued_audit(phi_matrix, src: VCategory, dst: VCategory, n: int) -> Check
                 break
         if not lax:
             break
-    if two_valued != lax:
+    if idempotent != lax:
         failures.append(
-            f"two-valued={two_valued} but lax-tensor={lax}"
+            f"idempotent-valued={idempotent} but lax-tensor={lax}"
             + (f" (witness row {witness[0]}, f{witness[1]}, f{witness[2]})" if witness else "")
         )
     notes = ()
-    if not two_valued and witness:
+    if not idempotent and witness:
         notes = (f"lax tensor fails at row {witness[0]} on (f{witness[1]}, f{witness[2]})",)
     return CheckReport(
         name="two-valued", checked=checked, failures=tuple(failures), notes=notes
@@ -323,9 +327,7 @@ def tensor_maximality_audit(X: VCategory, psi0: Sequence[Fraction], n: int) -> C
     ipsi0 = tuple(gops.index(v) for v in psi0)
     if ipsi0 not in space.iindex:
         raise ValueError("psi0 must be a member of the function space")
-    q = X.quantale
     m = X.size
-    values = GridChain(n).elements
     failures = []
     checked = 0
 
@@ -334,17 +336,7 @@ def tensor_maximality_audit(X: VCategory, psi0: Sequence[Fraction], n: int) -> C
 
     survivors = []
     found_expected = False
-    top = space.ifuncs[space.top_index]
-    for flat in iproduct(values, repeat=m * m):
-        mat = [flat[i * m : (i + 1) * m] for i in range(m)]
-        if not all(
-            q.tensor(q.tensor(X.a(x2, x), mat[x][y]), X.a(y, y2)) <= mat[x2][y2]
-            for x in range(m)
-            for y in range(m)
-            for x2 in range(m)
-            for y2 in range(m)
-        ):
-            continue
+    for mat in grid_endodistributors(X, n):
         checked += 1
         cmap = enriched_c_map(mat, space, space)
         # constraints: image of top below psi0, image of each below itself
@@ -370,7 +362,7 @@ def tensor_maximality_audit(X: VCategory, psi0: Sequence[Fraction], n: int) -> C
                 break
     if not found_expected:
         failures.append("the action of psi0 is not among the survivors")
-    notes = (f"{len(survivors)} surviving endomaps", f"top constraint uses psi0={_row(psi0)}")
+    notes = (f"{len(survivors)} surviving endomaps", f"top constraint uses psi0={_row(gops, ipsi0)}")
     return CheckReport(
         name="tensor-maximality",
         checked=checked,
@@ -399,5 +391,5 @@ def enumerate_enriched_categories(size: int, q: Quantale, n: int) -> Iterator[VC
             yield X
 
 
-def _row(vals) -> str:
-    return "(" + ",".join(format_value(v) for v in vals) + ")"
+def _row(gops: GridOps, levels) -> str:
+    return "(" + ",".join(format_value(gops.values[v]) for v in levels) + ")"

@@ -31,6 +31,10 @@ from .vrel import VRelation, distributor_violation
 
 KINDS = ("poset", "vcategory", "distributor", "generators")
 
+# The largest grid a suite runs on or a document may name; checked before
+# any GridOps is built, since building one is quadratic in the grid.
+GRID_CAP = 12
+
 
 class InstanceError(ValueError):
     """Parse/validation failure with a stable error code and location."""
@@ -99,9 +103,9 @@ def _matrix(rows, where) -> tuple[tuple[Fraction, ...], ...]:
     )
 
 
-def parse_instance(text: str, exhaustive: bool = True) -> InstanceDoc:
-    """Validate a JSON instance document; exhaustive mode also demands a
-    tensor/grid pair under which the grid is closed."""
+def parse_instance(text: str) -> InstanceDoc:
+    """Validate a JSON instance document.  A grid above ``GRID_CAP`` is
+    refused first; a tensor/grid pair must leave the grid closed."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
@@ -116,7 +120,9 @@ def parse_instance(text: str, exhaustive: bool = True) -> InstanceDoc:
     grid = doc.get("grid")
     if grid is not None and (type(grid) is not int or grid < 1):
         raise InstanceError("bad-document", "grid must be a positive integer")
-    if q is not None and grid is not None and exhaustive and not grid_closed(q, grid):
+    if grid is not None and grid > GRID_CAP:
+        raise InstanceError("cap-exceeded", f"grid capped at {GRID_CAP}")
+    if q is not None and grid is not None and not grid_closed(q, grid):
         raise InstanceError(
             "grid-not-closed",
             f"Q_{grid} is not closed under the {q.name} tensor: exhaustive suites need closure",

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import duality, enriched, posets, stone, tnorms
-from .instances import InstanceDoc, InstanceError
+from .instances import GRID_CAP, InstanceDoc, InstanceError
 from .posets import FinPoset, all_posets, kleisli_compose, upper_sets
 from .reports import SuiteReport
 from .tnorms import GridChain, Quantale, SampleSpec, grid_closed, lukasiewicz
@@ -33,7 +33,6 @@ SUITES = (
 )
 
 POSET_SIZE_CAP = 5
-GRID_CAP = 12
 
 # Per-suite bounds on the config, applied by run_suite before the runner,
 # so the echoed config is the one that ran.
@@ -61,7 +60,6 @@ class SuiteConfig:
     max_size: int = 2
     seed: int = 0
     corpus: int = 1000
-    report_format: str = "table"
     instance: Optional[InstanceDoc] = None
 
     def echo(self) -> dict:

@@ -13,6 +13,44 @@ LUK = T.lukasiewicz()
 ONE = VC.unit_category(LUK)
 HALF_PAIR = VC.vcategory(LUK, [["1", "1/2"], ["0", "1"]])
 CHAIN2 = VC.from_poset(P.chain(2), LUK)
+ORDINAL = T.ordinal_sum((F(0), F(1, 2), T.Lukasiewicz()))
+
+
+def fraction_distributors_into(X, n):
+    """Oracle: every Fraction row phi over Q_n with phi(y) tensor a(y,z) <= phi(z)."""
+    q = X.quantale
+    return [
+        phi
+        for phi in iproduct(T.GridChain(n).elements, repeat=X.size)
+        if all(
+            q.tensor(phi[y], X.a(y, z)) <= phi[z]
+            for y in range(X.size)
+            for z in range(X.size)
+        )
+    ]
+
+
+def fraction_endodistributors(X, n):
+    """Oracle: every Fraction matrix phi over Q_n with
+    a(x2,x) tensor phi(x,y) tensor a(y,y2) <= phi(x2,y2)."""
+    q = X.quantale
+    m = X.size
+    out = []
+    for flat in iproduct(T.GridChain(n).elements, repeat=m * m):
+        mat = tuple(flat[i * m : (i + 1) * m] for i in range(m))
+        if all(
+            q.tensor(q.tensor(X.a(x2, x), mat[x][y]), X.a(y, y2)) <= mat[x2][y2]
+            for x in range(m)
+            for y in range(m)
+            for x2 in range(m)
+            for y2 in range(m)
+        ):
+            out.append(mat)
+    return out
+
+
+def levels(gops, rows):
+    return [tuple(gops.index(v) for v in row) for row in rows]
 
 
 def test_enumerate_cx_point():
@@ -76,24 +114,24 @@ def test_cogeneration_fails_on_truncated_space():
 
 def test_enriched_c_point_example():
     sp = E.enumerate_cx(ONE, 2)
-    f = E.enriched_c((F(1, 2),), sp)
+    f = E.enriched_c((1,), sp)
     assert f.table == (F(0), F(0), F(1, 2))
-    zero = E.enriched_c((F(0),), sp)
+    zero = E.enriched_c((0,), sp)
     assert set(zero.table) == {F(0)}
 
 
 def test_enriched_c_identity_on_poset_base():
     sp = E.enumerate_cx(CHAIN2, 2)
-    assert E.enriched_c_map(CHAIN2.matrix, sp, sp) == tuple(range(sp.size))
+    assert E.enriched_c_map(((2, 2), (0, 2)), sp, sp) == tuple(range(sp.size))
 
 
 def test_retract_formulas_agree_and_invert():
     sp = E.enumerate_cx(ONE, 2)
-    f = E.enriched_c((F(1, 2),), sp)
-    assert E.retract_phi(f) == (F(1, 2),)
-    assert E.retract_phi_simplified(f) == (F(1, 2),)
+    f = E.enriched_c((1,), sp)
+    assert E.retract_phi(f) == (1,)
+    assert E.retract_phi_simplified(f) == (1,)
     zero = D.Functional(sp, [F(0)] * sp.size)
-    assert E.retract_phi(zero) == (F(0),)
+    assert E.retract_phi(zero) == (0,)
 
 
 def test_retract_of_upper_set_functional_is_indicator():
@@ -104,15 +142,49 @@ def test_retract_of_upper_set_functional_is_indicator():
         phi_func = D.phi_of(a, D.function_space(Q, LUK, 2))
         aligned = D.Functional(sp, [phi_func(D.function_space(Q, LUK, 2).index[f]) for f in sp.functions])
         row = E.retract_phi(aligned)
-        assert row == tuple(F(1) if a >> x & 1 else F(0) for x in range(2))
+        assert row == tuple(2 if a >> x & 1 else 0 for x in range(2))
 
 
 def test_grid_distributors():
     rows = E.grid_distributors_into(CHAIN2, 2)
     # monotone rows toward the top of the chain
     assert all(r[0] <= r[1] for r in rows)
-    assert (F(0), F(1, 2)) in rows and (F(1), F(1)) in rows
+    assert (0, 1) in rows and (2, 2) in rows
     assert len(rows) == 6
+
+
+def test_grid_distributors_match_fraction_oracle():
+    # same rows, same lexicographic order, for every enumerated category
+    cases = [
+        (q, n, size) for q in (LUK, T.minimum(), ORDINAL) for n in (1, 2) for size in (1, 2, 3)
+    ]
+    cases += [(q, 3, size) for q in (LUK, T.minimum()) for size in (1, 2)]
+    counted = 0
+    for q, n, size in cases:
+        gops = q.grid(n)
+        for X in E.enumerate_enriched_categories(size, q, n):
+            want = levels(gops, fraction_distributors_into(X, n))
+            assert E.grid_distributors_into(X, n) == want, (q.name, n, X.matrix)
+            counted += 1
+    assert counted == 718
+
+
+def test_grid_endodistributors_match_fraction_oracle():
+    # every poset of size <= 2 at n <= 2 under each tensor, and of size 3
+    # at n = 1, where all three tensors are the Boolean meet
+    cases = [
+        (q, size, n) for q in (LUK, T.minimum(), ORDINAL) for size in (1, 2) for n in (1, 2)
+    ]
+    cases += [(T.minimum(), 3, 1)]
+    counted = 0
+    for q, size, n in cases:
+        gops = q.grid(n)
+        for Q in P.all_posets(size):
+            X = VC.from_poset(Q, q)
+            want = [tuple(levels(gops, mat)) for mat in fraction_endodistributors(X, n)]
+            assert E.grid_endodistributors(X, n) == want, (q.name, n, Q.leq)
+            counted += 1
+    assert counted == 3 * 2 * (1 + 3) + 19
 
 
 def test_adjunction_audit_examples():
@@ -149,12 +221,26 @@ def test_pointsep():
 
 
 def test_twovalued():
-    assert E.twovalued_audit(CHAIN2.matrix, CHAIN2, CHAIN2, 2).passed
-    rep = E.twovalued_audit(((F(0), F(1, 2)),), ONE, CHAIN2, 2)
+    assert E.twovalued_audit(((2, 2), (0, 2)), CHAIN2, CHAIN2, 2).passed
+    rep = E.twovalued_audit(((0, 1),), ONE, CHAIN2, 2)
     assert rep.passed and rep.notes  # fractional row: lax fails, equivalence holds
-    assert E.twovalued_audit(((F(0), F(0)),), ONE, CHAIN2, 2).passed
+    assert E.twovalued_audit(((0, 0),), ONE, CHAIN2, 2).passed
     with pytest.raises(ValueError):
-        E.twovalued_audit(((F(1), F(1)),), ONE, HALF_PAIR, 2)
+        E.twovalued_audit(((2, 2),), ONE, HALF_PAIR, 2)
+
+
+def test_twovalued_lax_exactly_on_idempotent_rows():
+    # under min every grid value is idempotent, so a row of 1/2 is lax
+    chain = VC.from_poset(P.chain(2), T.minimum())
+    rep = E.twovalued_audit(((1, 1),), VC.unit_category(T.minimum()), chain, 2)
+    assert rep.passed and not rep.notes
+    # under the ordinal sum 1/2 is idempotent and 1/4 is not
+    chain = VC.from_poset(P.chain(2), ORDINAL)
+    unit = VC.unit_category(ORDINAL)
+    rep = E.twovalued_audit(((2, 4),), unit, chain, 4)
+    assert rep.passed and not rep.notes
+    rep = E.twovalued_audit(((1, 4),), unit, chain, 4)
+    assert rep.passed and rep.notes
 
 
 def test_tensor_maximality_flagship():
@@ -180,38 +266,23 @@ def test_category_enumeration_includes_half_pair():
 
 
 def test_enriched_c_functorial_on_grid_distributors():
-    from itertools import product as iproduct
-
     from unitcat import vrel as VR
 
     q = LUK
     X = CHAIN2
     spx = E.enumerate_cx(X, 2)
-    vals = T.GridChain(2).elements
+    gops = spx.gops
 
-    def grid_endodistributors():
-        for flat in iproduct(vals, repeat=4):
-            mat = (flat[:2], flat[2:])
-            ok = all(
-                q.tensor(q.tensor(X.a(x2, x), mat[x][y]), X.a(y, y2)) <= mat[x2][y2]
-                for x in range(2)
-                for y in range(2)
-                for x2 in range(2)
-                for y2 in range(2)
-            )
-            if ok:
-                yield mat
-
-    dists = list(grid_endodistributors())
+    dists = fraction_endodistributors(X, 2)
     assert len(dists) > 1
     for phi in dists[:12]:
         for phi2 in dists[:12]:
             composite = VR.compose(
                 VR.vrelation(q, phi2), VR.vrelation(q, phi)
             ).matrix
-            via = E.enriched_c_map(composite, spx, spx)
-            c1 = E.enriched_c_map(phi, spx, spx)
-            c2 = E.enriched_c_map(phi2, spx, spx)
+            via = E.enriched_c_map(levels(gops, composite), spx, spx)
+            c1 = E.enriched_c_map(levels(gops, phi), spx, spx)
+            c2 = E.enriched_c_map(levels(gops, phi2), spx, spx)
             assert via == tuple(c1[i] for i in c2)
 
 

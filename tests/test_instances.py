@@ -96,6 +96,27 @@ def test_error_codes_distinct():
     assert e.value.code == "unknown-kind"
 
 
+def test_document_grid_above_the_cap_is_refused_before_any_grid_table(monkeypatch):
+    from unitcat import suites as SU
+    from unitcat import tnorms as T
+
+    def no_tables(self, n):
+        raise AssertionError(f"grid tables built for Q_{n}")
+
+    monkeypatch.setattr(T.Quantale, "grid", no_tables)
+    for grid in (I.GRID_CAP + 1, 400, 10**9):
+        doc = {"kind": "poset", "tensor": "lukasiewicz", "grid": grid, "leq": [[1]]}
+        with pytest.raises(I.InstanceError) as e:
+            I.parse_instance(json.dumps(doc))
+        assert e.value.code == "cap-exceeded"
+        assert str(e.value) == f"[cap-exceeded] grid capped at {I.GRID_CAP}"
+    # the suites refuse a run's grid with the same constant and message
+    assert SU.GRID_CAP is I.GRID_CAP
+    with pytest.raises(I.InstanceError) as e:
+        SU.run_suite(SU.SuiteConfig(suite="monad-laws", grid=I.GRID_CAP + 1))
+    assert str(e.value) == f"[cap-exceeded] grid capped at {I.GRID_CAP}"
+
+
 def test_tnorm_parsing():
     assert I.parse_tnorm("min").name == "minimum"
     assert I.parse_tnorm("product").name == "product"
@@ -220,5 +241,10 @@ def test_arbitrary_payloads_parse_or_raise_a_coded_error(kind, fields):
         I.parse_instance(json.dumps({"kind": kind, **fields}))
     except I.InstanceError as exc:
         assert exc.code in (
-            "bad-document", "bad-rational", "value-out-of-range", "bad-poset", "grid-not-closed"
+            "bad-document",
+            "bad-rational",
+            "value-out-of-range",
+            "bad-poset",
+            "grid-not-closed",
+            "cap-exceeded",
         )

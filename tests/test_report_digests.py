@@ -45,6 +45,12 @@ CONFIGS = (
     ("twovalued", "lukasiewicz", 2, 3, 1000, None),
     ("total-partial", "lukasiewicz", 3, 2, 1000, None),
     ("enriched-roundtrip", "lukasiewicz", 3, 2, 1000, None),
+    # the enriched audits under tensors other than Lukasiewicz
+    ("tensor-maximality", "min", 2, 2, 1000, None),
+    ("lemma1", "min", 2, 3, 1000, None),
+    ("enriched-roundtrip", "ordinal:0-1/2-lukasiewicz", 2, 2, 1000, None),
+    # min has idempotents besides 0 and 1: every grid row is lax
+    ("twovalued", "min", 2, 2, 1000, None),
 )
 
 DIGESTS = {
@@ -131,6 +137,22 @@ DIGESTS = {
     "enriched-roundtrip lukasiewicz g3 m2 c1000": (
         "6d943f02d99665f6417cfe280904acedd42d67fda7c7f31a7fa95541451d419f",
         "3992a4b68892c5a90bbbe82788761afa45165c6a77f0921ace1cf2cbebaf56f1",
+    ),
+    "tensor-maximality min g2 m2 c1000": (
+        "16a63d955a9ca25842d8e55b9d26baa30d2fbc1ce53820c6c47a67e21c676155",
+        "28640da635534ef0ef2bdea88f7626870cc15295ed905efa1bb4d8d3c29dc488",
+    ),
+    "lemma1 min g2 m3 c1000": (
+        "58597830daf6a919e96fb767073a121c756ead86ab59127a82f08cecc2ad4bf2",
+        "d99d6df9dd5f984953f9b1e1cb6b35d3d49bc52e3149af48371ee5efbd32505b",
+    ),
+    "enriched-roundtrip ordinal:0-1/2-lukasiewicz g2 m2 c1000": (
+        "a332a794682299d2e456d827dbe7b8f26bc7730d15b41c69beb7c595927e2786",
+        "1102a44ee2bee23a5715f38adcd5175c785a4f1d5e9adf1ddd24bac1b6cbca16",
+    ),
+    "twovalued min g2 m2 c1000": (
+        "4e38fd25f97b0675c5d8cc47870df30deb074a8455bede2407744afa0aa832fc",
+        "c0fd9e31c5e22bda912f479ef582c0911aa5895b21009847fc1206875323abf6",
     ),
 }
 
