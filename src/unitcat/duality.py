@@ -28,7 +28,10 @@ class FunctionSpace:
     ``ifuncs`` are grid-level tuples in ascending lexicographic order;
     ``functions``/``index`` are their Fraction views, rendered on first
     use.  Tables are built on first read and kept: join and tensor in
-    ``pair_ops``/``op_table``, each unary op in ``unary_ops``.
+    ``pair_ops``, each unary op in ``unary_ops``; ``join_index`` and
+    ``tensor_index`` compute one pair on demand.  ``tensor_closed``
+    certifies that no pair's tensor leaves the space; only ``cx_space``
+    sets it, so a space built any other way is not certified.
     """
 
     def __init__(self, base, gops: GridOps, levels):
@@ -39,6 +42,7 @@ class FunctionSpace:
         self.ifuncs = tuple(levels)
         self.iindex = {f: i for i, f in enumerate(self.ifuncs)}
         self.carrier_size = len(self.ifuncs[0]) if self.ifuncs else 0
+        self.tensor_closed = False
         self._pair_ops = None
         self._unary: dict[str, list[tuple[int, ...]]] = {}
 
@@ -93,17 +97,17 @@ class FunctionSpace:
             self._pair_ops = out
         return self._pair_ops
 
-    @cached_property
-    def op_table(self) -> tuple[list[list[int]], list[list[int]]]:
-        """(join, tensor) index matrices filled from ``pair_ops``: entry
-        [i][j] is the index of the pointwise join or tensor of f_i and f_j,
-        and a tensor entry is -1 where the result leaves the space."""
-        join = [[0] * self.size for _ in range(self.size)]
-        tensor = [[0] * self.size for _ in range(self.size)]
-        for i, j, k_join, k_tens in self.pair_ops():
-            join[i][j] = join[j][i] = k_join
-            tensor[i][j] = tensor[j][i] = k_tens
-        return join, tensor
+    def join_index(self, i: int, j: int) -> int:
+        """The index of the pointwise join of f_i and f_j."""
+        fi, fj = self.ifuncs[i], self.ifuncs[j]
+        return self.iindex[tuple(a if a >= b else b for a, b in zip(fi, fj))]
+
+    def tensor_index(self, i: int, j: int) -> int:
+        """The index of the pointwise tensor of f_i and f_j, -1 when it
+        leaves the space."""
+        tt = self.gops.tensor_t
+        fi, fj = self.ifuncs[i], self.ifuncs[j]
+        return self.iindex.get(tuple(tt[a][b] for a, b in zip(fi, fj)), -1)
 
     def unary_ops(self, op: str) -> list[tuple[int, ...]]:
         """The "act", "minus" or "power" table, built on first read: row u
@@ -164,6 +168,10 @@ def cx_space(base, gops: GridOps, ia) -> FunctionSpace:
     that alternate between a target and a source carrier, and keep sweeps
     that never repeat a carrier from holding more.  Callers share the
     returned space and must not mutate it.
+
+    A new space is ``tensor_closed`` when every level of ``ia`` is 0 or n:
+    it is then the antitone maps of a preorder, closed under any monotone
+    pointwise op.
     """
     kept = gops.spaces
     for k, space in enumerate(kept):
@@ -172,6 +180,7 @@ def cx_space(base, gops: GridOps, ia) -> FunctionSpace:
             break
     else:
         space = FunctionSpace(base, gops, cx_levels(gops, ia))
+        space.tensor_closed = all(v in (0, gops.n) for row in ia for v in row)
         del kept[: len(kept) + 1 - SPACES_KEPT]
     kept.append(space)
     return space

@@ -10,7 +10,6 @@ checked exhaustively.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iproduct
 from typing import Iterator, Sequence
 
 from .duality import (
@@ -23,7 +22,7 @@ from .duality import (
     join_irreducibles,
 )
 from .reports import CheckReport
-from .tnorms import GridChain, GridOps, Quantale
+from .tnorms import GridOps, Quantale
 from .values import ONE, format_value
 from .vcat import VCategory, is_poset_based, is_separated, validate_vcategory
 
@@ -320,75 +319,120 @@ def tensor_maximality_audit(X: VCategory, psi0: Sequence[Fraction], n: int) -> C
     """Among the endomaps induced by grid distributors, constrained to sit
     below the identity and send the top below psi0, the action of psi0 is
     the pointwise maximum (and itself satisfies the constraints)."""
+    return tensor_maximality_audits(X, (psi0,), n)[0]
+
+
+def tensor_maximality_audits(
+    X: VCategory, psi0s: Sequence[Sequence[Fraction]], n: int
+) -> list[CheckReport]:
+    """``tensor_maximality_audit`` for each psi0 in turn, with the endomaps
+    of X enumerated and mapped once for all of them."""
     if not is_poset_based(X) or X.size > 3 or n > 2:
         raise ValueError("maximality scan is limited to poset-based carriers, |X| <= 3, n <= 2")
     space = enumerate_cx(X, n)
     gops = space.gops
-    ipsi0 = tuple(gops.index(v) for v in psi0)
-    if ipsi0 not in space.iindex:
+    ipsi0s = [tuple(gops.index(v) for v in psi0) for psi0 in psi0s]
+    if any(ipsi0 not in space.iindex for ipsi0 in ipsi0s):
         raise ValueError("psi0 must be a member of the function space")
-    m = X.size
-    failures = []
-    checked = 0
-
-    # the expected maximum: psi |-> psi0 tensor psi pointwise
-    expected = tuple(space.op_table[1][space.iindex[ipsi0]])
-
-    survivors = []
-    found_expected = False
-    for mat in grid_endodistributors(X, n):
-        checked += 1
-        cmap = enriched_c_map(mat, space, space)
-        # constraints: image of top below psi0, image of each below itself
-        t_img = space.ifuncs[cmap[space.top_index]]
-        if any(a > b for a, b in zip(t_img, ipsi0)):
-            continue
-        if any(
-            space.ifuncs[cmap[i]][x] > space.ifuncs[i][x]
-            for i in range(space.size)
-            for x in range(m)
-        ):
-            continue
-        survivors.append(cmap)
-        if cmap == expected:
-            found_expected = True
-        for i in range(space.size):
-            img = space.ifuncs[cmap[i]]
-            exp = space.ifuncs[expected[i]]
-            if any(a > b for a, b in zip(img, exp)):
-                failures.append(
-                    f"survivor exceeds the action of psi0 at function f{i}"
-                )
-                break
-    if not found_expected:
-        failures.append("the action of psi0 is not among the survivors")
-    notes = (f"{len(survivors)} surviving endomaps", f"top constraint uses psi0={_row(gops, ipsi0)}")
-    return CheckReport(
-        name="tensor-maximality",
-        checked=checked,
-        failures=tuple(failures[:8]),
-        notes=notes,
-    )
+    fs = space.ifuncs
+    cmaps = [enriched_c_map(mat, space, space) for mat in grid_endodistributors(X, n)]
+    # the constraint independent of psi0: the image of each function is
+    # below itself
+    below_identity = [
+        cmap
+        for cmap in cmaps
+        if all(a <= b for i, f in enumerate(fs) for a, b in zip(fs[cmap[i]], f))
+    ]
+    reports = []
+    for ipsi0 in ipsi0s:
+        failures = []
+        # the expected maximum: psi |-> psi0 tensor psi pointwise
+        k = space.iindex[ipsi0]
+        expected = tuple(space.tensor_index(k, j) for j in range(space.size))
+        survivors = [
+            cmap
+            for cmap in below_identity
+            if all(a <= b for a, b in zip(fs[cmap[space.top_index]], ipsi0))
+        ]
+        for cmap in survivors:
+            for i in range(space.size):
+                if any(a > b for a, b in zip(fs[cmap[i]], fs[expected[i]])):
+                    failures.append(
+                        f"survivor exceeds the action of psi0 at function f{i}"
+                    )
+                    break
+        if expected not in survivors:
+            failures.append("the action of psi0 is not among the survivors")
+        notes = (
+            f"{len(survivors)} surviving endomaps",
+            f"top constraint uses psi0={_row(gops, ipsi0)}",
+        )
+        reports.append(
+            CheckReport(
+                name="tensor-maximality",
+                checked=len(cmaps),
+                failures=tuple(failures[:8]),
+                notes=notes,
+            )
+        )
+    return reports
 
 
 def enumerate_enriched_categories(size: int, q: Quantale, n: int) -> Iterator[VCategory]:
     """All separated grid-valued categories on the carrier, deterministically.
 
-    Diagonal entries are the unit; off-diagonal cells range over the grid,
-    filtered by transitivity and separation; by Yoneda each is cogenerated
-    (the representables separate points and attain the infimum).
+    Diagonal entries are the unit; off-diagonal cells range over the grid
+    levels, row-major, in ascending lexicographic order.  The search
+    backtracks over the cells in that order and prunes a partial matrix
+    as soon as a cell completes a failing triangle a(x,y) tensor a(y,z)
+    <= a(x,z) (the triangles through the diagonal always hold) or a
+    separation pair a(x,y) = a(y,x) = 1, so no matrix is built for a
+    pruned prefix.  By Yoneda each category is cogenerated (the
+    representables separate points and attain the infimum).
+
+    Fractions are built only for the categories yielded, and each is
+    checked again by ``validate_vcategory`` and ``is_separated``; a
+    disagreement raises RuntimeError.  The grid must be closed.
     """
-    values = GridChain(n).elements
+    gops = q.grid(n)
+    tt, values = gops.tensor_t, gops.values
     cells = [(x, y) for x in range(size) for y in range(size) if x != y]
-    for combo in iproduct(values, repeat=len(cells)):
-        matrix = [[ONE] * size for _ in range(size)]
-        for (x, y), v in zip(cells, combo):
-            matrix[x][y] = v
-        X = VCategory(q, tuple(tuple(row) for row in matrix))
-        if not validate_vcategory(X).passed:
-            continue
-        if is_separated(X):
-            yield X
+    position = {cell: p for p, cell in enumerate(cells)}
+    converse = [position[y, x] for x, y in cells]
+    # triangles[p]: the cell positions (x,y), (y,z), (x,z) of each triangle
+    # on three distinct points whose last cell in the order is cells[p]
+    triangles: list[list[tuple[int, int, int]]] = [[] for _ in cells]
+    for x in range(size):
+        for y in range(size):
+            for z in range(size):
+                if len({x, y, z}) == 3:
+                    trio = (position[x, y], position[y, z], position[x, z])
+                    triangles[max(trio)].append(trio)
+    level = [0] * len(cells)
+
+    def extend(p: int):
+        if p == len(cells):
+            yield _checked_category(q, values, size, cells, level)
+            return
+        c = converse[p]
+        for v in range(n + 1):
+            level[p] = v
+            if v == n and c < p and level[c] == n:
+                continue
+            if all(tt[level[a]][level[b]] <= level[k] for a, b, k in triangles[p]):
+                yield from extend(p + 1)
+
+    return extend(0)
+
+
+def _checked_category(q: Quantale, values, size: int, cells, level) -> VCategory:
+    matrix = [[ONE] * size for _ in range(size)]
+    for (x, y), v in zip(cells, level):
+        matrix[x][y] = values[v]
+    X = VCategory(q, tuple(tuple(row) for row in matrix))
+    if not (validate_vcategory(X).passed and is_separated(X)):
+        raise RuntimeError(f"level search yielded a matrix the axiom check refuses: {X.matrix}")
+    return X
 
 
 def _row(gops: GridOps, levels) -> str:

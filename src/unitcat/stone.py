@@ -58,10 +58,15 @@ def generate_closure(
     ops is a subset of {join, tensor, act, power, minus, constants};
     'tensor' also seeds the unit constant (it is the monoid structure),
     'constants' seeds both constants.  A worklist: each member meets
-    itself and every earlier member in the space's ``op_table``, then
-    the unary tables.  The trace records one line per new member:
-    operation, operand indices, result index.  A reached pair whose
-    tensor leaves the space raises ValueError naming the pair.
+    itself and every earlier member, each join or tensor computed on
+    demand, then the unary tables.  The trace records one line per new
+    member: operation, operand indices, result index.  A reached pair
+    whose tensor leaves the space raises ValueError naming the pair.
+
+    On a ``tensor_closed`` space the worklist stops once every function
+    is a member: nothing new can be reached and no tensor can escape, so
+    members and trace are those of the full scan.  Any other space is
+    scanned to the end, so an escaping pair is still found.
     """
     unknown = set(ops) - set(KNOWN_OPS)
     if unknown:
@@ -85,17 +90,18 @@ def generate_closure(
     if "tensor" in ops:
         add(space.top_index, "monoid unit")
 
-    binary = [
-        (op, space.op_table[k]) for k, op in enumerate(("join", "tensor")) if op in ops
-    ]
+    pairs = {"join": space.join_index, "tensor": space.tensor_index}
+    binary = [(op, pairs[op]) for op in ("join", "tensor") if op in ops]
     unary = [(op, space.unary_ops(op)) for op in ("act", "power", "minus") if op in ops]
     n = space.n
+    full = space.size if space.tensor_closed else None
     # members grows while it is walked: it is the worklist
     for k, i in enumerate(members):
-        for op, table in binary:
-            row = table[i]
+        if len(members) == full:
+            break
+        for op, pair in binary:
             for j in members[: k + 1]:
-                r = row[j]
+                r = pair(i, j)
                 if r not in seen:
                     if r < 0:
                         raise _tensor_escape(i, j)
@@ -242,11 +248,11 @@ def _closed_under(L: SubStructure, required) -> Optional[str]:
         if "tensor" in required:
             if space.top_index not in members:
                 return "tensor"
-            row = space.op_table[1][i]
             for j in L.members:
-                if row[j] < 0:
+                r = space.tensor_index(i, j)
+                if r < 0:
                     raise _tensor_escape(i, j)
-                if row[j] not in members:
+                if r not in members:
                     return "tensor"
     return None
 

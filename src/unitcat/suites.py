@@ -280,9 +280,9 @@ def _run_tensor_maximality(config: SuiteConfig, report: SuiteReport):
     for size in range(1, config.max_size + 1):
         for pk, P in enumerate(all_posets(size)):
             X = from_poset(P, q)
-            space = enriched.enumerate_cx(X, n)
-            for fi, psi0 in enumerate(space.functions):
-                rep = enriched.tensor_maximality_audit(X, psi0, n)
+            psi0s = enriched.enumerate_cx(X, n).functions
+            reps = enriched.tensor_maximality_audits(X, psi0s, n)
+            for fi, rep in enumerate(reps):
                 report.absorb(rep, f"poset {size}.{pk} psi0={fi}")
 
 

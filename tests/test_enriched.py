@@ -49,6 +49,20 @@ def fraction_endodistributors(X, n):
     return out
 
 
+def fraction_enriched_categories(size, q, n):
+    """Oracle: every Fraction matrix with unit diagonal and off-diagonal
+    cells on Q_n, row-major in lexicographic order, that passes
+    ``validate_vcategory`` and ``is_separated``."""
+    cells = [(x, y) for x in range(size) for y in range(size) if x != y]
+    for combo in iproduct(T.GridChain(n).elements, repeat=len(cells)):
+        matrix = [[F(1)] * size for _ in range(size)]
+        for (x, y), v in zip(cells, combo):
+            matrix[x][y] = v
+        X = VC.VCategory(q, tuple(tuple(row) for row in matrix))
+        if VC.validate_vcategory(X).passed and VC.is_separated(X):
+            yield X
+
+
 def levels(gops, rows):
     return [tuple(gops.index(v) for v in row) for row in rows]
 
@@ -348,3 +362,29 @@ def test_enumerated_categories_are_cogenerated():
             assert E.is_cogenerated(E.enumerate_cx(X, n)), (q.name, X.matrix)
             counted += 1
     assert counted == 718
+
+
+def test_category_enumeration_matches_fraction_oracle():
+    # the same matrices in the same order, wherever the grid is closed
+    counted = 0
+    for q in (LUK, T.minimum(), ORDINAL):
+        for n in (1, 2, 3):
+            if not T.grid_closed(q, n):
+                continue
+            for size in (1, 2, 3):
+                got = [X.matrix for X in E.enumerate_enriched_categories(size, q, n)]
+                want = [X.matrix for X in fraction_enriched_categories(size, q, n)]
+                assert got == want, (q.name, n, size)
+                counted += len(got)
+    assert counted == 2846
+
+
+@pytest.mark.parametrize("check", ["validate_vcategory", "is_separated"])
+def test_category_enumeration_rechecks_every_output(monkeypatch, check):
+    refused = {
+        "validate_vcategory": lambda X: VC.CheckReport(name="refused", checked=1, failures=("no",)),
+        "is_separated": lambda X: False,
+    }
+    monkeypatch.setattr(E, check, refused[check])
+    with pytest.raises(RuntimeError, match="axiom check refuses"):
+        next(E.enumerate_enriched_categories(2, LUK, 2))

@@ -94,7 +94,6 @@ def _same_tables(served, fresh):
     return (
         served.ifuncs == fresh.ifuncs
         and served.pair_ops() == fresh.pair_ops()
-        and served.op_table == fresh.op_table
         and served.unary_ops("act") == fresh.unary_ops("act")
     )
 

@@ -9,6 +9,7 @@ from unitcat import duality as D
 from unitcat import enriched as E
 from unitcat import posets as P
 from unitcat import stone as S
+from unitcat import suites as SU
 from unitcat import tnorms as T
 from unitcat import vcat as VC
 
@@ -278,3 +279,73 @@ def test_escaping_tensor_is_refused_with_the_pair():
     with pytest.raises(ValueError, match=ESCAPE.pattern) as exc:
         S.sep_premise_audit(S.generate_closure(sp, range(sp.size), ()))
     _assert_escapes(sp, exc)
+
+
+# The closure certificate: ``cx_space`` marks a space tensor_closed when
+# its structure levels are all 0 or n, and only then may the worklist stop
+# at the full space.
+
+
+def test_poset_spaces_are_certified_and_tensor_closed():
+    checked = 0
+    for q in (LUK, T.minimum()):
+        for n in (1, 2, 3):
+            for size in (1, 2, 3, 4):
+                for Q in P.all_posets(size):
+                    sp = D.function_space(Q, q, n)
+                    cx = E.enumerate_cx(VC.from_poset(Q, q), n)
+                    assert sp.tensor_closed and cx.tensor_closed, (q.name, n, Q.leq)
+                    # the same tables on the same grid: one pair table serves both
+                    assert cx.ifuncs == sp.ifuncs and cx.gops is sp.gops
+                    assert all(k >= 0 for *_, k in sp.pair_ops()), (q.name, n, Q.leq)
+                    checked += 1
+    assert checked == 2 * 3 * 242
+
+
+def test_intermediate_levels_are_not_certified():
+    checked = 0
+    for q in (LUK, T.minimum()):
+        for n in (1, 2, 3):
+            for size in (1, 2):
+                for X in E.enumerate_enriched_categories(size, q, n):
+                    ia = E.structure_levels(X, q.grid(n))
+                    if all(v in (0, n) for row in ia for v in row):
+                        continue
+                    assert not E.enumerate_cx(X, n).tensor_closed, (q.name, n, X.matrix)
+                    checked += 1
+    assert checked > 0
+    # nor is a space constructed directly, whatever its carrier
+    sp = chain2_space()
+    assert not D.FunctionSpace(sp.base, sp.gops, sp.ifuncs).tensor_closed
+
+
+def test_certified_closure_stops_at_the_full_space(monkeypatch):
+    sp = D.function_space(P.antichain(4), LUK, 2)
+    gens = S.down_set_indicators(sp)
+    calls = [0]
+    for name in ("join_index", "tensor_index"):
+        original = getattr(D.FunctionSpace, name)
+
+        def counted(self, i, j, original=original):
+            calls[0] += 1
+            return original(self, i, j)
+
+        monkeypatch.setattr(D.FunctionSpace, name, counted)
+    L = S.generate_closure(sp, gens, ("join", "tensor", "act"))
+    assert L.members == tuple(range(sp.size))
+    assert 0 < calls[0] < sp.size * (sp.size + 1)  # the full scan pairs every member
+
+
+def test_density_sweep_builds_no_pair_table(monkeypatch):
+    calls = [0]
+    original = D.FunctionSpace.pair_ops
+
+    def counted(self):
+        calls[0] += 1
+        return original(self)
+
+    monkeypatch.setattr(D.FunctionSpace, "pair_ops", counted)
+    for q in (LUK, T.minimum()):
+        config = SU.SuiteConfig(suite="stone-weierstrass", quantale=q, grid=2, max_size=3)
+        assert SU.run_suite(config).passed
+    assert calls[0] == 0
