@@ -28,8 +28,10 @@ class FunctionSpace:
     ``ifuncs`` are grid-level tuples in ascending lexicographic order;
     ``functions``/``index`` are their Fraction views, rendered on first
     use.  Tables are built on first read and kept: join and tensor in
-    ``pair_ops``, each unary op in ``unary_ops``; ``join_index`` and
-    ``tensor_index`` compute one pair on demand.  ``tensor_closed``
+    ``pair_ops``, the tensor again as an index-pair lookup in
+    ``tensor_table``, each unary op in ``unary_ops`` and each upper-set
+    sup in ``sup_column``; ``join_index`` and ``tensor_index`` compute one
+    pair on demand.  ``tensor_closed``
     certifies that no pair's tensor leaves the space; only ``cx_space``
     sets it, so a space built any other way is not certified.
     """
@@ -44,7 +46,9 @@ class FunctionSpace:
         self.carrier_size = len(self.ifuncs[0]) if self.ifuncs else 0
         self.tensor_closed = False
         self._pair_ops = None
+        self._tensor_table = None
         self._unary: dict[str, list[tuple[int, ...]]] = {}
+        self._sup_columns: dict[int, tuple[int, ...]] = {}
 
     @property
     def size(self) -> int:
@@ -96,6 +100,26 @@ class FunctionSpace:
                     out.append((i, j, idx[join], idx.get(tens, -1)))
             self._pair_ops = out
         return self._pair_ops
+
+    def tensor_table(self) -> list[list[int]]:
+        """Row i, column j: the index of the pointwise tensor of f_i and
+        f_j, -1 when it leaves the space; read off ``pair_ops``."""
+        if self._tensor_table is None:
+            table = [[-1] * self.size for _ in range(self.size)]
+            for i, j, _, k_tens in self.pair_ops():
+                table[i][j] = table[j][i] = k_tens
+            self._tensor_table = table
+        return self._tensor_table
+
+    def sup_column(self, mask: int) -> tuple[int, ...]:
+        """Each function's sup over the points in ``mask`` (0 for the empty
+        mask), in enumeration order; built on first read per mask."""
+        column = self._sup_columns.get(mask)
+        if column is None:
+            xs = mask_elements(mask)
+            column = tuple(max((f[x] for x in xs), default=0) for f in self.ifuncs)
+            self._sup_columns[mask] = column
+        return column
 
     def join_index(self, i: int, j: int) -> int:
         """The index of the pointwise join of f_i and f_j."""
@@ -231,9 +255,7 @@ class Functional:
 
 def phi_of(a_mask: int, space: FunctionSpace) -> Functional:
     """The functional of an upper set: sup of the function over it (0 if empty)."""
-    xs = mask_elements(a_mask)
-    itable = [max((f[x] for x in xs), default=0) for f in space.ifuncs]
-    return Functional.from_levels(space, itable)
+    return Functional.from_levels(space, space.sup_column(a_mask))
 
 
 @dataclass(frozen=True)
@@ -421,17 +443,25 @@ def c_of_distributor(phi01, cy: FunctionSpace, cx: FunctionSpace) -> tuple[int, 
     """The function-space map of a 0/1 continuous distributor X -|-> Y.
 
     psi |-> (x |-> sup of psi over the row of x); returned as an index
-    mapping CY -> CX aligned with the enumerations.
+    mapping CY -> CX aligned with the enumerations.  Each row is read as
+    CY's sup column of its mask, and the images are the columns' zip.
+    A phi whose shape is not |X| rows of |Y| entries, or an image outside
+    CX, raises ValueError.
     """
-    rows = [
-        [y for y in range(cy.carrier_size) if phi01[x][y]]
-        for x in range(cx.carrier_size)
-    ]
-    out = []
-    for f in cy.ifuncs:
-        g = tuple(max((f[y] for y in row), default=0) for row in rows)
-        out.append(cx.iindex[g])
-    return tuple(out)
+    if len(phi01) != cx.carrier_size or any(len(row) != cy.carrier_size for row in phi01):
+        raise ValueError(
+            f"distributor rows of lengths {[len(row) for row in phi01]} are not "
+            f"{cx.carrier_size} rows of {cy.carrier_size}"
+        )
+    columns = [cy.sup_column(sum(1 << y for y, v in enumerate(row) if v)) for row in phi01]
+    images = list(zip(*columns)) if columns else [()] * cy.size
+    try:
+        return tuple(map(cx.iindex.__getitem__, images))
+    except KeyError as exc:
+        i = images.index(exc.args[0])
+        raise ValueError(
+            f"C(phi) of f{i} is {images[i]}, which leaves the function space"
+        ) from None
 
 
 def representability_audit(
@@ -577,11 +607,13 @@ def total_partial_audit(phi01, P: FinPoset, R: FinPoset, q: Quantale, n: int) ->
         )
 
     preserves_tensor = True
-    tt = cx.gops.tensor_t
+    tensor = cx.tensor_table()
     for i, j, _, k_tens in cy.pair_ops():
         checked += 1
-        gi, gj = cx.ifuncs[cmap[i]], cx.ifuncs[cmap[j]]
-        target = cx.iindex[tuple(tt[a][b] for a, b in zip(gi, gj))]
+        target = tensor[cmap[i]][cmap[j]]
+        if k_tens < 0 or target < 0:
+            where = f"(f{i}, f{j}) of CY" if k_tens < 0 else f"(f{cmap[i]}, f{cmap[j]}) of CX"
+            raise ValueError(f"tensor of {where} leaves the function space")
         if cmap[k_tens] != target:
             preserves_tensor = False
             break

@@ -1,4 +1,7 @@
+import random
+import re
 from fractions import Fraction as F
+from itertools import permutations
 from itertools import product as iproduct
 
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from unitcat import duality as D
 from unitcat import posets as P
 from unitcat import tnorms as T
+from unitcat.suites import _random_distributor
 
 LUK = T.lukasiewicz()
 MIN = T.minimum()
@@ -253,6 +257,156 @@ def test_total_partial_audit_examples():
     full_row = ((1, 1), (1, 1))
     assert not D.is_deterministic(full_row, P.antichain(2))
     assert D.total_partial_audit(full_row, P.antichain(2), P.antichain(2), LUK, 2).passed
+
+
+def _c_of_distributor_by_rows(phi01, cy, cx):
+    """The row-by-row map: one sup per (function, point), looked up in CX."""
+    rows = [
+        [y for y in range(cy.carrier_size) if phi01[x][y]]
+        for x in range(cx.carrier_size)
+    ]
+    return tuple(
+        cx.iindex[tuple(max((f[y] for y in row), default=0) for row in rows)]
+        for f in cy.ifuncs
+    )
+
+
+def _total_partial_by_tuples(phi01, X, Y, q, n, cmap, tensors):
+    """total_partial_audit on the map cmap, with the tensor of two images
+    built as a level tuple and looked up in CX; ``tensors`` keeps each
+    such lookup, by CX and the two image indices."""
+    cy, cx = D.function_space(Y, q, n), D.function_space(X, q, n)
+    known = tensors.setdefault((q.name, n, X.leq), {})
+    failures = []
+    checked = 2
+    preserves_top = cmap[cy.top_index] == cx.top_index
+    if D.is_total(phi01, X.size) != preserves_top:
+        failures.append(
+            f"totality {D.is_total(phi01, X.size)} vs top-preservation {preserves_top}"
+        )
+    preserves_tensor = True
+    tt = cx.gops.tensor_t
+    for i, j, _, k_tens in cy.pair_ops():
+        checked += 1
+        images = (cmap[i], cmap[j])
+        target = known.get(images)
+        if target is None:
+            gi, gj = cx.ifuncs[images[0]], cx.ifuncs[images[1]]
+            target = known[images] = cx.iindex[tuple(tt[a][b] for a, b in zip(gi, gj))]
+        if cmap[k_tens] != target:
+            preserves_tensor = False
+            break
+    if D.is_deterministic(phi01, Y) != preserves_tensor:
+        failures.append(
+            f"determinism {D.is_deterministic(phi01, Y)} vs tensor-preservation {preserves_tensor}"
+        )
+    return D.CheckReport(name="total-partial", checked=checked, failures=tuple(failures))
+
+
+def _up_to_isomorphism(posets):
+    """One poset per isomorphism class, the first in the given order."""
+    classes = {}
+    for Q in posets:
+        m = Q.size
+        key = min(
+            tuple(tuple(Q.leq[p[x]][p[y]] for y in range(m)) for x in range(m))
+            for p in permutations(range(m))
+        )
+        classes.setdefault(key, Q)
+    return list(classes.values())
+
+
+def test_distributor_maps_match_the_row_by_row_oracle():
+    # every labelling of size <= 2 and one poset per class at size 3 (the
+    # audited claims do not depend on the labelling): all 23 labelled
+    # posets give 24,286 distributors per (tensor, n), about 20 s on a
+    # 2-core machine; the sampled test below reaches relabelled posets up
+    # to size 4.  The map does not depend on the tensor: one oracle map
+    # serves both.
+    posets = [Q for size in (1, 2) for Q in P.all_posets(size)]
+    posets += _up_to_isomorphism(P.all_posets(3))
+    tensors: dict = {}
+    compared = 0
+    for n in (1, 2, 3):
+        for X in posets:
+            for Y in posets:
+                for phi in P.continuous_distributors(X, Y):
+                    expected = None
+                    for q in (LUK, MIN):
+                        cy, cx = D.function_space(Y, q, n), D.function_space(X, q, n)
+                        if expected is None:
+                            expected = _c_of_distributor_by_rows(phi, cy, cx)
+                        case = (q.name, n, X.leq, Y.leq, phi)
+                        assert D.c_of_distributor(phi, cy, cx) == expected, case
+                        assert D.total_partial_audit(phi, X, Y, q, n) == (
+                            _total_partial_by_tuples(phi, X, Y, q, n, expected, tensors)
+                        ), case
+                        compared += 1
+    assert len(posets) == 9 and compared == 2 * 3 * 3194
+
+
+def test_sampled_functoriality_maps_match_the_row_by_row_oracle():
+    # the 1,000 composable pairs functoriality draws at --max-size 4
+    # --corpus 1000 --seed 0
+    rng = random.Random(0)
+    pool = [Q for size in range(1, 5) for Q in P.all_posets(size)]
+    for _ in range(1000):
+        X, Y, Z = (pool[rng.randrange(len(pool))] for _ in range(3))
+        phi = _random_distributor(rng, X, Y)
+        phi2 = _random_distributor(rng, Y, Z)
+        cz, cy, cx = (D.function_space(Q, LUK, 2) for Q in (Z, Y, X))
+        for psi, source, target in (
+            (phi, cy, cx),
+            (phi2, cz, cy),
+            (P.kleisli_compose(phi2, phi), cz, cx),
+        ):
+            assert D.c_of_distributor(psi, source, target) == (
+                _c_of_distributor_by_rows(psi, source, target)
+            )
+
+
+def test_c_of_distributor_refuses_a_misshapen_phi():
+    sp = D.function_space(CHAIN2, LUK, 2)
+    with pytest.raises(ValueError, match="lengths \\[2\\] are not 2 rows of 2"):
+        D.c_of_distributor(((1, 1),), sp, sp)
+    with pytest.raises(ValueError, match="lengths \\[2, 3\\] are not 2 rows of 2"):
+        D.c_of_distributor(((1, 1), (0, 1, 1)), sp, sp)
+
+
+def test_c_of_distributor_refuses_an_image_outside_cx():
+    # the empty row under a full one is not antitone along the 2-chain
+    sp = D.function_space(CHAIN2, LUK, 2)
+    first = next(i for i, f in enumerate(sp.ifuncs) if max(f) > 0)
+    image = (0, max(sp.ifuncs[first]))
+    with pytest.raises(ValueError, match=re.escape(f"C(phi) of f{first} is {image}")):
+        D.c_of_distributor(((0, 0), (1, 1)), sp, sp)
+
+
+def _serve(monkeypatch, spaces):
+    """Make total_partial_audit read the hand-built spaces (by carrier)."""
+    monkeypatch.setattr(D, "function_space", lambda Q, q, n: spaces[Q])
+
+
+def test_total_partial_refuses_a_tensor_leaving_cy(monkeypatch):
+    # 1/2 tensor 1/2 is 0 under Lukasiewicz, and 0 is not in the space
+    sp = D.FunctionSpace(POINT, LUK.grid(2), [(1,), (2,)])
+    _serve(monkeypatch, {POINT: sp})
+    with pytest.raises(ValueError, match=re.escape("tensor of (f0, f0) of CY")):
+        D.total_partial_audit(((1,),), POINT, POINT, LUK, 2)
+
+
+def test_total_partial_refuses_a_tensor_leaving_cx(monkeypatch):
+    # both spaces are closed under joins and CY under the tensor; the
+    # images (1/2, 1/2) and (1, 0) of f1 and f2 are in CX, their tensor
+    # (1/2, 0) is not
+    Y, X = P.antichain(2), CHAIN2
+    gops = LUK.grid(2)
+    cy = D.FunctionSpace(Y, gops, [(0, 0), (0, 1), (2, 0), (2, 1), (2, 2)])
+    cx = D.FunctionSpace(X, gops, [(0, 0), (1, 1), (2, 0), (2, 1), (2, 2)])
+    _serve(monkeypatch, {Y: cy, X: cx})
+    assert D.c_of_distributor(((1, 1), (0, 1)), cy, cx) == (0, 1, 2, 3, 4)
+    with pytest.raises(ValueError, match=re.escape("tensor of (f1, f2) of CX")):
+        D.total_partial_audit(((1, 1), (0, 1)), X, Y, LUK, 2)
 
 
 def _brute_force_cut(sp, drop_tenlax):

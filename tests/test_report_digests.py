@@ -51,6 +51,11 @@ CONFIGS = (
     ("enriched-roundtrip", "ordinal:0-1/2-lukasiewicz", 2, 2, 1000, None),
     # min has idempotents besides 0 and 1: every grid row is lax
     ("twovalued", "min", 2, 2, 1000, None),
+    # the distributor maps: the benchmark's functoriality run, whose
+    # sampled pool reaches size 4, and total-partial at size 3 and grid 5
+    ("functoriality", "lukasiewicz", 2, 4, 500, None),
+    ("total-partial", "min", 2, 3, 1000, None),
+    ("total-partial", "lukasiewicz", 5, 2, 1000, None),
 )
 
 DIGESTS = {
@@ -153,6 +158,18 @@ DIGESTS = {
     "twovalued min g2 m2 c1000": (
         "4e38fd25f97b0675c5d8cc47870df30deb074a8455bede2407744afa0aa832fc",
         "c0fd9e31c5e22bda912f479ef582c0911aa5895b21009847fc1206875323abf6",
+    ),
+    "functoriality lukasiewicz g2 m4 c500": (
+        "56e807d5be39504ac78186555fb9b64c822fcc82144357a89606b33a2bcec6a5",
+        "7a1593bca83ddffdff2ca41737d42047178e01342a0b8e5f59475e1f49f614c4",
+    ),
+    "total-partial min g2 m3 c1000": (
+        "47d213783114514456be0e5a438cd39d2fb7bae2f6f9f016d228d4d9838b41fd",
+        "9bc45e5b032ffba72c5cee2dad9a81d093ed00ee11ee961c366c8019b893ac61",
+    ),
+    "total-partial lukasiewicz g5 m2 c1000": (
+        "0c795e1982f575afe863a849e3bb1bcfd0508aaad4d99e277399759920331011",
+        "75523e3d9b16832d5d12e3ce76966230f60687a452435f32818eec4208bb273f",
     ),
 }
 

@@ -35,6 +35,8 @@ def builds(monkeypatch):
     "suite, grid, max_size, expected",
     [
         ("total-partial", 2, 2, 15),
+        # the run-local dict asks for each poset once: one build per poset
+        ("functoriality", 2, 3, 23),
         ("enriched-roundtrip", 2, 2, 13),
         ("tensor-maximality", 2, 2, 4),
         ("twovalued", 2, 3, 23),
@@ -95,6 +97,10 @@ def _same_tables(served, fresh):
         served.ifuncs == fresh.ifuncs
         and served.pair_ops() == fresh.pair_ops()
         and served.unary_ops("act") == fresh.unary_ops("act")
+        and served.tensor_table() == fresh.tensor_table()
+        and all(
+            served.sup_column(a) == fresh.sup_column(a) for a in P.upper_sets(served.base)
+        )
     )
 
 
@@ -135,3 +141,23 @@ def test_total_partial_reports_match_fresh_quantales():
                         assert shared == fresh, (make.__name__, n, X.leq, Y.leq, phi)
                         compared += 1
     assert compared == 2 * 3 * 98
+
+
+def test_total_partial_builds_each_tensor_lookup_once_per_kept_space(builds, monkeypatch):
+    original = D.FunctionSpace.tensor_table
+    built = []
+
+    def counted(space):
+        if space._tensor_table is None:
+            built.append(space)
+        return original(space)
+
+    monkeypatch.setattr(D.FunctionSpace, "tensor_table", counted)
+    config = SU.SuiteConfig(
+        suite="total-partial", quantale=T.lukasiewicz(), grid=2, max_size=2
+    )
+    assert SU.run_suite(config).passed
+    # only the source spaces CX are read; the run keeps CX of each source
+    # poset through its loop over the targets, so each is built once
+    assert len({id(space) for space in built}) == len(built) == 4
+    assert builds[0] == 15
