@@ -84,6 +84,7 @@ from .duality import (
     anti_set,
     c_of_distributor,
     check_conditions,
+    count_join_homomorphisms,
     function_space,
     join_homomorphisms,
     join_irreducibles,

@@ -31,7 +31,8 @@ class FunctionSpace:
     ``pair_ops``, the tensor again as an index-pair lookup in
     ``tensor_table``, each unary op in ``unary_ops`` and each upper-set
     sup in ``sup_column``; ``join_index`` and ``tensor_index`` compute one
-    pair on demand.  ``tensor_closed``
+    pair on demand.  ``structure`` holds the base's structure levels
+    (``structure_levels``).  ``tensor_closed``
     certifies that no pair's tensor leaves the space; only ``cx_space``
     sets it, so a space built any other way is not certified.
     """
@@ -53,6 +54,12 @@ class FunctionSpace:
     @property
     def size(self) -> int:
         return len(self.ifuncs)
+
+    @cached_property
+    def structure(self) -> list[list[int]]:
+        """The base's structure levels, read on first use; ``cx_space``
+        sets them from the levels it enumerated the space by."""
+        return structure_levels(self.base, self.gops)
 
     @cached_property
     def functions(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -158,6 +165,16 @@ class FunctionSpace:
         return table
 
 
+def structure_levels(base, gops: GridOps) -> list[list[int]]:
+    """The structure of a carrier as grid levels, row x, column y: n where
+    x <= y in a FinPoset and 0 elsewhere, a(x, y) in a category."""
+    m = base.size
+    if isinstance(base, FinPoset):
+        n = gops.n
+        return [[n if base.leq[x][y] else 0 for y in range(m)] for x in range(m)]
+    return [[gops.index(base.a(x, y)) for y in range(m)] for x in range(m)]
+
+
 def cx_levels(gops: GridOps, ia) -> list[tuple[int, ...]]:
     """The level tables f with ia[x][y] <= hom(f(y), f(x)) for all x, y, in
     ascending lexicographic order: the grid-valued morphisms into the
@@ -181,8 +198,8 @@ def cx_levels(gops: GridOps, ia) -> list[tuple[int, ...]]:
 SPACES_KEPT = 2
 
 
-def cx_space(base, gops: GridOps, ia) -> FunctionSpace:
-    """The space of ``cx_levels(gops, ia)`` over ``base``, shared.
+def cx_space(base, gops: GridOps) -> FunctionSpace:
+    """The space of ``cx_levels`` over ``base``'s structure levels, shared.
 
     ``gops.spaces`` keeps the ``SPACES_KEPT`` most recently requested
     spaces, oldest first, matched by their base (a FinPoset never equals a
@@ -193,7 +210,8 @@ def cx_space(base, gops: GridOps, ia) -> FunctionSpace:
     that never repeat a carrier from holding more.  Callers share the
     returned space and must not mutate it.
 
-    A new space is ``tensor_closed`` when every level of ``ia`` is 0 or n:
+    The structure levels are built only for a new space, which keeps them
+    as ``structure``.  It is ``tensor_closed`` when every level is 0 or n:
     it is then the antitone maps of a preorder, closed under any monotone
     pointwise op.
     """
@@ -203,7 +221,9 @@ def cx_space(base, gops: GridOps, ia) -> FunctionSpace:
             del kept[k]
             break
     else:
+        ia = structure_levels(base, gops)
         space = FunctionSpace(base, gops, cx_levels(gops, ia))
+        space.structure = ia
         space.tensor_closed = all(v in (0, gops.n) for row in ia for v in row)
         del kept[: len(kept) + 1 - SPACES_KEPT]
     kept.append(space)
@@ -216,9 +236,7 @@ def function_space(P: FinPoset, q: Quantale, n: int) -> FunctionSpace:
     Served by ``cx_space``: the two most recently requested spaces of
     each grid are reused, so the result is shared and must not be mutated.
     """
-    m = P.size
-    ia = [[n if P.leq[x][y] else 0 for y in range(m)] for x in range(m)]
-    return cx_space(P, q.grid(n), ia)
+    return cx_space(P, q.grid(n))
 
 
 class Functional:
@@ -378,9 +396,38 @@ def join_irreducibles(space: FunctionSpace) -> tuple[int, ...]:
     return tuple(k for k in range(space.size) if k not in reducible)
 
 
-def join_homomorphisms(space: FunctionSpace) -> Iterator[tuple[int, ...]]:
+def _join_order(space: FunctionSpace):
+    """J and, for each function f, the positions in J of the maximal
+    join-irreducibles below f, ascending; then each p's lower covers in J.
+
+    A monotone g on J extends to t(f) = max{g(j) : j <= f}, and the max
+    over the maximal such j is the same.  The order is read off the join
+    table as join(j, f) = f; pairs come with j <= f in index, so the
+    positions below f arrive ascending and those below J[p] end with p.
+    """
+    J = join_irreducibles(space)
+    position = {j: p for p, j in enumerate(J)}
+    below: list[list[int]] = [[] for _ in range(space.size)]
+    for i, j, k_join, _ in space.pair_ops():
+        if k_join == j and i in position:
+            below[j].append(position[i])
+    strictly = [set(below[j][:-1]) for j in J]
+
+    def maximal(b: list[int]) -> list[int]:
+        return [q for q in b if not any(q in strictly[r] for r in b)]
+
+    return J, [maximal(b) for b in below], [maximal(below[j][:-1]) for j in J]
+
+
+PRUNING_CONDITIONS = ("act", "minus", "tenlax")
+
+
+def join_homomorphisms(
+    space: FunctionSpace, conditions: Sequence[str] = ()
+) -> Iterator[tuple[int, ...]]:
     """Every grid table on the space that preserves binary joins and sends
-    the bottom to 0, each exactly once, in ascending lexicographic order.
+    the bottom to 0, each exactly once, in ascending lexicographic order;
+    with ``conditions``, only those whose instances on J hold.
 
     Every function is the join of the join-irreducibles J below it, so
     such a table is fixed by its values on J, and it comes from exactly
@@ -389,29 +436,108 @@ def join_homomorphisms(space: FunctionSpace) -> Iterator[tuple[int, ...]]:
     such extension preserves joins.  J is visited in index order, a
     linear extension of the pointwise order, and the first position where
     two maps differ is then the first where their tables differ.
+
+    ``conditions`` names any of "act", "minus" and "tenlax".  Once g(j)
+    is set for j = J[p], the search checks each named instance at j:
+    t(u tensor j) = u tensor g(j) for 0 < u < n, t(j minus u) = g(j) minus
+    u for u >= 1, and t(j tensor k) <= g(j) tensor g(k) for each k = J[q]
+    with q <= p whose tensor with j stays in the space.  Each such f lies
+    below j, so t(f) is already fixed, and a failing prefix is dropped
+    with every table that extends it.  Each check is one instance of the
+    full condition, so no table the full checker accepts is dropped; the
+    full checker must still decide each table yielded.  An escaping minus
+    raises ValueError here, before any table.
     """
+    unknown = sorted(set(conditions) - set(PRUNING_CONDITIONS))
+    if unknown:
+        raise ValueError(f"no pruning on {unknown}: pick from {PRUNING_CONDITIONS}")
     n = space.n
-    J = join_irreducibles(space)
-    position = {j: p for p, j in enumerate(J)}
-    # below[f]: positions in J of the join-irreducibles j <= f, ascending,
-    # read off the join table as join(j, f) = f; pairs come with j <= f in
-    # index, so below[j] ends with j itself and preds drops it
-    below: list[list[int]] = [[] for _ in range(space.size)]
-    for i, j, k_join, _ in space.pair_ops():
-        if k_join == j and i in position:
-            below[j].append(position[i])
-    preds = [below[j][:-1] for j in J]
-    g = [0] * len(J)
+    tt = space.gops.tensor_t
+    J, tops, covers = _join_order(space)
+    # the instances at J[p]: equal[p] holds (tops[f], row) for each that
+    # needs t(f) = row[g(J[p])], lax[p] holds (tops[f], q) for each that
+    # needs t(f) <= g(J[p]) tensor g(J[q])
+    equal: list[list] = [[] for _ in J]
+    lax: list[list] = [[] for _ in J]
+    if "minus" in conditions:
+        minus_t, mt = space.unary_ops("minus"), space.gops.minus_t
+        for p, j in enumerate(J):
+            equal[p] += [(tops[minus_t[u][j]], [mt[v][u] for v in range(n + 1)])
+                         for u in range(1, n + 1)]
+    if "act" in conditions:
+        act_t = space.unary_ops("act")
+        for p, j in enumerate(J):
+            equal[p] += [(tops[act_t[u][j]], tt[u]) for u in range(1, n)]
+    if "tenlax" in conditions:
+        for p, j in enumerate(J):
+            for q in range(p + 1):
+                f = space.tensor_index(j, J[q])
+                if f >= 0:
+                    lax[p].append((tops[f], q))
+    # g holds one more slot, always 0; a table is the pointwise max of at
+    # least two columns, column k reading each function's k-th top or,
+    # past its last, that slot
+    g = [0] * (len(J) + 1)
+    width = max(2, *map(len, tops))
+    columns = [[b[k] if k < len(b) else len(J) for b in tops] for k in range(width)]
+
+    def table() -> tuple[int, ...]:
+        return tuple(map(max, *[map(g.__getitem__, column) for column in columns]))
+
+    def holds(p: int, v: int) -> bool:
+        for b, row in equal[p]:
+            if max((g[q] for q in b), default=0) != row[v]:
+                return False
+        for b, q in lax[p]:
+            if max((g[r] for r in b), default=0) > tt[v][g[q]]:
+                return False
+        return True
 
     def extend(p: int):
         if p == len(J):
-            yield tuple(max((g[q] for q in b), default=0) for b in below)
+            yield table()
             return
-        for v in range(max((g[q] for q in preds[p]), default=0), n + 1):
+        pruned = equal[p] or lax[p]
+        for v in range(max((g[q] for q in covers[p]), default=0), n + 1):
             g[p] = v
-            yield from extend(p + 1)
+            if not pruned or holds(p, v):
+                yield from extend(p + 1)
 
     return extend(0)
+
+
+def count_join_homomorphisms(space: FunctionSpace) -> int:
+    """The number of tables ``join_homomorphisms(space)`` yields, without
+    building any: the same walk over J, with the count below each position
+    kept per value of the earlier positions the rest of the walk reads,
+    and the n + 1 - (lower bound) values of the last position counted at
+    once."""
+    n = space.n
+    J, _, covers = _join_order(space)
+    last = len(J) - 1
+    # live[p]: the positions before p that a cover at p or later reads
+    live = [
+        sorted({q for r in range(p, len(J)) for q in covers[r] if q < p})
+        for p in range(len(J))
+    ]
+    g = [0] * len(J)
+    memo: dict = {}
+
+    def count(p: int) -> int:
+        low = max((g[q] for q in covers[p]), default=0)
+        if p == last:
+            return n + 1 - low
+        key = (p, *(g[q] for q in live[p]))
+        total = memo.get(key)
+        if total is None:
+            total = 0
+            for v in range(low, n + 1):
+                g[p] = v
+                total += count(p + 1)
+            memo[key] = total
+        return total
+
+    return count(0) if J else 1
 
 
 def zero_set(phi: Functional) -> int:
@@ -474,12 +600,15 @@ def representability_audit(
     upper sets?
 
     A table passing the cut preserves binary joins (sup) and sends the
-    bottom to 0 (act at u=0), so the exhaustive scan runs the full cut on
-    the tables of ``join_homomorphisms`` only, in lexicographic order.
-    It is chosen before the scan, when no corpus is supplied and the
-    predicted count (n+1)^|J| over the join-irreducibles J stays under
-    the cap; past it a seeded 512-table corpus is cut instead.  Each note
-    states (n+1)^|CX|, |J| and the number of tables cut.  The tensor-lax
+    bottom to 0 (act at u=0), so the exhaustive scan covers the tables of
+    ``join_homomorphisms`` only, in lexicographic order.  That search
+    prunes on the cut's instances at the join-irreducibles J (act, minus
+    and, unless dropped, tenlax), and the full cut decides each table
+    that survives; the number scanned is ``count_join_homomorphisms``.
+    The scan is chosen before it runs, when no corpus is supplied and the
+    predicted count (n+1)^|J| stays under the cap; past it a seeded
+    512-table corpus is cut instead.  Each note states (n+1)^|CX|, |J|
+    and the number of tables scanned.  The tensor-lax
     condition is dropped from the cut for nilpotent-free tensors.  Passing
     functionals must equal the functional of their zero set, with zero set
     = anti set; deviations are reported as findings with the gap in grid
@@ -498,10 +627,13 @@ def representability_audit(
     irreducibles = len(join_irreducibles(space))
     sizes = f"|J| = {irreducibles}, {n + 1}^{space.size} grid tables"
     if corpus is None and (n + 1) ** irreducibles <= EXHAUSTIVE_CAP:
-        for itable in join_homomorphisms(space):
-            checked += 1
-            if passes_cut(space, itable, drop_tenlax):
-                passing.append(itable)
+        checked = count_join_homomorphisms(space)
+        cut = ("act", "minus") if drop_tenlax else PRUNING_CONDITIONS
+        passing = [
+            itable
+            for itable in join_homomorphisms(space, cut)
+            if passes_cut(space, itable, drop_tenlax)
+        ]
         notes.append(
             f"exhaustive scan of {checked} join-preserving functionals ({sizes})"
         )

@@ -16,10 +16,12 @@ from .duality import (
     FunctionSpace,
     Functional,
     _acts_and_joins,
+    count_join_homomorphisms,
     cx_levels,
     cx_space,
     join_homomorphisms,
     join_irreducibles,
+    structure_levels,
 )
 from .reports import CheckReport
 from .tnorms import GridOps, Quantale
@@ -28,11 +30,6 @@ from .vcat import VCategory, is_poset_based, is_separated, validate_vcategory
 
 
 FULLNESS_CAP = 200_000
-
-
-def structure_levels(X: VCategory, gops: GridOps) -> list[list[int]]:
-    """The structure a(x, y) of X as grid levels, row x, column y."""
-    return [[gops.index(X.a(x, y)) for y in range(X.size)] for x in range(X.size)]
 
 
 def enumerate_cx(X: VCategory, n: int) -> FunctionSpace:
@@ -49,13 +46,11 @@ def enumerate_cx(X: VCategory, n: int) -> FunctionSpace:
     of each grid are reused, so the result is shared and must not be
     mutated.
     """
-    gops = X.quantale.grid(n)
-    return cx_space(X, gops, structure_levels(X, gops))
+    return cx_space(X, X.quantale.grid(n))
 
 
 def representable_index(space: FunctionSpace, x: int) -> int:
-    ia = structure_levels(space.base, space.gops)
-    return space.iindex[tuple(row[x] for row in ia)]
+    return space.iindex[tuple(row[x] for row in space.structure)]
 
 
 def is_cogenerated(space: FunctionSpace) -> bool:
@@ -64,7 +59,7 @@ def is_cogenerated(space: FunctionSpace) -> bool:
     infimum of hom gaps over the space."""
     gops, fs = space.gops, space.ifuncs
     ht = gops.hom_t
-    ia = structure_levels(space.base, gops)
+    ia = space.structure
     pairs = [(x, y) for x in range(len(ia)) for y in range(len(ia))]
     if any(
         min((ht[f[y]][f[x]] for f in fs), default=gops.n) != ia[x][y]
@@ -161,9 +156,12 @@ def adjunction_audit(X: VCategory, n: int) -> CheckReport:
     (exact); representation after retraction is checked against every
     join/action-preserving functional, any positive gap logged in grid
     steps as a finding.  Those functionals are found among the tables of
-    ``join_homomorphisms``; the scan runs when their predicted count
-    (n+1)^|J| stays under ``FULLNESS_CAP`` and is skipped, with a note,
-    past it.
+    ``join_homomorphisms``, searched with pruning on the action's
+    instances at the join-irreducibles J; ``is_finsup_functional``
+    decides each table that survives, and the note counts every
+    join-preserving table (``count_join_homomorphisms``).  The scan runs
+    when the predicted count (n+1)^|J| stays under ``FULLNESS_CAP`` and
+    is skipped, with a note, past it.
     """
     failures = []
     findings = []
@@ -194,9 +192,8 @@ def adjunction_audit(X: VCategory, n: int) -> CheckReport:
     irreducibles = len(join_irreducibles(space))
     sizes = f"|J| = {irreducibles}, {n + 1}^{space.size} grid tables"
     if (n + 1) ** irreducibles <= FULLNESS_CAP:
-        scanned = 0
-        for itable in join_homomorphisms(space):
-            scanned += 1
+        scanned = count_join_homomorphisms(space)
+        for itable in join_homomorphisms(space, ("act",)):
             func = Functional.from_levels(space, itable)
             if not is_finsup_functional(func):
                 continue
@@ -231,7 +228,7 @@ def lemma1_audit(X: VCategory, n: int) -> CheckReport:
     functions hitting 1 at x."""
     space = enumerate_cx(X, n)
     gops = space.gops
-    ia = structure_levels(X, gops)
+    ia = space.structure
     failures = []
     checked = 0
     if not is_cogenerated(space):

@@ -458,6 +458,158 @@ def test_join_homomorphism_counts_on_antichains():
         assert tables == sorted(set(tables))
 
 
+ORDINAL = T.ordinal_sum((F(0), F(1, 2), T.Lukasiewicz()))
+
+
+def _pruning_spaces():
+    """Every poset space of size <= 3 at n <= 3 and one poset per
+    isomorphism class at size 4, n <= 2, under lukasiewicz, min and the
+    ordinal sum, wherever the grid is closed; size 0 is the space whose J
+    is empty.  The 219 labelled posets of size 4 take about 12 s on a
+    2-core machine, against about 1 s for their 16 classes; size 3 keeps
+    every labelling, so J's order is still varied."""
+    for q in (LUK, MIN, ORDINAL):
+        for size in range(5):
+            posets = P.all_posets(size)
+            if size == 4:
+                posets = _up_to_isomorphism(posets)
+            for n in (1, 2, 3) if size < 4 else (1, 2):
+                if T.grid_closed(q, n):
+                    for Q in posets:
+                        yield D.function_space(Q, q, n)
+
+
+def test_pruned_search_matches_the_full_cut_and_the_count():
+    # the survivors of the pruned search that pass the full cut are the
+    # unpruned tables that pass it, in both branches of the audit, and
+    # the count is the number of unpruned tables
+    spaces = tables = 0
+    for sp in _pruning_spaces():
+        full = list(D.join_homomorphisms(sp))
+        assert D.count_join_homomorphisms(sp) == len(full), (sp.base, sp.n)
+        # the cut with tenlax is the cut without it plus one more check
+        cut = [t for t in full if D.passes_cut(sp, t, drop_tenlax=True)]
+        for drop, conditions, want in (
+            (True, ("act", "minus"), cut),
+            (False, ("act", "minus", "tenlax"), [t for t in cut if D.passes_cut(sp, t)]),
+        ):
+            survivors = D.join_homomorphisms(sp, conditions)
+            got = [t for t in survivors if D.passes_cut(sp, t, drop)]
+            assert got == want, (sp.base, sp.quantale.name, sp.n, drop)
+        spaces += 1
+        tables += len(full)
+    assert (spaces, tables) == (288, 121_807)
+    empty = D.function_space(P.FinPoset(()), LUK, 2)
+    assert D.join_irreducibles(empty) == ()
+    assert list(D.join_homomorphisms(empty)) == [(0,)]
+    assert D.count_join_homomorphisms(empty) == 1
+
+
+def test_count_join_homomorphisms_on_antichains_without_enumerating(monkeypatch):
+    # C(2n, n)^k monotone maps on the k-antichain; the count builds no table
+    monkeypatch.setattr(D, "join_homomorphisms", None)
+    for k, n, count in ((4, 3, 160_000), (4, 2, 1296), (3, 2, 216), (2, 3, 400), (1, 1, 2)):
+        sp = D.function_space(P.antichain(k), LUK, n)
+        assert D.count_join_homomorphisms(sp) == count
+
+
+def _instances_hold(sp, t, conditions):
+    """Oracle on a whole table: every instance at the join-irreducibles J
+    of each condition named, at every u, and tenlax on every pair of J
+    whose tensor stays in the space."""
+    tt, n = sp.gops.tensor_t, sp.n
+    J = D.join_irreducibles(sp)
+    if "act" in conditions:
+        act = sp.unary_ops("act")
+        if any(t[act[u][j]] != tt[u][t[j]] for u in range(n + 1) for j in J):
+            return False
+    if "minus" in conditions:
+        minus = sp.unary_ops("minus")
+        if any(t[minus[u][j]] != max(t[j] - u, 0) for u in range(n + 1) for j in J):
+            return False
+    if "tenlax" in conditions:
+        for j in J:
+            for k in J:
+                f = sp.tensor_index(j, k)
+                if f >= 0 and t[f] > tt[t[j]][t[k]]:
+                    return False
+    return True
+
+
+def test_pruned_search_keeps_exactly_the_tables_whose_instances_on_J_hold():
+    # no survivor fails an instance at J, and no table that passes them
+    # all is dropped: checked on poset spaces of size <= 3 at n <= 2 and
+    # on the size-2 enriched C(X) at n <= 2 (minus only where it stays
+    # in the space)
+    from unitcat import enriched as E
+
+    spaces = [
+        D.function_space(Q, q, n)
+        for q in (LUK, MIN)
+        for n in (1, 2)
+        for size in (1, 2, 3)
+        for Q in P.all_posets(size)
+    ]
+    spaces += [
+        E.enumerate_cx(X, n)
+        for q in (LUK, MIN, ORDINAL)
+        for n in (1, 2)
+        for X in E.enumerate_enriched_categories(2, q, n)
+    ]
+    subsets = [("act",), ("minus",), ("tenlax",), ("act", "minus"), D.PRUNING_CONDITIONS]
+    checked = 0
+    for sp in spaces:
+        full = list(D.join_homomorphisms(sp))
+        try:
+            sp.unary_ops("minus")
+        except ValueError:
+            usable = [c for c in subsets if "minus" not in c]
+        else:
+            usable = subsets
+        for conditions in usable:
+            want = [t for t in full if _instances_hold(sp, t, conditions)]
+            assert list(D.join_homomorphisms(sp, conditions)) == want, (
+                sp.base, sp.n, conditions
+            )
+            checked += 1
+    assert checked == 595
+
+
+def test_pruned_search_refuses_an_escaping_minus_and_unknown_names():
+    from unitcat import enriched as E
+    from unitcat import vcat as VC
+
+    sp = E.enumerate_cx(VC.vcategory(MIN, [["1", "1/2"], ["0", "1"]]), 2)
+    # raised on the call, before any table is built
+    with pytest.raises(ValueError, match="minus of f3 at 1/2 leaves"):
+        D.join_homomorphisms(sp, ("act", "minus"))
+    with pytest.raises(ValueError, match="no pruning on"):
+        D.join_homomorphisms(sp, ("sup",))
+
+
+def test_representability_cuts_only_the_survivors(monkeypatch):
+    # at grid 3 the pruned search leaves exactly the upper-set functionals
+    # of the four posets of size <= 2 (2 + 3 + 3 + 4), under both tensors,
+    # while the reports still count all 770 join-preserving tables
+    original = D.passes_cut
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(D, "passes_cut", counted)
+    for q in (LUK, MIN):
+        calls[0] = 0
+        checked = 0
+        for size in (1, 2):
+            for Q in P.all_posets(size):
+                rep = D.representability_audit(Q, q, 3)
+                assert rep.passed
+                checked += rep.checked
+        assert (calls[0], checked) == (12, 770)
+
+
 def test_representability_corpus_past_the_bound():
     # 4^12 monotone maps on the 12 join-irreducibles exceed the cap
     rep = D.representability_audit(P.chain(4), LUK, 3)

@@ -334,6 +334,58 @@ def test_fullness_scan_matches_brute_force():
     assert scanned == 26
 
 
+def test_pruned_fullness_scan_matches_the_full_check():
+    # the survivors of the search pruned on the action that pass
+    # is_finsup_functional are the unpruned tables that pass it, and the
+    # count is the number of unpruned tables: every enriched C(X) of size
+    # <= 2 at n <= 3 and of size 3 at n <= 2, wherever the grid is closed
+    spaces = tables = 0
+    for q in (LUK, T.minimum(), ORDINAL):
+        for size, grids in ((1, (1, 2, 3)), (2, (1, 2, 3)), (3, (1, 2))):
+            for n in grids:
+                if not T.grid_closed(q, n):
+                    continue
+                for X in E.enumerate_enriched_categories(size, q, n):
+                    sp = E.enumerate_cx(X, n)
+
+                    def finsup(tables):
+                        return [
+                            t
+                            for t in tables
+                            if E.is_finsup_functional(D.Functional.from_levels(sp, t))
+                        ]
+
+                    full = list(D.join_homomorphisms(sp))
+                    assert D.count_join_homomorphisms(sp) == len(full), (X.matrix, n)
+                    pruned = finsup(D.join_homomorphisms(sp, ("act",)))
+                    assert pruned == finsup(full), (q.name, X.matrix, n)
+                    spaces += 1
+                    tables += len(full)
+    assert (spaces, tables) == (718, 51_038)
+
+
+def test_fullness_scan_builds_only_the_survivors(monkeypatch):
+    # the categories enriched-roundtrip sweeps at grid 3, max-size 2: 245
+    # functionals reach the full check (70,023 before the pruning)
+    original = E.is_finsup_functional
+    calls = [0]
+
+    def counted(func):
+        calls[0] += 1
+        return original(func)
+
+    monkeypatch.setattr(E, "is_finsup_functional", counted)
+    checked = 0
+    for n in (1, 2, 3):
+        for size in (1, 2):
+            for X in E.enumerate_enriched_categories(size, LUK, n):
+                rep = E.adjunction_audit(X, n)
+                assert rep.passed
+                checked += rep.checked
+    # checked: the 245 distributors and the 245 functionals
+    assert (calls[0], checked) == (245, 490)
+
+
 def test_adjunction_audit_under_minimum():
     # minus and power tables leave the space here; the audit reads neither
     X = VC.vcategory(T.minimum(), [["1", "1/2"], ["0", "1"]])

@@ -56,6 +56,13 @@ CONFIGS = (
     ("functoriality", "lukasiewicz", 2, 4, 500, None),
     ("total-partial", "min", 2, 3, 1000, None),
     ("total-partial", "lukasiewicz", 5, 2, 1000, None),
+    # the functional scans over join-irreducibles: the benchmark's scan
+    # config (tenlax in the cut), size 3 under both tensors, and the
+    # fullness scan under min at grid 3
+    ("representability", "lukasiewicz", 3, 2, 1000, None),
+    ("representability", "lukasiewicz", 3, 3, 1000, None),
+    ("representability", "min", 2, 3, 1000, None),
+    ("enriched-roundtrip", "min", 3, 2, 1000, None),
 )
 
 DIGESTS = {
@@ -170,6 +177,22 @@ DIGESTS = {
     "total-partial lukasiewicz g5 m2 c1000": (
         "0c795e1982f575afe863a849e3bb1bcfd0508aaad4d99e277399759920331011",
         "75523e3d9b16832d5d12e3ce76966230f60687a452435f32818eec4208bb273f",
+    ),
+    "representability lukasiewicz g3 m2 c1000": (
+        "09f7f59e84f714608777121d1467519e588c031638d1efb6421180c903405f75",
+        "dfd979c1b6ad39685010bc7fa36138fa52c9d480efb74a48d4ce97e28fd288ca",
+    ),
+    "representability lukasiewicz g3 m3 c1000": (
+        "300d529d86359d4b140d69838c9c46f9ff5d602c74b5932aae7839f17b2b7e40",
+        "aeaf7a24c1be1fc0cc69bfbf017311bd36f066ad50f8b126d3f8f4de2b69f6ec",
+    ),
+    "representability min g2 m3 c1000": (
+        "27d57aa6dac671ce076e7d89d70648e7d56ecb76ca738cc33ea894b57285ac14",
+        "5ed1187dc2d43d164e84f0215b6ca3ef499eeab9865e5b6789bf7e56746c86f6",
+    ),
+    "enriched-roundtrip min g3 m2 c1000": (
+        "786efd1502f583e7cd065fddb9fde4e9b33a305db777ad9bc2e83703809a3fc5",
+        "e14ef6ed9002653e5c47d33314d0b399c689c46531e8023e153c12a9e8e1f993",
     ),
 }
 

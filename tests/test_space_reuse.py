@@ -161,3 +161,48 @@ def test_total_partial_builds_each_tensor_lookup_once_per_kept_space(builds, mon
     # poset through its loop over the targets, so each is built once
     assert len({id(space) for space in built}) == len(built) == 4
     assert builds[0] == 15
+
+
+@pytest.fixture
+def structures(monkeypatch):
+    """The number of structure-level matrices built so far."""
+    original = D.structure_levels
+    count = [0]
+
+    def counted(base, gops):
+        count[0] += 1
+        return original(base, gops)
+
+    monkeypatch.setattr(D, "structure_levels", counted)
+    return count
+
+
+def test_a_kept_space_builds_no_structure_levels(structures):
+    q = T.lukasiewicz()
+    X = VC.vcategory(q, [["1", "1/2"], ["0", "1"]])
+    space = E.enumerate_cx(X, 2)
+    assert structures[0] == 1 and space.structure == [[2, 1], [0, 2]]
+    # a hit, and every reader of the structure, build none
+    assert E.enumerate_cx(X, 2) is space
+    assert E.is_cogenerated(space) and E.lemma1_audit(X, 2).passed
+    assert [E.representable_index(space, x) for x in range(2)] == [
+        space.iindex[(2, 0)],
+        space.iindex[(1, 2)],
+    ]
+    assert D.function_space(P.vee(), q, 2) is D.function_space(P.vee(), q, 2)
+    assert structures[0] == 2
+    # a space built directly reads its base's structure on first use
+    direct = D.FunctionSpace(X, space.gops, space.ifuncs)
+    assert direct.structure == space.structure and structures[0] == 3
+
+
+@pytest.mark.parametrize(
+    "suite, max_size",
+    [("total-partial", 2), ("lemma1", 3), ("enriched-roundtrip", 2)],
+)
+def test_structure_levels_are_built_once_per_space(builds, structures, suite, max_size):
+    config = SU.SuiteConfig(
+        suite=suite, quantale=T.lukasiewicz(), grid=2, max_size=max_size
+    )
+    assert SU.run_suite(config).passed
+    assert structures[0] == builds[0] > 0
