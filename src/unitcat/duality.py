@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import getitem
 from typing import Iterator, Optional, Sequence
 
 from .posets import FinPoset, is_irreducible, mask_elements, upper_sets
@@ -29,9 +30,11 @@ class FunctionSpace:
     ``functions``/``index`` are their Fraction views, rendered on first
     use.  Tables are built on first read and kept: join and tensor in
     ``pair_ops``, the tensor again as an index-pair lookup in
-    ``tensor_table``, each unary op in ``unary_ops`` and each upper-set
-    sup in ``sup_column``; ``join_index`` and ``tensor_index`` compute one
-    pair on demand.  ``structure`` holds the base's structure levels
+    ``tensor_table``, each unary op in ``unary_ops``, each upper-set sup
+    in ``sup_column``, and the join-irreducibles with the order on them in
+    ``join_order``; ``pair_indices`` computes a join or tensor of one
+    function with many on demand, ``tensor_index`` of one pair.
+    ``structure`` holds the base's structure levels
     (``structure_levels``).  ``tensor_closed``
     certifies that no pair's tensor leaves the space; only ``cx_space``
     sets it, so a space built any other way is not certified.
@@ -88,9 +91,10 @@ class FunctionSpace:
         return [(i, j) for i, j, k_join, _ in self.pair_ops() if k_join == j != i]
 
     def pair_ops(self):
-        """(i, j, join_index, tensor_index) for i <= j (both ops symmetric).
+        """(i, j, k_join, k_tens) for i <= j (both ops symmetric): the
+        indices of the join and of the tensor of f_i and f_j.
 
-        tensor_index is -1 when the pointwise tensor leaves the space,
+        k_tens is -1 when the pointwise tensor leaves the space,
         which can happen over non-poset carriers; joins always stay.
         """
         if self._pair_ops is None:
@@ -128,17 +132,50 @@ class FunctionSpace:
             self._sup_columns[mask] = column
         return column
 
-    def join_index(self, i: int, j: int) -> int:
-        """The index of the pointwise join of f_i and f_j."""
-        fi, fj = self.ifuncs[i], self.ifuncs[j]
-        return self.iindex[tuple(a if a >= b else b for a, b in zip(fi, fj))]
+    def pair_indices(self, table, i: int, js) -> list[int]:
+        """For each j in ``js``, the index of the pointwise op of f_i and
+        f_j, -1 where it leaves the space; ``table`` is the op's level
+        table (``gops.join_t``, ``gops.tensor_t``).  Row i's levels pick
+        their table rows once, and each f_j gathers its levels from them."""
+        rows = [table[a] for a in self.ifuncs[i]]
+        get, fs = self.iindex.get, self.ifuncs
+        return [get(tuple(map(getitem, rows, fs[j])), -1) for j in js]
 
     def tensor_index(self, i: int, j: int) -> int:
         """The index of the pointwise tensor of f_i and f_j, -1 when it
         leaves the space."""
-        tt = self.gops.tensor_t
-        fi, fj = self.ifuncs[i], self.ifuncs[j]
-        return self.iindex.get(tuple(tt[a][b] for a, b in zip(fi, fj)), -1)
+        return self.pair_indices(self.gops.tensor_t, i, (j,))[0]
+
+    @cached_property
+    def join_order(self):
+        """J, the join-irreducibles ascending; for each function f, the
+        positions in J of the maximal join-irreducibles below f, ascending;
+        then each position p's lower covers in J.  One pass over
+        ``pair_ops``, kept.
+
+        A function is join-irreducible when it is not the bottom and not
+        the join of two functions other than itself.  A monotone g on J
+        extends to t(f) = max{g(j) : j <= f}, and the max over the maximal
+        such j is the same.  The order is read off the join table as
+        join(i, f) = f; pairs come with i <= f in index, so the functions
+        below f arrive ascending and those below a j in J end with j.
+        """
+        reducible = {self.bottom_index}
+        below_all: list[list[int]] = [[] for _ in range(self.size)]
+        for i, j, k_join, _ in self.pair_ops():
+            if i != k_join and j != k_join:
+                reducible.add(k_join)
+            elif k_join == j:
+                below_all[j].append(i)
+        J = tuple(k for k in range(self.size) if k not in reducible)
+        position = {j: p for p, j in enumerate(J)}
+        below = [[position[i] for i in b if i in position] for b in below_all]
+        strictly = [set(below[j][:-1]) for j in J]
+
+        def maximal(b: list[int]) -> list[int]:
+            return [q for q in b if not any(q in strictly[r] for r in b)]
+
+        return J, [maximal(b) for b in below], [maximal(below[j][:-1]) for j in J]
 
     def unary_ops(self, op: str) -> list[tuple[int, ...]]:
         """The "act", "minus" or "power" table, built on first read: row u
@@ -389,34 +426,7 @@ def passes_cut(space: FunctionSpace, itable, drop_tenlax: bool = False) -> bool:
 def join_irreducibles(space: FunctionSpace) -> tuple[int, ...]:
     """Indices of the join-irreducible functions, ascending: every
     non-bottom index that is not the join of two indices other than itself."""
-    reducible = {space.bottom_index}
-    for i, j, k_join, _ in space.pair_ops():
-        if i != k_join and j != k_join:
-            reducible.add(k_join)
-    return tuple(k for k in range(space.size) if k not in reducible)
-
-
-def _join_order(space: FunctionSpace):
-    """J and, for each function f, the positions in J of the maximal
-    join-irreducibles below f, ascending; then each p's lower covers in J.
-
-    A monotone g on J extends to t(f) = max{g(j) : j <= f}, and the max
-    over the maximal such j is the same.  The order is read off the join
-    table as join(j, f) = f; pairs come with j <= f in index, so the
-    positions below f arrive ascending and those below J[p] end with p.
-    """
-    J = join_irreducibles(space)
-    position = {j: p for p, j in enumerate(J)}
-    below: list[list[int]] = [[] for _ in range(space.size)]
-    for i, j, k_join, _ in space.pair_ops():
-        if k_join == j and i in position:
-            below[j].append(position[i])
-    strictly = [set(below[j][:-1]) for j in J]
-
-    def maximal(b: list[int]) -> list[int]:
-        return [q for q in b if not any(q in strictly[r] for r in b)]
-
-    return J, [maximal(b) for b in below], [maximal(below[j][:-1]) for j in J]
+    return space.join_order[0]
 
 
 PRUNING_CONDITIONS = ("act", "minus", "tenlax")
@@ -453,7 +463,7 @@ def join_homomorphisms(
         raise ValueError(f"no pruning on {unknown}: pick from {PRUNING_CONDITIONS}")
     n = space.n
     tt = space.gops.tensor_t
-    J, tops, covers = _join_order(space)
+    J, tops, covers = space.join_order
     # the instances at J[p]: equal[p] holds (tops[f], row) for each that
     # needs t(f) = row[g(J[p])], lax[p] holds (tops[f], q) for each that
     # needs t(f) <= g(J[p]) tensor g(J[q])
@@ -513,7 +523,7 @@ def count_join_homomorphisms(space: FunctionSpace) -> int:
     and the n + 1 - (lower bound) values of the last position counted at
     once."""
     n = space.n
-    J, _, covers = _join_order(space)
+    J, _, covers = space.join_order
     last = len(J) - 1
     # live[p]: the positions before p that a cover at p or later reads
     live = [

@@ -118,25 +118,24 @@ def mask_elements(mask: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=4096)
 def _upper_sets_of(leq: tuple[tuple[bool, ...], ...]) -> tuple[int, ...]:
-    n = len(leq)
-    ups = _point_ups(leq)
-    out = []
-    for m in range(1 << n):
-        mm = m
-        good = True
-        while mm:
-            x = (mm & -mm).bit_length() - 1
-            if ups[x] | m != m:
-                good = False
-                break
-            mm &= mm - 1
-        if good:
-            out.append(m)
-    return tuple(out)
+    """Grown one point at a time: point k may stay out only while no earlier
+    point below it is in, and come in only while every earlier point above
+    it is in.  Masks without k precede those with it, so the list stays
+    ascending without a sort."""
+    masks = [0]
+    for k in range(len(leq)):
+        below = sum(1 << j for j in range(k) if leq[j][k])
+        above = sum(1 << j for j in range(k) if leq[k][j])
+        bit = 1 << k
+        masks = [m for m in masks if not m & below] + [
+            m | bit for m in masks if m & above == above
+        ]
+    return tuple(masks)
 
 
 def upper_sets(P: FinPoset) -> tuple[int, ...]:
-    """All upper sets, ascending by bitmask (the contract ordering)."""
+    """All upper sets, ascending by bitmask (the contract ordering), built
+    point by point without scanning the 2^|X| masks."""
     return _upper_sets_of(P.leq)
 
 
@@ -210,19 +209,20 @@ def verify_monad_laws(P: FinPoset) -> CheckReport:
 
     Associativity is checked on the principal members of the triple space
     plus the empty one; both composites preserve unions and every member
-    is a union of principals, so this covers all of it.
+    is a union of principals, so this covers all of it.  The unions over
+    each principal come from ``_principal_unions``, built from lower covers.
     """
     failures = []
     checked = 0
     V = vietoris(P)
     m_x = mult_map(P, V)
+    principals = [_principal_in_vx(V, i) for i in range(len(V.members))]
 
     # m . eV = id: the principal upper set of A in (VX, reverse containment)
     # collects exactly the subsets of A, whose union is A again.
     for i, a in enumerate(V.members):
         checked += 1
-        principal = _principal_in_vx(V, i)
-        if m_x[principal] != a:
+        if m_x[principals[i]] != a:
             failures.append(f"m.eV != id at upper set {mask_elements(a)}")
 
     # m . Ve = id: Ve(A) up-closes {principal up of x : x in A} inside VX.
@@ -236,33 +236,51 @@ def verify_monad_laws(P: FinPoset) -> CheckReport:
         if m_x[hits] != a:
             failures.append(f"m.Ve != id at upper set {mask_elements(a)}")
 
-    # m . mV = m . Vm on principal members of VVVX (and the empty one).
-    vv_members = upper_sets(V.poset)
-    vm = {s: _down_of_upper(V, m_x[s]) for s in vv_members}
-    for seed in list(vv_members) + [None]:
-        if seed is None:
-            xi = 0
-        else:
-            xi = 0
-            for j, other in enumerate(vv_members):
-                if seed | other == seed:  # other subset of seed
-                    xi |= 1 << j
+    # m . mV = m . Vm on principal members of VVVX, then the empty one,
+    # where both unions are empty.
+    flat, mapped = _principal_unions(V, m_x, principals)
+    for seed in flat:
         checked += 1
-        flat = 0
-        mapped = 0
-        jj = xi
-        while jj:
-            j = (jj & -jj).bit_length() - 1
-            flat |= vv_members[j]
-            mapped |= vm[vv_members[j]]
-            jj &= jj - 1
-        if m_x[flat] != m_x[mapped]:
+        if m_x[flat[seed]] != m_x[mapped[seed]]:
             failures.append(f"associativity fails at principal of {seed}")
+    checked += 1
     return CheckReport(
         name=f"vietoris-monad-laws[{P.size} points]",
         checked=checked,
         failures=tuple(failures),
     )
+
+
+def _principal_unions(V: VietorisSpace, m_x: dict[int, int], principals: list[int]):
+    """For each member s of VVX, ascending: the union of the members t <= s
+    of VVX (``flat``) and the union of their images under V(m) (``mapped``),
+    the two sides of associativity at the principal of s in VVVX.
+
+    The t <= s are s itself and those below a lower cover s - {e}, for e
+    minimal in s; each cover is a smaller mask, done before s.  V(m) sends
+    t to the principal in VX of its union, ``principals[i]`` for member i.
+    """
+    # strictly_below[e]: the VX members strictly below member e (its supersets)
+    strictly_below = [
+        sum(1 << j for j, b in enumerate(V.members) if a | b == b != a)
+        for a in V.members
+    ]
+    principal_of = dict(zip(V.members, principals))
+    flat: dict[int, int] = {}
+    mapped: dict[int, int] = {}
+    for s in upper_sets(V.poset):
+        f, g = s, principal_of[m_x[s]]
+        rest = s
+        while rest:
+            e = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            if not s & strictly_below[e]:
+                t = s ^ 1 << e
+                f |= flat[t]
+                g |= mapped[t]
+        flat[s] = f
+        mapped[s] = g
+    return flat, mapped
 
 
 def _principal_in_vx(V: VietorisSpace, i: int) -> int:
@@ -273,11 +291,6 @@ def _principal_in_vx(V: VietorisSpace, i: int) -> int:
         if a | b == a:
             out |= 1 << j
     return out
-
-
-def _down_of_upper(V: VietorisSpace, a: int) -> int:
-    """V(m) image of a principal: everything below `a` in containment."""
-    return _principal_in_vx(V, V.members.index(a))
 
 
 def kleisli_identity(P: FinPoset) -> tuple[tuple[int, ...], ...]:

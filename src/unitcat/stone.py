@@ -58,10 +58,11 @@ def generate_closure(
     ops is a subset of {join, tensor, act, power, minus, constants};
     'tensor' also seeds the unit constant (it is the monoid structure),
     'constants' seeds both constants.  A worklist: each member meets
-    itself and every earlier member, each join or tensor computed on
-    demand, then the unary tables.  The trace records one line per new
-    member: operation, operand indices, result index.  A reached pair
-    whose tensor leaves the space raises ValueError naming the pair.
+    itself and every earlier member, by one ``pair_indices`` row gather
+    per binary op (join, then tensor), then the unary tables.  New results
+    join in operand order.  The trace records one line per new member:
+    operation, operand indices, result index.  A reached pair whose tensor
+    leaves the space raises ValueError naming the first such pair.
 
     On a ``tensor_closed`` space the worklist stops once every function
     is a member: nothing new can be reached and no tensor can escape, so
@@ -90,8 +91,8 @@ def generate_closure(
     if "tensor" in ops:
         add(space.top_index, "monoid unit")
 
-    pairs = {"join": space.join_index, "tensor": space.tensor_index}
-    binary = [(op, pairs[op]) for op in ("join", "tensor") if op in ops]
+    tables = {"join": space.gops.join_t, "tensor": space.gops.tensor_t}
+    binary = [(op, tables[op]) for op in ("join", "tensor") if op in ops]
     unary = [(op, space.unary_ops(op)) for op in ("act", "power", "minus") if op in ops]
     n = space.n
     full = space.size if space.tensor_closed else None
@@ -99,9 +100,9 @@ def generate_closure(
     for k, i in enumerate(members):
         if len(members) == full:
             break
-        for op, pair in binary:
-            for j in members[: k + 1]:
-                r = pair(i, j)
+        for op, table in binary:
+            js = members[: k + 1]
+            for j, r in zip(js, space.pair_indices(table, i, js)):
                 if r not in seen:
                     if r < 0:
                         raise _tensor_escape(i, j)

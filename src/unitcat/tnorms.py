@@ -248,7 +248,7 @@ def grid_closed(q: Quantale, n: int) -> bool:
 
 
 class GridOps:
-    """Integer-level tensor/hom/minus tables over a closed grid Q_n.
+    """Integer-level tensor/hom/minus/join tables over a closed grid Q_n.
 
     Level i stands for the value i/n.  The one place that decides closure
     (raising GridNotClosed) and converts Fractions to levels and back.
@@ -268,8 +268,9 @@ class GridOps:
             ]
         except GridNotClosed:
             raise GridNotClosed(f"Q_{n} is not closed under the {q.name} tensor") from None
-        # truncated minus of grid points always stays on the grid
+        # truncated minus and join of grid points always stay on the grid
         self.minus_t = [[max(i - j, 0) for j in range(n + 1)] for i in range(n + 1)]
+        self.join_t = [[max(i, j) for j in range(n + 1)] for i in range(n + 1)]
         # the most recently requested C(X) spaces on this grid, oldest
         # first; kept and evicted by duality.cx_space alone
         self.spaces: list = []

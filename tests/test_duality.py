@@ -513,6 +513,26 @@ def test_count_join_homomorphisms_on_antichains_without_enumerating(monkeypatch)
         assert D.count_join_homomorphisms(sp) == count
 
 
+def test_join_order_is_derived_once_per_space(monkeypatch):
+    # J and the order on it come from one pass over the pair table, kept
+    # on the space: the audit's readers of J scan no pair table again
+    sp = D.FunctionSpace(P.vee(), LUK.grid(2), D.function_space(P.vee(), LUK, 2).ifuncs)
+    J, tops, covers = sp.join_order
+    calls = [0]
+    original = D.FunctionSpace.pair_ops
+
+    def counted(self):
+        calls[0] += 1
+        return original(self)
+
+    monkeypatch.setattr(D.FunctionSpace, "pair_ops", counted)
+    assert D.join_irreducibles(sp) == J and len(J) == 3 * 2
+    assert D.count_join_homomorphisms(sp) == len(list(D.join_homomorphisms(sp)))
+    assert list(D.join_homomorphisms(sp, D.PRUNING_CONDITIONS))
+    assert sp.join_order == (J, tops, covers)
+    assert calls[0] == 0
+
+
 def _instances_hold(sp, t, conditions):
     """Oracle on a whole table: every instance at the join-irreducibles J
     of each condition named, at every u, and tenlax on every pair of J

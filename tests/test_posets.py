@@ -66,6 +66,60 @@ def test_monad_laws_small_sweep():
             assert P.verify_monad_laws(Q).passed
 
 
+def test_monad_laws_at_the_five_antichain():
+    # VX has 32 members and VVX 7,581 (the Dedekind number M(5))
+    rep = P.verify_monad_laws(P.antichain(5))
+    assert rep.passed and rep.checked == 32 + 32 + 7581 + 1 == 7646
+
+
+def _upper_sets_by_mask_scan(leq):
+    """Reference: test every one of the 2^|X| masks for up-closure."""
+    n = len(leq)
+    ups = [sum(1 << y for y in range(n) if leq[x][y]) for x in range(n)]
+    return tuple(
+        m for m in range(1 << n) if all(ups[x] | m == m for x in range(n) if m >> x & 1)
+    )
+
+
+def test_upper_sets_match_the_mask_scan():
+    checked = 0
+    for size in range(6):
+        for Q in P.all_posets(size):
+            assert P.upper_sets(Q) == _upper_sets_by_mask_scan(Q.leq), Q.leq
+            checked += 1
+            if size <= 4:
+                V = P.vietoris(Q).poset
+                assert P.upper_sets(V) == _upper_sets_by_mask_scan(V.leq), Q.leq
+    assert checked == 1 + 1 + 3 + 19 + 219 + 4231
+
+
+def test_associativity_unions_match_the_pairwise_scan():
+    """flat and mapped built from lower covers equal the unions over each
+    principal of VVVX found by testing every pair of VVX members, for the
+    true multiplication and for an arbitrary map VVX -> VX, where the
+    unions at the covers are not implied by s."""
+    for size in range(5):
+        for Q in P.all_posets(size):
+            V = P.vietoris(Q)
+            true_m = P.mult_map(Q, V)
+            # any upper set per member, far from monotone
+            arbitrary_m = {s: V.members[s % len(V.members)] for s in true_m}
+            principals = [P._principal_in_vx(V, i) for i in range(len(V.members))]
+            vv = P.upper_sets(V.poset)
+            for m_x in (true_m, arbitrary_m):
+                flat, mapped = P._principal_unions(V, m_x, principals)
+                assert list(flat) == list(mapped) == list(vv)
+                vm = {s: principals[V.members.index(m_x[s])] for s in vv}
+                for seed in vv:
+                    xi = [other for other in vv if seed | other == seed]
+                    want_flat = want_mapped = 0
+                    for other in xi:
+                        want_flat |= other
+                        want_mapped |= vm[other]
+                    got = (flat[seed], mapped[seed])
+                    assert got == (want_flat, want_mapped), (Q.leq, seed)
+
+
 def test_monad_laws_catch_corrupted_mult(monkeypatch):
     real = P.mult_map
 

@@ -259,6 +259,70 @@ def test_closure_trace_replays(q):
         assert sorted(reached) == list(L.members)
 
 
+def _closure_pair_by_pair(space, generators, ops):
+    """Reference worklist: each join and tensor computed for one pair at a
+    time from the two level tuples, in the order generate_closure visits
+    them."""
+    tt = space.gops.tensor_t
+    fs, idx = space.ifuncs, space.iindex
+    pair = {
+        "join": lambda i, j: idx[tuple(a if a >= b else b for a, b in zip(fs[i], fs[j]))],
+        "tensor": lambda i, j: idx.get(tuple(tt[a][b] for a, b in zip(fs[i], fs[j])), -1),
+    }
+    members, seen, trace = [], set(), []
+
+    def add(i, how):
+        if i not in seen:
+            seen.add(i)
+            members.append(i)
+            trace.append(f"{how} -> f{i}")
+
+    for g in generators:
+        add(g, "generator")
+    if "constants" in ops:
+        add(space.constant_index(0), "constant 0")
+        add(space.constant_index(space.n), "constant 1")
+    if "tensor" in ops:
+        add(space.top_index, "monoid unit")
+    unary = [(op, space.unary_ops(op)) for op in ("act", "power", "minus") if op in ops]
+    n = space.n
+    full = space.size if space.tensor_closed else None
+    for k, i in enumerate(members):
+        if len(members) == full:
+            break
+        for op in ("join", "tensor"):
+            if op not in ops:
+                continue
+            for j in members[: k + 1]:
+                r = pair[op](i, j)
+                if r not in seen:
+                    if r < 0:
+                        raise ValueError(f"tensor of f{i} and f{j} leaves the function space")
+                    add(r, f"{op}(f{i},f{j})")
+        for u in range(n + 1):
+            for op, table in unary:
+                r = table[u][i]
+                if r not in seen:
+                    add(r, f"act({u}/{n},f{i})" if op == "act" else f"{op}(f{i},{u}/{n})")
+    return tuple(sorted(members)), tuple(trace)
+
+
+@pytest.mark.parametrize("q", [LUK, T.minimum()], ids=lambda q: q.name)
+def test_row_gather_closure_matches_the_pair_by_pair_worklist(q):
+    cases = 0
+    for size in (1, 2, 3, 4):
+        for Q in P.all_posets(size):
+            for n in (1, 2, 3):
+                sp = D.function_space(Q, q, n)
+                for gens in (S.down_set_indicators(sp), (sp.size // 2,)):
+                    for ops in OP_SETS:
+                        L = S.generate_closure(sp, gens, ops)
+                        want = _closure_pair_by_pair(sp, gens, ops)
+                        assert (L.members, L.trace) == want, (Q.leq, n, gens, ops)
+                        cases += 1
+    assert cases == 242 * 3 * 2 * len(OP_SETS)
+
+
 ESCAPE = re.compile(r"tensor of f(\d+) and f(\d+) leaves the function space")
 
 
@@ -276,6 +340,9 @@ def test_escaping_tensor_is_refused_with_the_pair():
     with pytest.raises(ValueError, match=ESCAPE.pattern) as exc:
         S.generate_closure(sp, range(sp.size), ("tensor",))
     _assert_escapes(sp, exc)
+    with pytest.raises(ValueError) as reference:
+        _closure_pair_by_pair(sp, range(sp.size), ("tensor",))
+    assert str(exc.value) == str(reference.value)
     with pytest.raises(ValueError, match=ESCAPE.pattern) as exc:
         S.sep_premise_audit(S.generate_closure(sp, range(sp.size), ()))
     _assert_escapes(sp, exc)
@@ -322,18 +389,17 @@ def test_intermediate_levels_are_not_certified():
 def test_certified_closure_stops_at_the_full_space(monkeypatch):
     sp = D.function_space(P.antichain(4), LUK, 2)
     gens = S.down_set_indicators(sp)
-    calls = [0]
-    for name in ("join_index", "tensor_index"):
-        original = getattr(D.FunctionSpace, name)
+    pairs = [0]
+    original = D.FunctionSpace.pair_indices
 
-        def counted(self, i, j, original=original):
-            calls[0] += 1
-            return original(self, i, j)
+    def counted(self, table, i, js):
+        pairs[0] += len(js)
+        return original(self, table, i, js)
 
-        monkeypatch.setattr(D.FunctionSpace, name, counted)
+    monkeypatch.setattr(D.FunctionSpace, "pair_indices", counted)
     L = S.generate_closure(sp, gens, ("join", "tensor", "act"))
     assert L.members == tuple(range(sp.size))
-    assert 0 < calls[0] < sp.size * (sp.size + 1)  # the full scan pairs every member
+    assert 0 < pairs[0] < sp.size * (sp.size + 1)  # the full scan pairs every member
 
 
 def test_density_sweep_builds_no_pair_table(monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -16,6 +17,16 @@ def run(suite, **kw):
 def test_monad_laws_instance_counts():
     rep = run("monad-laws", max_size=4)
     assert rep.passed and rep.instances == 1 + 3 + 19 + 219
+
+
+def test_monad_laws_exhaustive_at_size_five(capsys):
+    # every labelled poset on at most five points, within the 15 s bound
+    start = time.perf_counter()
+    assert cli.main(["verify", "--suite", "monad-laws", "--max-size", "5"]) == 0
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert "instances: 4473" in out and "status: pass" in out
+    assert elapsed < 15, elapsed
 
 
 def test_unknown_suite_and_caps():
