@@ -1,9 +1,11 @@
 """Exact-arithmetic toolkit for unit-interval category structures.
 
-Continuous t-norms with their residuals, finite [0,1]-categories and
-distributors, upper-set spaces of finite posets with their monad, and the
-function-space duality audits that tie them together - everything checked
-by exhaustive enumeration or seeded sampling on finite instances.
+Continuous t-norms with their residuals, finite [0,1]-categories,
+upper-set spaces of finite posets with their monad, and the function-space
+duality audits that tie them together: grid-valued distributors out of the
+unit against the functionals on C(X), and the density and representability
+checks.  Everything is checked by exhaustive enumeration or seeded sampling
+on finite instances.
 """
 
 from .tnorms import (
@@ -42,40 +44,12 @@ from .posets import (
 )
 from .vcat import (
     VCategory,
-    dual,
     from_poset,
-    grid_chain_category,
     is_separated,
-    is_vfunctor,
     natural_order,
-    power_space,
     unit_category,
     validate_vcategory,
     vcategory,
-)
-from .vrel import (
-    VRelation,
-    check_adjoint,
-    compose,
-    identity_distributor,
-    is_distributor,
-    vrelation,
-)
-from .colimits import (
-    FinSupAudit,
-    WeightedDiagram,
-    bottom,
-    closure,
-    closure_membership,
-    conical_join,
-    copower,
-    is_cauchy_complete_desk,
-    is_finitely_cocomplete,
-    is_finsup_morphism,
-    quasivariety_audit,
-    upower,
-    weighted_colimit,
-    weighted_diagram,
 )
 from .duality import (
     ConditionReport,

@@ -29,11 +29,12 @@ class FunctionSpace:
     ``ifuncs`` are grid-level tuples in ascending lexicographic order;
     ``functions``/``index`` are their Fraction views, rendered on first
     use.  Tables are built on first read and kept: join and tensor in
-    ``pair_ops``, the tensor again as an index-pair lookup in
-    ``tensor_table``, each unary op in ``unary_ops``, each upper-set sup
-    in ``sup_column``, and the join-irreducibles with the order on them in
-    ``join_order``; ``pair_indices`` computes a join or tensor of one
-    function with many on demand, ``tensor_index`` of one pair.
+    ``pair_ops``, the pointwise order in ``le_pairs``, the tensor again as
+    an index-pair lookup in ``tensor_table``, each unary op in
+    ``unary_ops``, each upper-set sup in ``sup_column``, and the
+    join-irreducibles with the order on them in ``join_order``;
+    ``pair_indices`` computes a join or tensor of one function with many
+    on demand, ``tensor_index`` of one pair.
     ``structure`` holds the base's structure levels
     (``structure_levels``).  ``tensor_closed``
     certifies that no pair's tensor leaves the space; only ``cx_space``
@@ -50,6 +51,7 @@ class FunctionSpace:
         self.carrier_size = len(self.ifuncs[0]) if self.ifuncs else 0
         self.tensor_closed = False
         self._pair_ops = None
+        self._le_pairs = None
         self._tensor_table = None
         self._unary: dict[str, list[tuple[int, ...]]] = {}
         self._sup_columns: dict[int, tuple[int, ...]] = {}
@@ -87,8 +89,13 @@ class FunctionSpace:
     def le_pairs(self) -> list[tuple[int, int]]:
         """(i, j) with f_i <= f_j pointwise, i != j, in ascending order,
         read off ``pair_ops``: f_i <= f_j iff their join is f_j, and then
-        i < j, since the enumeration is lexicographic."""
-        return [(i, j) for i, j, k_join, _ in self.pair_ops() if k_join == j != i]
+        i < j, since the enumeration is lexicographic.  Built on first
+        read and kept."""
+        if self._le_pairs is None:
+            self._le_pairs = [
+                (i, j) for i, j, k_join, _ in self.pair_ops() if k_join == j != i
+            ]
+        return self._le_pairs
 
     def pair_ops(self):
         """(i, j, k_join, k_tens) for i <= j (both ops symmetric): the
@@ -151,25 +158,31 @@ class FunctionSpace:
         """J, the join-irreducibles ascending; for each function f, the
         positions in J of the maximal join-irreducibles below f, ascending;
         then each position p's lower covers in J.  One pass over
-        ``pair_ops``, kept.
+        ``le_pairs``, kept.
 
         A function is join-irreducible when it is not the bottom and not
-        the join of two functions other than itself.  A monotone g on J
-        extends to t(f) = max{g(j) : j <= f}, and the max over the maximal
-        such j is the same.  The order is read off the join table as
-        join(i, f) = f; pairs come with i <= f in index, so the functions
-        below f arrive ascending and those below a j in J end with j.
+        the join of two functions other than itself: in a finite lattice,
+        when the functions strictly below it have a greatest one.  The
+        enumeration is a linear extension of the pointwise order, so that
+        one can only be the last of them, and it is greatest when exactly
+        the others lie below it.  A monotone g on J extends to
+        t(f) = max{g(j) : j <= f}, and the max over the maximal such j is
+        the same.  The pairs come ascending, so the functions below f
+        arrive ascending.
         """
-        reducible = {self.bottom_index}
-        below_all: list[list[int]] = [[] for _ in range(self.size)]
-        for i, j, k_join, _ in self.pair_ops():
-            if i != k_join and j != k_join:
-                reducible.add(k_join)
-            elif k_join == j:
-                below_all[j].append(i)
-        J = tuple(k for k in range(self.size) if k not in reducible)
+        strictly_all: list[list[int]] = [[] for _ in range(self.size)]
+        for i, j in self.le_pairs():
+            strictly_all[j].append(i)
+        J = tuple(
+            k
+            for k, b in enumerate(strictly_all)
+            if b and len(strictly_all[b[-1]]) == len(b) - 1
+        )
         position = {j: p for p, j in enumerate(J)}
-        below = [[position[i] for i in b if i in position] for b in below_all]
+        below = [
+            [position[i] for i in (*b, k) if i in position]
+            for k, b in enumerate(strictly_all)
+        ]
         strictly = [set(below[j][:-1]) for j in J]
 
         def maximal(b: list[int]) -> list[int]:
@@ -518,36 +531,22 @@ def join_homomorphisms(
 
 def count_join_homomorphisms(space: FunctionSpace) -> int:
     """The number of tables ``join_homomorphisms(space)`` yields, without
-    building any: the same walk over J, with the count below each position
-    kept per value of the earlier positions the rest of the walk reads,
-    and the n + 1 - (lower bound) values of the last position counted at
-    once."""
-    n = space.n
-    J, _, covers = space.join_order
-    last = len(J) - 1
-    # live[p]: the positions before p that a cover at p or later reads
-    live = [
-        sorted({q for r in range(p, len(J)) for q in covers[r] if q < p})
-        for p in range(len(J))
-    ]
-    g = [0] * len(J)
-    memo: dict = {}
+    building any.
 
-    def count(p: int) -> int:
-        low = max((g[q] for q in covers[p]), default=0)
-        if p == last:
-            return n + 1 - low
-        key = (p, *(g[q] for q in live[p]))
-        total = memo.get(key)
-        if total is None:
-            total = 0
-            for v in range(low, n + 1):
-                g[p] = v
-                total += count(p + 1)
-            memo[key] = total
-        return total
-
-    return count(0) if J else 1
+    Such a table is a monotone g: J -> {0..n}, and by Birkhoff's theorem
+    the down-sets of J are the functions, so g is the multichain
+    f_1 <= ... <= f_n with f_v the join of {j : g(j) < v}.  Their number
+    is the sum of c_n, where c_1 = 1 and c_{k+1}(f) sums c_k over the
+    functions below f: n - 1 passes over ``le_pairs``.
+    """
+    counts = [1] * space.size
+    pairs = space.le_pairs()
+    for _ in range(space.n - 1):
+        summed = counts[:]
+        for i, j in pairs:
+            summed[j] += counts[i]
+        counts = summed
+    return sum(counts)
 
 
 def zero_set(phi: Functional) -> int:

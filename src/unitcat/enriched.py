@@ -21,7 +21,6 @@ from .duality import (
     cx_space,
     join_homomorphisms,
     join_irreducibles,
-    structure_levels,
 )
 from .reports import CheckReport
 from .tnorms import GridOps, Quantale
@@ -74,10 +73,11 @@ def grid_distributors_into(X: VCategory, n: int) -> list[tuple[int, ...]]:
     phi(y) tensor a(y,z) <= phi(z), in ascending lexicographic order.
 
     Such a row is a [0,1]-functor from X into the interval, so the rows are
-    the C(X^op) tables: ``cx_levels`` over the transposed structure.
+    the C(X^op) tables: ``cx_levels`` over the transposed structure, read
+    off the kept C(X) (every caller serves that space too).
     """
     gops = X.quantale.grid(n)
-    ia = structure_levels(X, gops)
+    ia = cx_space(X, gops).structure
     return cx_levels(gops, [list(col) for col in zip(*ia)])
 
 
@@ -85,10 +85,11 @@ def grid_endodistributors(X: VCategory, n: int) -> list[tuple[tuple[int, ...], .
     """All grid-valued distributors X -|-> X, as level matrices phi with
     a(x2,x) tensor phi(x,y) tensor a(y,y2) <= phi(x2,y2), in ascending
     lexicographic order: the C(.) tables on the cells (x, y), row-major,
-    with structure a(x2,x) tensor a(y,y2) from (x2,y2) to (x,y)."""
+    with structure a(x2,x) tensor a(y,y2) from (x2,y2) to (x,y).  X's
+    structure is read off the kept C(X), as in ``grid_distributors_into``."""
     gops = X.quantale.grid(n)
     tt = gops.tensor_t
-    ia = structure_levels(X, gops)
+    ia = cx_space(X, gops).structure
     m = X.size
     cells = [(x, y) for x in range(m) for y in range(m)]
     icells = [[tt[ia[x2][x]][ia[y][y2]] for x, y in cells] for x2, y2 in cells]

@@ -1,9 +1,8 @@
 """Instance documents: JSON-syntax text with rationals as "p/q" strings.
 
-Each document carries a kind (poset | vcategory | distributor |
-generators), an optional tensor + grid pair, and a payload validated
-against the owning module's checker.  Every rejection carries a distinct
-error code.
+Each document carries a kind (poset | generators), an optional tensor +
+grid pair, and a payload validated against the owning module's checker.
+Every rejection carries a distinct error code.
 """
 
 from __future__ import annotations
@@ -26,10 +25,8 @@ from .tnorms import (
     product,
 )
 from .values import RationalFormatError, UnitRangeError, as_value
-from .vcat import VCategory, from_poset, validate_vcategory, vcategory
-from .vrel import VRelation, distributor_violation
 
-KINDS = ("poset", "vcategory", "distributor", "generators")
+KINDS = ("poset", "generators")
 
 # The largest grid a suite runs on or a document may name; checked before
 # any GridOps is built, since building one is quadratic in the grid.
@@ -51,9 +48,6 @@ class InstanceDoc:
     quantale: Optional[Quantale]
     grid: Optional[int]
     poset: Optional[FinPoset] = None
-    dst_poset: Optional[FinPoset] = None
-    category: Optional[VCategory] = None
-    matrix: Optional[tuple[tuple[Fraction, ...], ...]] = None
     functions: Optional[tuple[tuple[Fraction, ...], ...]] = None
 
 
@@ -131,37 +125,6 @@ def parse_instance(text: str) -> InstanceDoc:
     out = InstanceDoc(kind=kind, quantale=q, grid=grid)
     if kind == "poset":
         out.poset = _parse_poset(doc.get("leq"), "leq")
-    elif kind == "vcategory":
-        if q is None:
-            raise InstanceError("bad-document", "vcategory documents need a tensor")
-        matrix = _matrix(doc.get("matrix"), "matrix")
-        try:
-            out.category = vcategory(q, matrix)
-        except ValueError as exc:
-            raise InstanceError("bad-document", str(exc), "matrix") from exc
-        rep = validate_vcategory(out.category)
-        if not rep.passed:
-            raise InstanceError("bad-document", rep.failures[0], "matrix")
-    elif kind == "distributor":
-        out.poset = _parse_poset(doc.get("src"), "src")
-        out.dst_poset = _parse_poset(doc.get("dst"), "dst")
-        out.matrix = _matrix(doc.get("matrix"), "matrix")
-        src, dst = out.poset.size, out.dst_poset.size
-        if len(out.matrix) != src or any(len(r) != dst for r in out.matrix):
-            raise InstanceError("bad-document", "distributor shape mismatch", "matrix")
-        # over 0/1 structure matrices the distributor laws do not depend on
-        # the tensor, so any one decides them
-        violation = distributor_violation(
-            VRelation(minimum(), src, dst, out.matrix),
-            from_poset(out.poset, minimum()),
-            from_poset(out.dst_poset, minimum()),
-        )
-        if violation is not None:
-            raise InstanceError(
-                "bad-document",
-                f"matrix is not a distributor between the posets: {violation}",
-                "matrix",
-            )
     elif kind == "generators":
         out.poset = _parse_poset(doc.get("poset"), "poset")
         out.functions = _matrix(doc.get("functions"), "functions")

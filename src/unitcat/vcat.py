@@ -9,12 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
-from typing import Optional, Sequence
+from typing import Optional
 
 from .posets import FinPoset
 from .reports import CheckReport
-from .tnorms import GridChain, Quantale
+from .tnorms import Quantale
 from .values import ONE, ZERO, as_value, format_value
 
 
@@ -30,9 +29,6 @@ class VCategory:
 
     def a(self, x: int, y: int) -> Fraction:
         return self.matrix[x][y]
-
-    def label(self, x: int) -> str:
-        return self.labels[x] if self.labels else str(x)
 
 
 def vcategory(q: Quantale, rows, labels=None) -> VCategory:
@@ -68,12 +64,6 @@ def validate_vcategory(X: VCategory) -> CheckReport:
     )
 
 
-def is_vfunctor(f: Sequence[int], X: VCategory, Y: VCategory) -> bool:
-    return all(
-        X.a(x, y) <= Y.a(f[x], f[y]) for x in range(X.size) for y in range(X.size)
-    )
-
-
 def natural_order(X: VCategory) -> tuple[tuple[bool, ...], ...]:
     """x <= y whenever the structure reaches the unit."""
     return tuple(
@@ -91,21 +81,6 @@ def is_separated(X: VCategory) -> bool:
     )
 
 
-def underlying_poset(X: VCategory) -> FinPoset:
-    """Natural order of a separated category as a FinPoset."""
-    if not is_separated(X):
-        raise ValueError("natural order is a poset only for separated categories")
-    return FinPoset(natural_order(X))
-
-
-def dual(X: VCategory) -> VCategory:
-    return VCategory(
-        X.quantale,
-        tuple(tuple(X.a(y, x) for y in range(X.size)) for x in range(X.size)),
-        X.labels,
-    )
-
-
 def unit_category(q: Quantale) -> VCategory:
     return VCategory(q, ((ONE,),), ("*",))
 
@@ -120,34 +95,3 @@ def from_poset(P: FinPoset, q: Quantale) -> VCategory:
 
 def is_poset_based(X: VCategory) -> bool:
     return all(v in (ZERO, ONE) for row in X.matrix for v in row)
-
-
-def power_functions(s: int, n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """All tables S -> Q_n in lexicographic order (the power-space carrier)."""
-    values = GridChain(n).elements
-    return tuple(iproduct(values, repeat=s))
-
-
-def power_space(q: Quantale, s: int, n: int) -> VCategory:
-    """The S-fold power of the quantale restricted to Q_n.
-
-    Structure [h,l] = meet over S of hom(h(s), l(s)); the carrier order
-    matches power_functions(s, n).
-    """
-    gops = q.grid(n)
-    ht, values = gops.hom_t, gops.values
-    tables = tuple(iproduct(range(n + 1), repeat=s))
-    matrix = tuple(
-        tuple(values[min((ht[a][b] for a, b in zip(h, l)), default=n)] for l in tables)
-        for h in tables
-    )
-    labels = tuple("(" + ",".join(format_value(values[a]) for a in h) + ")" for h in tables)
-    return VCategory(q, matrix, labels)
-
-
-def grid_chain_category(q: Quantale, n: int) -> VCategory:
-    """Q_n with structure hom: the one-generator power space."""
-    gops = q.grid(n)
-    values = gops.values
-    matrix = tuple(tuple(values[h] for h in row) for row in gops.hom_t)
-    return VCategory(q, matrix, tuple(format_value(v) for v in values))

@@ -280,10 +280,9 @@ def test_category_enumeration_includes_half_pair():
 
 
 def test_enriched_c_functorial_on_grid_distributors():
-    from unitcat import vrel as VR
-
     q = LUK
     X = CHAIN2
+    m = X.size
     spx = E.enumerate_cx(X, 2)
     gops = spx.gops
 
@@ -291,9 +290,11 @@ def test_enriched_c_functorial_on_grid_distributors():
     assert len(dists) > 1
     for phi in dists[:12]:
         for phi2 in dists[:12]:
-            composite = VR.compose(
-                VR.vrelation(q, phi2), VR.vrelation(q, phi)
-            ).matrix
+            # phi then phi2: (x, z) |-> sup over y of phi(x, y) tensor phi2(y, z)
+            composite = [
+                [max(q.tensor(phi[x][y], phi2[y][z]) for y in range(m)) for z in range(m)]
+                for x in range(m)
+            ]
             via = E.enriched_c_map(levels(gops, composite), spx, spx)
             c1 = E.enriched_c_map(levels(gops, phi), spx, spx)
             c2 = E.enriched_c_map(levels(gops, phi2), spx, spx)

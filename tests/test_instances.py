@@ -1,5 +1,4 @@
 import json
-from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -15,57 +14,6 @@ def test_minimal_poset_doc():
     assert doc.poset.leq == ((True, True), (False, True))
 
 
-def test_vcategory_doc():
-    text = json.dumps(
-        {
-            "kind": "vcategory",
-            "tensor": "lukasiewicz",
-            "grid": 2,
-            "matrix": [["1", "1/2"], ["0", "1"]],
-        }
-    )
-    doc = I.parse_instance(text)
-    assert doc.category.size == 2 and doc.quantale.name == "lukasiewicz"
-
-
-def test_distributor_doc():
-    text = json.dumps(
-        {
-            "kind": "distributor",
-            "tensor": "lukasiewicz",
-            "grid": 2,
-            "src": {"leq": [[1, 1], [0, 1]]},
-            "dst": {"leq": [[1]]},
-            "matrix": [["1"], ["1"]],
-        }
-    )
-    doc = I.parse_instance(text)
-    assert doc.matrix == ((1,), (1,))
-
-
-def _distributor(src, dst, matrix):
-    return json.dumps(
-        {
-            "kind": "distributor",
-            "tensor": "lukasiewicz",
-            "grid": 2,
-            "src": {"leq": src},
-            "dst": {"leq": dst},
-            "matrix": matrix,
-        }
-    )
-
-
-def test_fractional_distributor_docs_are_validated():
-    chain2, point = [[1, 1], [0, 1]], [[1]]
-    doc = I.parse_instance(_distributor(chain2, point, [["1"], ["1/2"]]))
-    assert doc.matrix == ((1,), (F(1, 2),))
-    for matrix in ([["1/2", "0", "1"]], [["1/2"], ["1"]]):
-        with pytest.raises(I.InstanceError) as e:
-            I.parse_instance(_distributor(chain2, point, matrix))
-        assert e.value.code == "bad-document"
-
-
 def test_error_codes_distinct():
     with pytest.raises(I.InstanceError) as e:
         I.parse_instance('{"kind": "poset", "leq": [[1, 1], [0, 1]], "tensor": "lukasiewicz", "grid": 2, "x": ')
@@ -73,13 +21,15 @@ def test_error_codes_distinct():
 
     with pytest.raises(I.InstanceError) as e:
         I.parse_instance(
-            '{"kind": "vcategory", "tensor": "lukasiewicz", "grid": 2, "matrix": [["3/0"]]}'
+            '{"kind": "generators", "tensor": "lukasiewicz", "grid": 2,'
+            ' "poset": [[1]], "functions": [["3/0"]]}'
         )
     assert e.value.code == "bad-rational"
 
     with pytest.raises(I.InstanceError) as e:
         I.parse_instance(
-            '{"kind": "vcategory", "tensor": "lukasiewicz", "grid": 2, "matrix": [["5/4"]]}'
+            '{"kind": "generators", "tensor": "lukasiewicz", "grid": 2,'
+            ' "poset": [[1]], "functions": [["5/4"]]}'
         )
     assert e.value.code == "value-out-of-range"
 

@@ -165,7 +165,8 @@ def test_total_partial_builds_each_tensor_lookup_once_per_kept_space(builds, mon
 
 @pytest.fixture
 def structures(monkeypatch):
-    """The number of structure-level matrices built so far."""
+    """The number of structure-level matrices built so far, through
+    ``duality`` or any binding of ``structure_levels`` in ``enriched``."""
     original = D.structure_levels
     count = [0]
 
@@ -174,6 +175,8 @@ def structures(monkeypatch):
         return original(base, gops)
 
     monkeypatch.setattr(D, "structure_levels", counted)
+    if hasattr(E, "structure_levels"):
+        monkeypatch.setattr(E, "structure_levels", counted)
     return count
 
 
@@ -198,7 +201,13 @@ def test_a_kept_space_builds_no_structure_levels(structures):
 
 @pytest.mark.parametrize(
     "suite, max_size",
-    [("total-partial", 2), ("lemma1", 3), ("enriched-roundtrip", 2)],
+    [
+        ("total-partial", 2),
+        ("lemma1", 3),
+        ("enriched-roundtrip", 2),
+        ("twovalued", 3),
+        ("tensor-maximality", 2),
+    ],
 )
 def test_structure_levels_are_built_once_per_space(builds, structures, suite, max_size):
     config = SU.SuiteConfig(

@@ -375,7 +375,7 @@ def test_intermediate_levels_are_not_certified():
         for n in (1, 2, 3):
             for size in (1, 2):
                 for X in E.enumerate_enriched_categories(size, q, n):
-                    ia = E.structure_levels(X, q.grid(n))
+                    ia = D.structure_levels(X, q.grid(n))
                     if all(v in (0, n) for row in ia for v in row):
                         continue
                     assert not E.enumerate_cx(X, n).tensor_closed, (q.name, n, X.matrix)

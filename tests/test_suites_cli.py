@@ -232,15 +232,16 @@ def test_cli_refuses_documents_a_suite_does_not_read(tmp_path, capsys):
         ' "matrix": [["1"], ["1"]]}'
     )
     poset_doc = '{"kind": "poset", "leq": [[1, 1], [0, 1]]}'
-    for suite, text in (
-        ("enriched-roundtrip", vcat_doc),
-        ("representability", dist_doc),
-        ("total-partial", poset_doc),
+    # no suite reads category or distributor documents: they are no kind
+    for suite, text, code in (
+        ("enriched-roundtrip", vcat_doc, "unknown-kind"),
+        ("representability", dist_doc, "unknown-kind"),
+        ("total-partial", poset_doc, "unsupported-document"),
     ):
         doc = tmp_path / "doc.json"
         doc.write_text(text)
         assert cli.main(["verify", "--suite", suite, "--instance", str(doc)]) == 3, suite
-        assert "[unsupported-document]" in capsys.readouterr().err, suite
+        assert f"[{code}]" in capsys.readouterr().err, suite
 
 
 def test_cli_refuses_a_document_for_another_tensor_or_grid(tmp_path, capsys):
