@@ -1,14 +1,20 @@
+"""Copowers and powers in the function spaces C(X): the "act" and "power"
+tables of ``duality.FunctionSpace``, against the pointwise formulas and the
+universal property of the copower in the power category."""
+
 from fractions import Fraction as F
 
-from unitcat import colimits as CL
+from unitcat import duality as D
 from unitcat import posets as P
 from unitcat import tnorms as T
 from unitcat import vcat as VC
-from unitcat import vrel as VR
 
 LUK = T.lukasiewicz()
-MIN = T.minimum()
-G4 = T.GridChain(4)
+
+
+def discrete_cx(q, s, n):
+    """C(X) of the discrete category on s points: every table s -> Q_n."""
+    return D.cx_space(VC.from_poset(P.antichain(s), q), q.grid(n))
 
 
 def idx4(v):
@@ -16,150 +22,40 @@ def idx4(v):
 
 
 def test_copower_on_power_space_is_pointwise_tensor():
-    ps = VC.power_space(LUK, 2, 2)
-    funcs = VC.power_functions(2, 2)
+    space = discrete_cx(LUK, 2, 2)
+    funcs, values = space.functions, space.gops.values
+    act = space.unary_ops("act")
+
+    def a(h, l):
+        return min(LUK.hom(x, y) for x, y in zip(h, l))
+
     for i, h in enumerate(funcs):
-        for u in T.GridChain(2).elements:
-            c = CL.copower(ps, i, u)
-            assert c is not None
-            assert funcs[c] == tuple(LUK.tensor(v, u) for v in h)
+        for u, uv in enumerate(values):
+            c = funcs[act[u][i]]
+            assert c == tuple(LUK.tensor(v, uv) for v in h)
+            # a(u . h, l) = hom(u, a(h, l)) for every l
+            assert all(a(c, l) == LUK.hom(uv, a(h, l)) for l in funcs)
 
 
 def test_copower_units_and_bottom():
-    gc = VC.grid_chain_category(LUK, 4)
+    space = discrete_cx(LUK, 1, 4)
+    act = space.unary_ops("act")
+    bottom = space.constant_index(0)
+    assert bottom == 0
     for x in range(5):
-        assert CL.copower(gc, x, F(1)) == x
-        assert CL.copower(gc, x, F(0)) == CL.bottom(gc) == 0
+        assert act[4][x] == x
+        assert act[0][x] == bottom
 
 
 def test_upower_examples():
-    gc = VC.grid_chain_category(LUK, 4)
-    assert CL.upower(gc, idx4(F(1, 4)), F(1, 2)) == idx4(F(3, 4))
+    chain = discrete_cx(LUK, 1, 4)
+    power = chain.unary_ops("power")
+    assert power[idx4(F(1, 2))][idx4(F(1, 4))] == idx4(F(3, 4))
     for x in range(5):
-        assert CL.upower(gc, x, F(1)) == x
-    ps = VC.power_space(LUK, 2, 2)
-    funcs = VC.power_functions(2, 2)
+        assert power[4][x] == x
+    space = discrete_cx(LUK, 2, 2)
+    funcs = space.functions
+    power = space.unary_ops("power")
     for i, h in enumerate(funcs):
-        for u in T.GridChain(2).elements:
-            c = CL.upower(ps, i, u)
-            assert funcs[c] == tuple(LUK.hom(u, v) for v in h)
-
-
-def test_weighted_colimit_copower_shape():
-    gc = VC.grid_chain_category(LUK, 4)
-    g = VC.unit_category(LUK)
-    for x in range(5):
-        for u in G4.elements:
-            d = CL.weighted_diagram(g, (x,), VR.vrelation(LUK, [[u]]), gc)
-            assert CL.weighted_colimit(gc, d) == CL.copower(gc, x, u)
-
-
-def test_weighted_colimit_conical_shape():
-    gc = VC.grid_chain_category(LUK, 4)
-    shape = VC.from_poset(P.antichain(2), LUK)
-    w = VR.vrelation(LUK, [["1"], ["1"]])
-    d = CL.weighted_diagram(shape, (idx4(F(1, 4)), idx4(F(3, 4))), w, gc)
-    assert CL.weighted_colimit(gc, d) == idx4(F(3, 4))
-
-
-def test_weighted_colimit_example_q4():
-    gc = VC.grid_chain_category(LUK, 4)
-    shape = VC.from_poset(P.antichain(2), LUK)
-    w = VR.vrelation(LUK, [["1"], ["1/2"]])
-    d = CL.weighted_diagram(shape, (idx4(F(1, 2)), idx4(F(3, 4))), w, gc)
-    x0 = CL.weighted_colimit(gc, d)
-    assert x0 == idx4(F(1, 2))
-    assert CL.colimit_by_sup_formula(gc, d) == x0
-
-
-def test_sup_formula_agrees_when_colimit_exists():
-    gc = VC.grid_chain_category(LUK, 2)
-    shape = VC.from_poset(P.chain(2), LUK)
-    g2 = T.GridChain(2)
-    from unitcat.vcat import unit_category
-
-    for h0 in range(3):
-        for h1 in range(h0, 3):  # monotone arrows chain -> chain
-            for w0 in g2.elements:
-                for w1 in g2.elements:
-                    w = VR.VRelation(LUK, 2, 1, ((w0,), (w1,)))
-                    if not VR.is_distributor(w, shape, unit_category(LUK)):
-                        continue
-                    d = CL.WeightedDiagram(shape, (h0, h1), w)
-                    x0 = CL.weighted_colimit(gc, d)
-                    assert x0 is not None
-                    assert CL.colimit_by_sup_formula(gc, d) == x0
-
-
-def test_weighted_colimit_absent_is_none():
-    disc = VC.from_poset(P.antichain(2), LUK)
-    shape = VC.from_poset(P.antichain(2), LUK)
-    w = VR.vrelation(LUK, [["1"], ["1"]])
-    d = CL.weighted_diagram(shape, (0, 1), w, disc)
-    assert CL.weighted_colimit(disc, d) is None
-
-
-def test_finsup_audit():
-    assert CL.is_finitely_cocomplete(VC.grid_chain_category(LUK, 4), G4).passed
-    assert CL.is_finitely_cocomplete(VC.power_space(LUK, 2, 2), T.GridChain(2)).passed
-    audit = CL.is_finitely_cocomplete(VC.from_poset(P.antichain(2), LUK), T.GridChain(2))
-    assert not audit.passed and not audit.has_bottom
-
-
-def test_finsup_morphism_examples():
-    gc = VC.grid_chain_category(LUK, 4)
-    ident = list(range(5))
-    assert CL.is_finsup_morphism(ident, gc, gc, G4)[0]
-    act = [idx4(LUK.tensor(F(k, 4), F(1, 2))) for k in range(5)]
-    assert CL.is_finsup_morphism(act, gc, gc, G4)[0]
-    hom_half = [idx4(LUK.hom(F(1, 2), F(k, 4))) for k in range(5)]
-    ok, witness = CL.is_finsup_morphism(hom_half, gc, gc, G4)
-    assert not ok and witness
-    gc_min = VC.grid_chain_category(MIN, 2)
-    hom_min = [int(MIN.hom(F(1, 2), F(k, 2)) * 2) for k in range(3)]
-    ok, witness = CL.is_finsup_morphism(hom_min, gc_min, gc_min, T.GridChain(2))
-    assert not ok and witness
-
-
-def test_functor_lax_on_powers():
-    # every functor satisfies f(x |^ u) <= f(x) |^ u where both exist
-    gc = VC.grid_chain_category(LUK, 2)
-    for u in T.GridChain(2).elements:
-        f = [int(LUK.tensor(F(k, 2), F(1, 2)) * 2) for k in range(3)]
-        assert VC.is_vfunctor(f, gc, gc)
-        for x in range(3):
-            lhs = CL.upower(gc, x, u)
-            rhs = CL.upower(gc, f[x], u)
-            assert lhs is not None and rhs is not None
-            assert gc.a(f[lhs], rhs) == F(1)
-
-
-def test_closure():
-    gc = VC.grid_chain_category(LUK, 4)
-    assert CL.closure_membership(gc, [2], 2)
-    assert CL.closure(gc, [2]) == (2,)
-    for size in (1, 2, 3):
-        for Q in P.all_posets(size):
-            X = VC.from_poset(Q, LUK)
-            for m in range(X.size):
-                assert CL.closure(X, [m]) == (m,)
-    glued = VC.vcategory(LUK, [["1", "1"], ["1", "1"]])
-    assert CL.closure(glued, [0]) == (0, 1)
-
-
-def test_quasivariety():
-    assert CL.quasivariety_audit(VC.grid_chain_category(LUK, 4), G4).passed
-    assert CL.quasivariety_audit(VC.power_space(LUK, 2, 2), T.GridChain(2)).passed
-    assert CL.quasivariety_audit(VC.power_space(MIN, 2, 2), T.GridChain(2)).passed
-    # corrupt one structure entry: some equation or colimit must break
-    ps = VC.power_space(LUK, 1, 2)
-    rows = [list(row) for row in ps.matrix]
-    rows[0][2] = F(0)  # was hom(0,1) = 1
-    bad = VC.VCategory(LUK, tuple(tuple(r) for r in rows))
-    assert not CL.quasivariety_audit(bad, T.GridChain(2)).passed
-
-
-def test_cauchy_complete_desk():
-    assert CL.is_cauchy_complete_desk(VC.grid_chain_category(LUK, 2), 2, T.GridChain(2)).passed
-    assert CL.is_cauchy_complete_desk(VC.power_space(LUK, 2, 1), 2, T.GridChain(1)).passed
-    assert CL.is_cauchy_complete_desk(VC.unit_category(LUK), 1, T.GridChain(2)).passed
+        for u, uv in enumerate(space.gops.values):
+            assert funcs[power[u][i]] == tuple(LUK.hom(uv, v) for v in h)

@@ -1,131 +1,64 @@
-from fractions import Fraction as F
+"""Grid distributors between [0,1]-categories, as ``enriched`` enumerates
+them: checked against the 0/1 distributors of ``posets`` and against the
+identity distributor, whose C(.) map is the identity."""
+
 from itertools import product as iproduct
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
+from unitcat import enriched as E
 from unitcat import posets as P
 from unitcat import tnorms as T
 from unitcat import vcat as VC
-from unitcat import vrel as VR
 
 LUK = T.lukasiewicz()
 
-units = st.fractions(min_value=0, max_value=1, max_denominator=12)
 
-
-def matrices(rows, cols):
-    return st.lists(
-        st.lists(units, min_size=cols, max_size=cols), min_size=rows, max_size=rows
-    ).map(lambda m: VR.vrelation(LUK, m))
-
-
-def test_compose_example():
-    r = VR.vrelation(LUK, [["1/2", "1/4"]])
-    s = VR.vrelation(LUK, [["3/4"], ["1"]])
-    assert VR.compose(s, r).matrix == ((F(1, 4),),)
-
-
-def test_compose_with_zero_and_empty_middle():
-    r = VR.vrelation(LUK, [["1/2", "1"]])
-    z = VR.zero_relation(LUK, 2, 3)
-    assert VR.compose(z, r).matrix == ((F(0),) * 3,)
-    empty_mid = VR.VRelation(LUK, 1, 0, ((),))
-    out = VR.compose(VR.VRelation(LUK, 0, 2, ()), empty_mid)
-    assert out.matrix == ((F(0), F(0)),)
-
-
-@given(matrices(2, 2), matrices(2, 2), matrices(2, 2))
-@settings(max_examples=150)
-def test_compose_associative(r, s, t):
-    assert VR.compose(t, VR.compose(s, r)).matrix == VR.compose(VR.compose(t, s), r).matrix
-
-
-def test_compose_associative_exhaustive_q2_tiny():
-    vals = [F(0), F(1, 2), F(1)]
-    singles = [VR.vrelation(LUK, [[v]]) for v in vals]
-    for r in singles:
-        for s in singles:
-            for t in singles:
-                assert (
-                    VR.compose(t, VR.compose(s, r)).matrix
-                    == VR.compose(VR.compose(t, s), r).matrix
-                )
-
-
-def test_compose_associative_exhaustive_q2_rectangular():
-    # every value assignment for the composable shape 1 -> 2 -> 2 -> 1 over Q_2
-    vals = [F(0), F(1, 2), F(1)]
-    rs = [VR.vrelation(LUK, [[a, b]]) for a in vals for b in vals]
-    ss = [
-        VR.vrelation(LUK, [[a, b], [c, d]])
-        for a in vals
-        for b in vals
-        for c in vals
-        for d in vals
-    ]
-    ts = [VR.vrelation(LUK, [[a], [b]]) for a in vals for b in vals]
-    for r in rs:
-        for s in ss:
-            left = VR.compose(s, r)
-            for t in ts:
-                assert (
-                    VR.compose(t, left).matrix
-                    == VR.compose(VR.compose(t, s), r).matrix
-                )
+def compose_levels(tt, phi2, phi):
+    """phi then phi2 on level matrices: (x, z) |-> sup_y phi(x, y) tensor phi2(y, z)."""
+    m = len(phi)
+    return tuple(
+        tuple(max((tt[phi[x][y]][phi2[y][z]] for y in range(m)), default=0) for z in range(m))
+        for x in range(m)
+    )
 
 
 def test_identity_distributor_is_unit():
     X = VC.vcategory(LUK, [["1", "1/2"], ["0", "1"]])
-    idX = VR.identity_distributor(X)
-    assert VR.is_distributor(idX, X, X)
-    assert VR.compose(idX, idX).matrix == idX.matrix
-    r = VR.vrelation(LUK, [["1/2", "0"], ["1/2", "0"]])
-    absorbed = VR.compose(idX, VR.compose(r, idX))
-    assert VR.is_distributor(absorbed, X, X)
+    spx = E.enumerate_cx(X, 2)
+    tt = spx.gops.tensor_t
+    ident = tuple(tuple(row) for row in spx.structure)
+    dists = E.grid_endodistributors(X, 2)
+    assert ident in dists
+    assert E.enriched_c_map(ident, spx, spx) == tuple(range(spx.size))
+    # the identity absorbs exactly the distributors, and makes one of anything
+    for phi in dists:
+        assert compose_levels(tt, ident, phi) == phi == compose_levels(tt, phi, ident)
+    for flat in iproduct(range(3), repeat=4):
+        r = (flat[:2], flat[2:])
+        absorbed = compose_levels(tt, ident, compose_levels(tt, r, ident))
+        assert absorbed in dists
+        assert (r in dists) == (absorbed == r)
 
 
 def test_distributor_rejects_unclosed_01_matrix():
     c2 = P.chain(2)
     X = VC.from_poset(c2, LUK)
-    bad = VR.vrelation(LUK, [["0", "0"], ["1", "0"]])  # not down-closed in the source
-    assert not VR.is_distributor(bad, X, X)
-    assert VR.distributor_violation(bad, X, X)
+    bad = ((0, 0), (1, 0))  # not down-closed in the source
+    assert not P.is_continuous_distributor(bad, c2, c2)
+    assert ((0, 0), (2, 0)) not in E.grid_endodistributors(X, 2)
+    # out of the unit a row must be up-closed: 0 <= 1 carries phi(0) to phi(1)
+    rows = E.grid_distributors_into(X, 2)
+    assert (2, 0) not in rows and (0, 2) in rows
 
 
 def test_distributors_match_kleisli_morphisms():
     for Q in P.all_posets(2):
         X = VC.from_poset(Q, LUK)
+        crisp = {
+            tuple(tuple(v // 2 for v in row) for row in phi)
+            for phi in E.grid_endodistributors(X, 2)
+            if all(v in (0, 2) for row in phi for v in row)
+        }
+        assert crisp == set(P.continuous_distributors(Q, Q))
         for rows in iproduct((0, 1), repeat=4):
             mat = (rows[:2], rows[2:])
-            rel = VR.vrelation(LUK, mat)
-            assert VR.is_distributor(rel, X, X) == P.is_continuous_distributor(
-                mat, Q, Q
-            )
-
-
-def test_check_adjoint():
-    g = VC.unit_category(LUK)
-    k = VR.vrelation(LUK, [["1"]])
-    assert VR.check_adjoint(k, k, g)
-    X = VC.from_poset(P.chain(2), LUK)
-    phi, psi = VR.representable_pair(X, 1)
-    assert VR.check_adjoint(phi, psi, X)
-    phi0, psi0 = VR.zero_relation(LUK, 1, 2), VR.zero_relation(LUK, 2, 1)
-    assert not VR.check_adjoint(phi0, psi0, X)
-
-
-def test_adjoint_determines_left_among_distributor_candidates():
-    X = VC.from_poset(P.chain(2), LUK)
-    g = VC.unit_category(LUK)
-    vals = [F(0), F(1, 2), F(1)]
-    for x0 in range(2):
-        phi0, psi = VR.representable_pair(X, x0)
-        lefts = [
-            rel
-            for a in vals
-            for b in vals
-            for rel in [VR.vrelation(LUK, [[a, b]])]
-            if VR.is_distributor(rel, g, X) and VR.check_adjoint(rel, psi, X)
-        ]
-        assert len(lefts) == 1 and lefts[0].matrix == phi0.matrix
+            assert (mat in crisp) == P.is_continuous_distributor(mat, Q, Q)
