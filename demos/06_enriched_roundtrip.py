@@ -36,7 +36,7 @@ def show(levels):
     return tuple(str(gops.values[v]) for v in levels)
 
 
-X = vcategory(luk, [["1", "1/2"], ["0", "1"]], labels=("p", "q"))
+X = vcategory(luk, [["1", "1/2"], ["0", "1"]])
 
 print("== the function space of the enriched pair ==")
 cx = enumerate_cx(X, 2)

@@ -31,8 +31,10 @@ class FunctionSpace:
     use.  Tables are built on first read and kept: join and tensor in
     ``pair_ops``, the pointwise order in ``le_pairs``, the tensor again as
     an index-pair lookup in ``tensor_table``, each unary op in
-    ``unary_ops``, each upper-set sup in ``sup_column``, and the
-    join-irreducibles with the order on them in ``join_order``;
+    ``unary_ops``, each point's levels in ``point_columns``, the sup over
+    each mask of points in ``sup_column`` (the elementwise max of the
+    mask's point columns), and the join-irreducibles with the order on
+    them in ``join_order``;
     ``pair_indices`` computes a join or tensor of one function with many
     on demand, ``tensor_index`` of one pair.
     ``structure`` holds the base's structure levels
@@ -129,13 +131,22 @@ class FunctionSpace:
             self._tensor_table = table
         return self._tensor_table
 
+    @cached_property
+    def point_columns(self) -> tuple[tuple[int, ...], ...]:
+        """Each point's levels, in enumeration order: the transpose of
+        ``ifuncs``, built on first read and kept."""
+        return tuple(zip(*self.ifuncs))
+
     def sup_column(self, mask: int) -> tuple[int, ...]:
         """Each function's sup over the points in ``mask`` (0 for the empty
-        mask), in enumeration order; built on first read per mask."""
+        mask), in enumeration order; built on first read per mask as the
+        elementwise max of the mask's point columns.  Levels are never
+        below 0, so two zero columns change no max and give ``max`` at
+        least two arguments, for the empty mask and a single point alike."""
         column = self._sup_columns.get(mask)
         if column is None:
-            xs = mask_elements(mask)
-            column = tuple(max((f[x] for x in xs), default=0) for f in self.ifuncs)
+            points, zero = self.point_columns, (0,) * self.size
+            column = tuple(map(max, zero, zero, *(points[x] for x in mask_elements(mask))))
             self._sup_columns[mask] = column
         return column
 

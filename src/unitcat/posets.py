@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from itertools import product as iproduct
 from typing import Iterable, Iterator
 
@@ -314,16 +315,14 @@ def is_continuous_distributor(phi, P: FinPoset, R: FinPoset) -> bool:
 
 
 def kleisli_compose(phi2, phi1) -> tuple[tuple[int, ...], ...]:
-    """Relational composite of continuous distributors (phi2 after phi1)."""
-    rows = len(phi1)
-    mid = len(phi2)
-    cols = len(phi2[0]) if mid else 0
+    """Relational composite of continuous distributors (phi2 after phi1).
+
+    Row x is the elementwise max of the rows of phi2 at the y with
+    phi1[x][y] = 1; two zero rows give ``max`` at least two arguments and
+    make the row 0 where there is no such y."""
+    zero = (0,) * len(phi2[0]) if phi2 else ()
     return tuple(
-        tuple(
-            int(any(phi1[x][y] and phi2[y][z] for y in range(mid)))
-            for z in range(cols)
-        )
-        for x in range(rows)
+        tuple(map(max, zero, zero, *compress(phi2, row1))) for row1 in phi1
     )
 
 

@@ -1,15 +1,13 @@
 """Finite [0,1]-categories: carriers with a unit-interval structure matrix.
 
-Carriers are index sets 0..m-1; user-facing labels ride along in a side
-table.  Structure values live on a declared grid whenever an exhaustive
-suite runs, arbitrary rationals otherwise.
+Carriers are index sets 0..m-1.  Structure values live on a declared
+grid whenever an exhaustive suite runs, arbitrary rationals otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .posets import FinPoset
 from .reports import CheckReport
@@ -21,7 +19,6 @@ from .values import ONE, ZERO, as_value, format_value
 class VCategory:
     quantale: Quantale
     matrix: tuple[tuple[Fraction, ...], ...]
-    labels: Optional[tuple[str, ...]] = None
 
     @property
     def size(self) -> int:
@@ -31,13 +28,13 @@ class VCategory:
         return self.matrix[x][y]
 
 
-def vcategory(q: Quantale, rows, labels=None) -> VCategory:
+def vcategory(q: Quantale, rows) -> VCategory:
     """Coerce a matrix of rationals into a VCategory (shape-checked only;
     run validate_vcategory for the axioms)."""
     matrix = tuple(tuple(as_value(v) for v in row) for row in rows)
     if any(len(row) != len(matrix) for row in matrix):
         raise ValueError("structure matrix must be square")
-    return VCategory(q, matrix, tuple(labels) if labels else None)
+    return VCategory(q, matrix)
 
 
 def validate_vcategory(X: VCategory) -> CheckReport:
@@ -82,7 +79,7 @@ def is_separated(X: VCategory) -> bool:
 
 
 def unit_category(q: Quantale) -> VCategory:
-    return VCategory(q, ((ONE,),), ("*",))
+    return VCategory(q, ((ONE,),))
 
 
 def from_poset(P: FinPoset, q: Quantale) -> VCategory:

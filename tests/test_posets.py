@@ -1,6 +1,10 @@
+import random
+
 import pytest
+from test_duality import _up_to_isomorphism
 
 from unitcat import posets as P
+from unitcat.suites import _random_distributor
 
 
 def test_poset_validation():
@@ -186,6 +190,60 @@ def test_kleisli_graphs_compose():
     gf = tuple(g[f[x]] for x in range(2))
     lhs = P.kleisli_compose(P.graph_distributor(g, v, v), P.graph_distributor(f, c2, v))
     assert lhs == P.graph_distributor(gf, c2, v)
+
+
+def _kleisli_compose_by_any(phi2, phi1):
+    """The composite cell by cell: x relates to z when some y links them."""
+    rows = len(phi1)
+    mid = len(phi2)
+    cols = len(phi2[0]) if mid else 0
+    return tuple(
+        tuple(
+            int(any(phi1[x][y] and phi2[y][z] for y in range(mid)))
+            for z in range(cols)
+        )
+        for x in range(rows)
+    )
+
+
+def test_kleisli_compose_matches_the_cell_by_cell_oracle():
+    # posets of size <= 2 and one per class at size 3: every composable
+    # pair with at most one size-3 poset among X, Y and Z, and every pair
+    # out of the point, whose one row ranges over every upper set of Y,
+    # for all Y and Z (rows compose independently).  All 2,109,560 pairs
+    # take about a minute on a 2-core machine.
+    posets = [Q for size in (1, 2) for Q in P.all_posets(size)]
+    posets += _up_to_isomorphism(P.all_posets(3))
+    dists = {
+        (X.leq, Y.leq): list(P.continuous_distributors(X, Y)) for X in posets for Y in posets
+    }
+    compared = 0
+    for X in posets:
+        for Y in posets:
+            for Z in posets:
+                if X.size == 1 or (X.size, Y.size, Z.size).count(3) <= 1:
+                    for phi in dists[X.leq, Y.leq]:
+                        for phi2 in dists[Y.leq, Z.leq]:
+                            expected = _kleisli_compose_by_any(phi2, phi)
+                            assert P.kleisli_compose(phi2, phi) == expected, (phi, phi2)
+                            compared += 1
+    assert compared == 69_610
+    # empty X, Y or Z: (phi2, phi1, composite)
+    for phi2, phi, expected in (
+        ((), (), ()),
+        (((1, 1),), (), ()),
+        ((), ((), ()), ((), ())),
+        (((), ()), ((1, 0),), ((),)),
+    ):
+        assert P.kleisli_compose(phi2, phi) == expected == _kleisli_compose_by_any(phi2, phi)
+    # the 1,000 seeded pairs of acceptance criterion 8
+    rng = random.Random(0)
+    pool = [Q for size in range(1, 5) for Q in P.all_posets(size)]
+    for _ in range(1000):
+        X, Y, Z = (pool[rng.randrange(len(pool))] for _ in range(3))
+        phi = _random_distributor(rng, X, Y)
+        phi2 = _random_distributor(rng, Y, Z)
+        assert P.kleisli_compose(phi2, phi) == _kleisli_compose_by_any(phi2, phi)
 
 
 def test_kleisli_associativity_exhaustive_small():

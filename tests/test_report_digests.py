@@ -11,6 +11,7 @@ import hashlib
 
 import pytest
 
+from unitcat import duality as D
 from unitcat import suites as SU
 from unitcat.instances import parse_instance, parse_tnorm
 from unitcat.reports import emit_report, strip_timing
@@ -223,6 +224,22 @@ def _digests(config) -> tuple[str, str]:
 @pytest.mark.parametrize("config", CONFIGS, ids=_label)
 def test_report_text_unchanged(config):
     assert _digests(config) == DIGESTS[_label(config)]
+
+
+def test_functoriality_maps_each_exhaustive_distributor_once(monkeypatch):
+    # the exhaustive part maps its 98 distinct (phi, Y, X) once each, the
+    # sampled part three per pair; the report is the pinned one
+    calls = [0]
+    original = D.c_of_distributor
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(D, "c_of_distributor", counted)
+    config = ("functoriality", "lukasiewicz", 2, 4, 500, None)
+    assert _digests(config) == DIGESTS[_label(config)]
+    assert calls[0] <= 98 + 3 * 500
 
 
 if __name__ == "__main__":

@@ -86,6 +86,17 @@ def test_quantales_grids_and_base_kinds_never_share_a_space():
     assert E.enumerate_cx(X, 2) is category_space
 
 
+def test_a_built_category_and_an_enumerated_one_share_a_space():
+    # demo 06's enriched pair, built from its matrix, is the same base as
+    # the enumerated category with that matrix
+    q = T.lukasiewicz()
+    built = VC.vcategory(q, [["1", "1/2"], ["0", "1"]])
+    (enumerated,) = (
+        X for X in E.enumerate_enriched_categories(2, q, 2) if X.matrix == built.matrix
+    )
+    assert E.enumerate_cx(built, 2) is E.enumerate_cx(enumerated, 2)
+
+
 def _fresh(Q, gops):
     m = Q.size
     ia = [[gops.n if Q.leq[x][y] else 0 for y in range(m)] for x in range(m)]
