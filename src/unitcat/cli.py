@@ -31,7 +31,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--grid", type=int, default=2, help="grid denominator bound")
     verify.add_argument("--max-size", type=int, default=2, help="carrier size bound")
     verify.add_argument("--seed", type=int, default=0, help="sampling seed")
-    verify.add_argument("--corpus", type=int, default=1000, help="sample count for corpus modes")
+    verify.add_argument(
+        "--corpus", type=int, default=1000,
+        help="sample count: functoriality's seeded pairs, quantale-axioms on an open grid",
+    )
     verify.add_argument("--report", choices=("table", "json"), default="table")
     verify.add_argument("--instance", help="optional instance document (JSON file)")
     return parser

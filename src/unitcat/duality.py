@@ -20,8 +20,6 @@ from .posets import FinPoset, is_irreducible, mask_elements, upper_sets
 from .reports import CheckReport
 from .tnorms import GridOps, Quantale, nilpotent_free
 
-EXHAUSTIVE_CAP = 2_000_000
-
 
 class FunctionSpace:
     """Deterministically enumerated finite function space with pointwise ops.
@@ -610,74 +608,49 @@ def c_of_distributor(phi01, cy: FunctionSpace, cx: FunctionSpace) -> tuple[int, 
         ) from None
 
 
-def representability_audit(
-    P: FinPoset,
-    q: Quantale,
-    n: int,
-    corpus: Optional[Sequence[Functional]] = None,
-) -> CheckReport:
+def representability_audit(P: FinPoset, q: Quantale, n: int) -> CheckReport:
     """Which functionals pass the condition cut, and do they all come from
     upper sets?
 
     A table passing the cut preserves binary joins (sup) and sends the
-    bottom to 0 (act at u=0), so the exhaustive scan covers the tables of
-    ``join_homomorphisms`` only, in lexicographic order.  That search
-    prunes on the cut's instances at the join-irreducibles J (act, minus
-    and, unless dropped, tenlax), and the full cut decides each table
-    that survives; the number scanned is ``count_join_homomorphisms``.
-    The scan is chosen before it runs, when no corpus is supplied and the
-    predicted count (n+1)^|J| stays under the cap; past it a seeded
-    512-table corpus is cut instead.  Each note states (n+1)^|CX|, |J|
-    and the number of tables scanned.  The tensor-lax
-    condition is dropped from the cut for nilpotent-free tensors.  Passing
-    functionals must equal the functional of their zero set, with zero set
-    = anti set; deviations are reported as findings with the gap in grid
-    steps.
+    bottom to 0 (act at u=0), so the scan covers the tables of
+    ``join_homomorphisms`` only, in lexicographic order, and is always
+    exhaustive.  That search prunes on the cut's instances at the
+    join-irreducibles J (act, minus and, unless dropped, tenlax), and the
+    full cut decides each table that survives; the number scanned is
+    ``count_join_homomorphisms``.  The note states that number, |J| and
+    (n+1)^|CX|.  The tensor-lax condition is dropped from the cut for
+    nilpotent-free tensors.  Passing functionals must equal the
+    functional of their zero set, with zero set = anti set; deviations
+    are reported as findings with the gap in grid steps.
     """
     space = function_space(P, q, n)
     drop_tenlax = nilpotent_free(q)
     failures: list[str] = []
     findings: list[str] = []
-    notes: list[str] = []
-    ups = upper_sets(P)
-    expected = {phi_of(a, space).itable: a for a in ups}
+    expected = {phi_of(a, space).itable: a for a in upper_sets(P)}
 
-    checked = 0
-    passing: list[tuple[int, ...]] = []
-    irreducibles = len(join_irreducibles(space))
-    sizes = f"|J| = {irreducibles}, {n + 1}^{space.size} grid tables"
-    if corpus is None and (n + 1) ** irreducibles <= EXHAUSTIVE_CAP:
-        checked = count_join_homomorphisms(space)
-        cut = ("act", "minus") if drop_tenlax else PRUNING_CONDITIONS
-        passing = [
-            itable
-            for itable in join_homomorphisms(space, cut)
-            if passes_cut(space, itable, drop_tenlax)
-        ]
-        notes.append(
-            f"exhaustive scan of {checked} join-preserving functionals ({sizes})"
-        )
-        for itable in passing:
-            if itable not in expected:
-                failures.append(
-                    f"cut-passing functional {itable} is not any upper-set functional"
-                )
-        for a in ups:
-            if phi_of(a, space).itable not in passing:
-                failures.append(
-                    f"upper-set functional of {mask_elements(a)} rejected by the cut"
-                )
-    else:
-        if corpus is None:
-            corpus = make_corpus(space, 512, seed=0)
-            notes.append(
-                f"corpus mode ({len(corpus)} functionals): {n + 1}^{irreducibles} "
-                f"exceeds cap {EXHAUSTIVE_CAP} ({sizes})"
+    checked = count_join_homomorphisms(space)
+    cut = ("act", "minus") if drop_tenlax else PRUNING_CONDITIONS
+    passing = [
+        itable
+        for itable in join_homomorphisms(space, cut)
+        if passes_cut(space, itable, drop_tenlax)
+    ]
+    note = (
+        f"exhaustive scan of {checked} join-preserving functionals "
+        f"(|J| = {len(join_irreducibles(space))}, {n + 1}^{space.size} grid tables)"
+    )
+    for itable in passing:
+        if itable not in expected:
+            failures.append(
+                f"cut-passing functional {itable} is not any upper-set functional"
             )
-        for phi in corpus:
-            checked += 1
-            if passes_cut(space, phi.itable, drop_tenlax):
-                passing.append(phi.itable)
+    for itable, a in expected.items():
+        if itable not in passing:
+            failures.append(
+                f"upper-set functional of {mask_elements(a)} rejected by the cut"
+            )
 
     for itable in passing:
         phi = Functional.from_levels(space, itable)
@@ -698,7 +671,7 @@ def representability_audit(
         checked=checked,
         failures=tuple(failures),
         findings=tuple(findings),
-        notes=tuple(notes),
+        notes=(note,),
     )
 
 

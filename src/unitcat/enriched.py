@@ -28,9 +28,6 @@ from .values import ONE, format_value
 from .vcat import VCategory, is_poset_based, is_separated, validate_vcategory
 
 
-FULLNESS_CAP = 200_000
-
-
 def enumerate_cx(X: VCategory, n: int) -> FunctionSpace:
     """All grid tables psi with a(x,y) <= hom(psi(y), psi(x)).
 
@@ -160,13 +157,12 @@ def adjunction_audit(X: VCategory, n: int) -> CheckReport:
     ``join_homomorphisms``, searched with pruning on the action's
     instances at the join-irreducibles J; ``is_finsup_functional``
     decides each table that survives, and the note counts every
-    join-preserving table (``count_join_homomorphisms``).  The scan runs
-    when the predicted count (n+1)^|J| stays under ``FULLNESS_CAP`` and
-    is skipped, with a note, past it.
+    join-preserving table (``count_join_homomorphisms``).  The scan is
+    always exhaustive; only a category the interval does not cogenerate
+    is skipped, with a note.
     """
     failures = []
     findings = []
-    notes = []
     checked = 0
     space = enumerate_cx(X, n)
     if not is_cogenerated(space):
@@ -190,37 +186,29 @@ def adjunction_audit(X: VCategory, n: int) -> CheckReport:
             failures.append(f"retract(c(phi)) != phi at phi={_row(gops, phi)}")
 
     max_gap = 0
-    irreducibles = len(join_irreducibles(space))
-    sizes = f"|J| = {irreducibles}, {n + 1}^{space.size} grid tables"
-    if (n + 1) ** irreducibles <= FULLNESS_CAP:
-        scanned = count_join_homomorphisms(space)
-        for itable in join_homomorphisms(space, ("act",)):
-            func = Functional.from_levels(space, itable)
-            if not is_finsup_functional(func):
-                continue
-            checked += 1
-            back = enriched_c(retract_phi(func), space)
-            if any(b > t for b, t in zip(back.itable, func.itable)):
-                failures.append(f"c(retract(.)) above the functional at {itable}")
-            gap = max(t - b for b, t in zip(back.itable, func.itable))
-            max_gap = max(max_gap, gap)
-        if max_gap > 0:
-            findings.append(f"fullness gap: max {max_gap}/{n} grid steps")
-        notes.append(
-            f"fullness direction max gap {max_gap}/{n} over {scanned} "
-            f"join-preserving tables ({sizes})"
-        )
-    else:
-        notes.append(
-            f"fullness direction skipped: {n + 1}^{irreducibles} exceeds cap "
-            f"{FULLNESS_CAP} ({sizes})"
-        )
+    scanned = count_join_homomorphisms(space)
+    for itable in join_homomorphisms(space, ("act",)):
+        func = Functional.from_levels(space, itable)
+        if not is_finsup_functional(func):
+            continue
+        checked += 1
+        back = enriched_c(retract_phi(func), space)
+        if any(b > t for b, t in zip(back.itable, func.itable)):
+            failures.append(f"c(retract(.)) above the functional at {itable}")
+        gap = max(t - b for b, t in zip(back.itable, func.itable))
+        max_gap = max(max_gap, gap)
+    if max_gap > 0:
+        findings.append(f"fullness gap: max {max_gap}/{n} grid steps")
+    note = (
+        f"fullness direction max gap {max_gap}/{n} over {scanned} join-preserving "
+        f"tables (|J| = {len(join_irreducibles(space))}, {n + 1}^{space.size} grid tables)"
+    )
     return CheckReport(
         name="enriched-adjunction",
         checked=checked,
         failures=tuple(failures[:8]),
         findings=tuple(findings),
-        notes=tuple(notes),
+        notes=(note,),
     )
 
 

@@ -198,11 +198,16 @@ def test_flagship_point_minimum():
 
 
 def test_representability_corpus_mode():
-    corpus = D.make_corpus(D.function_space(P.vee(), LUK, 2), 200, seed=5)
-    rep = D.representability_audit(P.vee(), LUK, 2, corpus=corpus)
-    assert rep.passed and not rep.findings
-    again = D.make_corpus(D.function_space(P.vee(), LUK, 2), 200, seed=5)
+    sp = D.function_space(P.vee(), LUK, 2)
+    corpus = D.make_corpus(sp, 200, seed=5)
+    again = D.make_corpus(sp, 200, seed=5)
     assert [f.itable for f in corpus] == [f.itable for f in again]
+    # the corpus reaches the cut-passing stratum, and only upper-set
+    # functionals live there
+    expected = {D.phi_of(a, sp).itable for a in P.upper_sets(P.vee())}
+    drop = T.nilpotent_free(LUK)
+    passing = {f.itable for f in corpus if D.passes_cut(sp, f.itable, drop_tenlax=drop)}
+    assert passing and passing <= expected
 
 
 def test_c_of_distributor():
@@ -719,14 +724,21 @@ def test_representability_cuts_only_the_survivors(monkeypatch):
         assert (calls[0], checked) == (12, 770)
 
 
-def test_representability_corpus_past_the_bound():
-    # 4^12 monotone maps on the 12 join-irreducibles exceed the cap
-    rep = D.representability_audit(P.chain(4), LUK, 3)
-    assert rep.passed and rep.checked == 512
-    assert rep.notes == (
-        "corpus mode (512 functionals): 4^12 exceeds cap 2000000 "
-        "(|J| = 12, 4^35 grid tables)",
-    )
+def test_representability_exhaustive_at_twelve_irreducibles():
+    # |J| = 12 on both: 4^12 monotone maps on J bound the search, the
+    # multichain count gives the number of join-preserving tables
+    for q in (LUK, MIN):
+        rep = D.representability_audit(P.chain(4), q, 3)
+        assert rep.passed and not rep.findings
+        assert rep.checked == 4116 == D.count_join_homomorphisms(
+            D.function_space(P.chain(4), q, 3)
+        )
+        assert rep.notes == (
+            "exhaustive scan of 4116 join-preserving functionals "
+            "(|J| = 12, 4^35 grid tables)",
+        )
+        rep = D.representability_audit(P.antichain(4), q, 3)
+        assert rep.passed and not rep.findings and rep.checked == 160000
 
 
 def test_minus_leaving_the_space_is_refused():

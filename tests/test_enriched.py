@@ -207,6 +207,17 @@ def test_adjunction_audit_examples():
         assert rep.passed and not rep.findings
 
 
+def test_adjunction_audit_scans_fullness_on_the_discrete_three_points():
+    # 4^9 monotone maps on J: the fullness scan runs over all of them
+    X = VC.from_poset(P.antichain(3), LUK)
+    rep = E.adjunction_audit(X, 3)
+    assert rep.passed and not rep.findings
+    assert rep.notes == (
+        "fullness direction max gap 0/3 over 8000 join-preserving tables "
+        "(|J| = 9, 4^64 grid tables)",
+    )
+
+
 def test_adjunction_audit_skips_non_cogenerated(monkeypatch):
     monkeypatch.setattr(E, "is_cogenerated", lambda space: False)
     rep = E.adjunction_audit(HALF_PAIR, 2)

@@ -64,6 +64,10 @@ CONFIGS = (
     ("representability", "lukasiewicz", 3, 3, 1000, None),
     ("representability", "min", 2, 3, 1000, None),
     ("enriched-roundtrip", "min", 3, 2, 1000, None),
+    # the functional scans where (n+1)^|J| is large (7^12 and 5^8): both
+    # still run over every join-preserving table
+    ("representability", "lukasiewicz", 6, 2, 1000, None),
+    ("enriched-roundtrip", "lukasiewicz", 4, 2, 1000, None),
 )
 
 DIGESTS = {
@@ -194,6 +198,14 @@ DIGESTS = {
     "enriched-roundtrip min g3 m2 c1000": (
         "786efd1502f583e7cd065fddb9fde4e9b33a305db777ad9bc2e83703809a3fc5",
         "e14ef6ed9002653e5c47d33314d0b399c689c46531e8023e153c12a9e8e1f993",
+    ),
+    "representability lukasiewicz g6 m2 c1000": (
+        "76bcba0111d0b08c43f058e138987c6416a0283bb0459bb8a0f2ecd7c6a65f24",
+        "bf3827684c763176745888fc3d2cdde7f85315015b904fc6f2a05d536604447c",
+    ),
+    "enriched-roundtrip lukasiewicz g4 m2 c1000": (
+        "f22a76d62721de3d901f5fdf63a89c9a39f005efadfa66c66f7d7263db730062",
+        "6ca15fffd9d7aee1c3024f4d4cad4a25cfa1bcabf1ef20d775ace133a9fb2ccf",
     ),
 }
 

@@ -201,7 +201,11 @@ def test_representability_exhaustive_through_size_three():
     for q in (lukasiewicz(), minimum()):
         rep = run("representability", quantale=q, grid=2, max_size=3)
         assert rep.exit_code() == 0 and rep.instances == 1 + 3 + 19
-        assert not any("corpus mode" in note for note in rep.notes)
+        # one note per poset, each "[poset s.k] exhaustive scan of ..."
+        assert len(rep.notes) == rep.instances
+        assert all(
+            note.split("] ", 1)[1].startswith("exhaustive scan of") for note in rep.notes
+        )
 
 
 def test_cli_refuses_bad_numeric_flags(capsys):
