@@ -202,6 +202,10 @@ class FunctionSpace:
     def unary_ops(self, op: str) -> list[tuple[int, ...]]:
         """The "act", "minus" or "power" table, built on first read: row u
         holds the index of u tensor f, f minus u or u hom f for each f.
+        Row u applies the level map ``maps[u]`` to every function; a map
+        that is the identity gives every f itself, and a constant map the
+        one constant function, both read off without a gather (act, power
+        and minus at 0 and at 1).
         Minus and powers can leave the space over enriched carriers; such
         a table raises ValueError naming its first escaping function."""
         table = self._unary.get(op)
@@ -212,9 +216,15 @@ class FunctionSpace:
                 "minus": [[max(a - u, 0) for a in range(n + 1)] for u in range(n + 1)],
                 "power": self.gops.hom_t,
             }[op]
+            identity = list(range(n + 1))
             table = []
             for u, level in enumerate(maps):
-                row = [idx.get(tuple(level[a] for a in f), -1) for f in self.ifuncs]
+                if level == identity:
+                    row = range(self.size)
+                elif len(set(level)) == 1:
+                    row = [idx.get((level[0],) * self.carrier_size, -1)] * self.size
+                else:
+                    row = [idx.get(tuple(level[a] for a in f), -1) for f in self.ifuncs]
                 if -1 in row:
                     raise ValueError(
                         f"{op} of f{row.index(-1)} at {u}/{n} leaves the function space"

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
+from operator import or_
 from typing import Iterable, Optional, Sequence
 
 from .duality import FunctionSpace, function_space
-from .posets import FinPoset
+from .posets import FinPoset, mask_elements
 from .reports import CheckReport
 from .tnorms import Lukasiewicz, Minimum, Product, Quantale
 from .values import format_value
@@ -29,14 +32,27 @@ DEGENERACY_NOTE = (
 
 @dataclass(frozen=True)
 class SubStructure:
-    """A generated subset of a function space plus its generation trace."""
+    """A generated subset of a function space, with what generated it.
+
+    ``members`` are the closure's function indices, ascending.  ``trace``
+    is the generation trace of the worklist over all the ops
+    (``_worklist``): one line per member, in the order the worklist
+    reaches it.  It is replayed from the generators and ops on first
+    read and kept, so a closure under join whose trace is never read
+    never pairs its members by join.
+    """
 
     space: FunctionSpace
     members: tuple[int, ...]
-    trace: tuple[str, ...]
+    generators: tuple[int, ...]
+    ops: frozenset[str]
 
     def __contains__(self, i: int) -> bool:
         return i in set(self.members)
+
+    @cached_property
+    def trace(self) -> tuple[str, ...]:
+        return _worklist(self.space, self.generators, self.ops)[1]
 
 
 def down_set_indicators(space: FunctionSpace) -> tuple[int, ...]:
@@ -57,22 +73,83 @@ def generate_closure(
 
     ops is a subset of {join, tensor, act, power, minus, constants};
     'tensor' also seeds the unit constant (it is the monoid structure),
-    'constants' seeds both constants.  A worklist: each member meets
-    itself and every earlier member, by one ``pair_indices`` row gather
-    per binary op (join, then tensor), then the unary tables.  New results
-    join in operand order.  The trace records one line per new member:
-    operation, operand indices, result index.  A reached pair whose tensor
-    leaves the space raises ValueError naming the first such pair.
+    'constants' seeds both constants.
 
-    On a ``tensor_closed`` space the worklist stops once every function
-    is a member: nothing new can be reached and no tensor can escape, so
-    members and trace are those of the full scan.  Any other space is
-    scanned to the end, so an escaping pair is still found.
+    Computed in two phases.  First the worklist (``_worklist``) closes
+    the seeds under the ops other than join, giving T.  Every op is
+    monotone on the chain of levels, so pointwise it distributes over
+    joins, and the join-closure of T is closed under all of them (the
+    space itself is join-closed).  So with join among the ops the members
+    are the joins of nonempty subsets of T, found by per-point level
+    bitmasks (``_join_closure``); without it they are T.
+
+    A reached pair whose tensor leaves the space raises ValueError naming
+    the first such pair the worklist over all the ops reaches.  A pair
+    of joins escapes only if a pair of their T-operands does, so phase
+    one finds every escape, and that worklist then runs for its message.
     """
     unknown = set(ops) - set(KNOWN_OPS)
     if unknown:
         raise ValueError(f"unknown closure ops {sorted(unknown)}")
-    ops = set(ops)
+    generators, ops = tuple(generators), frozenset(ops)
+    try:
+        T = _worklist(space, generators, ops - {"join"})[0]
+    except ValueError:
+        _worklist(space, generators, ops)  # raises, naming its own first pair
+        raise
+    members = _join_closure(space, T) if "join" in ops else T
+    return SubStructure(space, members, generators, ops)
+
+
+def _join_closure(space: FunctionSpace, T: Sequence[int]) -> tuple[int, ...]:
+    """Indices of the joins of nonempty subsets of T, ascending.
+
+    f is such a join iff at every point x some t in T lies below f and
+    agrees with it at x (then f is the join of those t).  As bitmasks
+    over the enumeration, with eq[x][l] the functions whose level at x is
+    l and ge[x][l] those at least l, the functions above t are
+    up(t) = AND over x of ge[x][t(x)], and the members are the AND over x
+    of the OR over t of up(t) & eq[x][t(x)].
+    """
+    fs = space.ifuncs
+    eq = []
+    for column in space.point_columns:
+        masks = [0] * (space.n + 1)
+        for i, a in enumerate(column):
+            masks[a] |= 1 << i
+        eq.append(masks)
+    ge = [list(accumulate(reversed(masks), or_))[::-1] for masks in eq]
+    up = []
+    for t in T:
+        above = -1
+        for x, a in enumerate(fs[t]):
+            above &= ge[x][a]
+        up.append(above)
+    members = (1 << space.size) - 1 if T else 0
+    for x, masks in enumerate(eq):
+        reach = 0
+        for t, above in zip(T, up):
+            reach |= above & masks[fs[t][x]]
+        members &= reach
+    return mask_elements(members)
+
+
+def _worklist(
+    space: FunctionSpace, generators, ops
+) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """The members, ascending, and trace of the closure under ``ops`` by
+    one worklist.
+
+    Each member meets itself and every earlier member, by one
+    ``pair_indices`` row gather per binary op (join, then tensor), then
+    the unary tables.  New results join in operand order; the trace
+    records one line per new member: operation, operand indices, result
+    index.  A reached pair whose tensor leaves the space raises
+    ValueError naming the first such pair.  On a ``tensor_closed`` space
+    the worklist stops once every function is a member: nothing new can
+    be reached and no tensor can escape.  Any other space is scanned to
+    the end, so an escaping pair is still found.
+    """
     members: list[int] = []
     seen = set()
     trace = []
@@ -112,7 +189,7 @@ def generate_closure(
                 r = table[u][i]
                 if r not in seen:
                     add(r, f"act({u}/{n},f{i})" if op == "act" else f"{op}(f{i},{u}/{n})")
-    return SubStructure(space, tuple(sorted(members)), tuple(trace))
+    return tuple(sorted(members)), tuple(trace)
 
 
 def _tensor_escape(i: int, j: int) -> ValueError:

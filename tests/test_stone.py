@@ -415,3 +415,78 @@ def test_density_sweep_builds_no_pair_table(monkeypatch):
         config = SU.SuiteConfig(suite="stone-weierstrass", quantale=q, grid=2, max_size=3)
         assert SU.run_suite(config).passed
     assert calls[0] == 0
+
+
+# The two-phase closure (tensor and unary ops, then joins by level
+# bitmasks) against the worklist over all the ops at once.  Enriched
+# carriers make tensors, minus and powers escape, so there both must
+# raise, with the same message.
+ORACLE_OPS = OP_SETS + (
+    ("join",),
+    ("join", "tensor"),
+    ("join", "power"),
+    ("join", "minus"),
+    ("join", "constants"),
+    S.KNOWN_OPS,
+)
+
+
+def _oracle_spaces():
+    for q, grids in ((LUK, (1, 2, 3)), (T.minimum(), (1, 2, 3)), (T.product(), (1,))):
+        for n in grids:
+            for size in (1, 2):
+                for X in E.enumerate_enriched_categories(size, q, n):
+                    yield E.enumerate_cx(X, n)
+            for size in (1, 2, 3):
+                for Q in P.all_posets(size):
+                    yield D.function_space(Q, q, n)
+
+
+def test_two_phase_closure_matches_the_worklist():
+    cases = raising = 0
+    for sp in _oracle_spaces():
+        size = sp.size
+        for gens in ((), (0,), (size // 2,), (size - 1,), range(size), range(0, size, 3)):
+            for ops in ORACLE_OPS:
+                cases += 1
+                try:
+                    want = S._worklist(sp, gens, ops)[0]
+                except ValueError as exc:
+                    raising += 1
+                    with pytest.raises(ValueError) as got:
+                        S.generate_closure(sp, gens, ops)
+                    assert str(got.value) == str(exc), (sp.ifuncs, gens, ops)
+                    continue
+                L = S.generate_closure(sp, gens, ops)
+                assert L.members == want, (sp.ifuncs, tuple(gens), ops)
+    assert (cases, raising) == (223 * 6 * len(ORACLE_OPS), 436)
+
+
+def test_stone_sweep_never_replays_the_worklist(monkeypatch):
+    # the worklist runs once per closure, without join: the members come
+    # from the level bitmasks and the trace is never read
+    worklist_ops, calls = [], {"unary_ops": 0, "sw_audit": 0}
+    worklist, unary_ops, sw_audit = S._worklist, D.FunctionSpace.unary_ops, S.sw_audit
+
+    def counted_worklist(space, generators, ops):
+        worklist_ops.append(ops)
+        return worklist(space, generators, ops)
+
+    def counted_unary_ops(self, op):
+        calls["unary_ops"] += 1
+        return unary_ops(self, op)
+
+    def counted_sw_audit(*args, **kwargs):
+        calls["sw_audit"] += 1
+        return sw_audit(*args, **kwargs)
+
+    monkeypatch.setattr(S, "_worklist", counted_worklist)
+    monkeypatch.setattr(D.FunctionSpace, "unary_ops", counted_unary_ops)
+    monkeypatch.setattr(S, "sw_audit", counted_sw_audit)
+    for q in (LUK, T.minimum()):
+        config = SU.SuiteConfig(suite="stone-weierstrass", quantale=q, grid=2, max_size=3)
+        assert SU.run_suite(config).passed
+    assert calls["sw_audit"] > 0
+    assert worklist_ops == [{"tensor", "act"}] * calls["sw_audit"]
+    # one act table per audit: the benchmark's anchor counts these calls
+    assert calls["unary_ops"] == calls["sw_audit"]
