@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import getitem
+from operator import add, getitem, gt, mul, ne
 from typing import Iterator, Optional, Sequence
 
 from .posets import FinPoset, is_irreducible, mask_elements, upper_sets
@@ -26,13 +26,20 @@ class FunctionSpace:
 
     ``ifuncs`` are grid-level tuples in ascending lexicographic order;
     ``functions``/``index`` are their Fraction views, rendered on first
-    use.  Tables are built on first read and kept: join and tensor in
-    ``pair_ops``, the pointwise order in ``le_pairs``, the tensor again as
-    an index-pair lookup in ``tensor_table``, each unary op in
+    use.  Tables are built on first read and kept: each unary op in
     ``unary_ops``, each point's levels in ``point_columns``, the sup over
     each mask of points in ``sup_column`` (the elementwise max of the
-    mask's point columns), and the join-irreducibles with the order on
-    them in ``join_order``;
+    mask's point columns), u tensor f(x) for each point x and level u in
+    ``act_column``, each point's hom rows in ``point_hom_rows``, and the
+    join-irreducibles with the order on them in ``join_order``, read off
+    the pointwise meets with no pair of functions.  ``top_columns``,
+    ``cover_pairs`` and ``join_tensors`` rearrange ``join_order`` for the
+    functional scans.
+    The pair tables, join and tensor in ``pair_ops``, the pointwise order
+    in ``le_pairs`` and the tensor again as an index-pair lookup in
+    ``tensor_table``, are built only for the audits that still walk every
+    pair (``check_conditions``, ``total_partial_audit``,
+    ``twovalued_audit``, ``make_corpus``).
     ``pair_indices`` computes a join or tensor of one function with many
     on demand, ``tensor_index`` of one pair.
     ``structure`` holds the base's structure levels
@@ -55,6 +62,7 @@ class FunctionSpace:
         self._tensor_table = None
         self._unary: dict[str, list[tuple[int, ...]]] = {}
         self._sup_columns: dict[int, tuple[int, ...]] = {}
+        self._act_columns: dict[tuple[int, int], tuple[int, ...]] = {}
 
     @property
     def size(self) -> int:
@@ -162,42 +170,124 @@ class FunctionSpace:
         leaves the space."""
         return self.pair_indices(self.gops.tensor_t, i, (j,))[0]
 
+    def act_column(self, x: int, u: int) -> tuple[int, ...]:
+        """u tensor f(x) for each function f, in enumeration order: tensor
+        row u read through point column x, built on first read per (x, u)
+        and kept."""
+        column = self._act_columns.get((x, u))
+        if column is None:
+            column = tuple(map(self.gops.tensor_t[u].__getitem__, self.point_columns[x]))
+            self._act_columns[x, u] = column
+        return column
+
+    @cached_property
+    def point_hom_rows(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """For each point x, the hom row of f(x) for each function f, in
+        enumeration order: row x, entry i, level v is hom(f_i(x), v)."""
+        ht = self.gops.hom_t
+        return tuple(tuple(map(ht.__getitem__, column)) for column in self.point_columns)
+
     @cached_property
     def join_order(self):
         """J, the join-irreducibles ascending; for each function f, the
         positions in J of the maximal join-irreducibles below f, ascending;
-        then each position p's lower covers in J.  One pass over
-        ``le_pairs``, kept.
+        then each position p's lower covers in J.  Read off the pointwise
+        meets, kept.
 
-        A function is join-irreducible when it is not the bottom and not
-        the join of two functions other than itself: in a finite lattice,
-        when the functions strictly below it have a greatest one.  The
-        enumeration is a linear extension of the pointwise order, so that
-        one can only be the last of them, and it is greatest when exactly
-        the others lie below it.  A monotone g on J extends to
+        The space must be closed under pointwise joins, as every
+        ``cx_space`` is; it is then a distributive lattice.  For a point x
+        and a level l, m(x, l) is the pointwise min of the functions f
+        with f(x) >= l: the least such function, so m(x, l) <= f exactly
+        when f(x) >= l.  A meet that leaves the space raises ValueError.
+        m(x, 0) is the bottom, and every f is the join of the m(x, f(x)).
+        So every join-irreducible is some m(x, l); and every m(x, l) other
+        than the bottom is join-prime, since m(x, l) <= g join h means
+        g(x) >= l or h(x) >= l, hence join-irreducible.  J is therefore
+        the distinct m(x, l) other than the bottom, none of them the join
+        of the others below it.  Each j in J keeps one (x_j, l_j) with
+        j = m(x_j, l_j), and j <= f is read as f(x_j) >= l_j.  The
+        join-irreducibles below f lie below some m(x, f(x)), so the
+        maximal ones are among those.  A monotone g on J extends to
         t(f) = max{g(j) : j <= f}, and the max over the maximal such j is
-        the same.  The pairs come ascending, so the functions below f
-        arrive ascending.
+        the same.
         """
-        strictly_all: list[list[int]] = [[] for _ in range(self.size)]
-        for i, j in self.le_pairs():
-            strictly_all[j].append(i)
-        J = tuple(
-            k
-            for k, b in enumerate(strictly_all)
-            if b and len(strictly_all[b[-1]]) == len(b) - 1
-        )
+        n, idx = self.n, self.iindex
+        top = (n,) * self.carrier_size
+        # meets[x][l]: the index of m(x, l), None while no function reaches
+        # l at x.  The meet starts at the top row, and a second top row
+        # gives min at least two arguments; levels never exceed n, so
+        # neither changes a min
+        meets: list[list] = []
+        for x, column in enumerate(self.point_columns):
+            at: list[list] = [[] for _ in range(n + 1)]
+            for f, v in zip(self.ifuncs, column):
+                at[v].append(f)
+            row: list = [None] * (n + 1)
+            meet, reached = top, False
+            for level in range(n, -1, -1):
+                if at[level]:
+                    meet, reached = tuple(map(min, meet, top, *at[level])), True
+                if reached:
+                    row[level] = idx.get(meet)
+                    if row[level] is None:
+                        raise ValueError(
+                            f"the meet of the functions at least {level}/{n} at "
+                            f"point {x} leaves the function space"
+                        )
+            meets.append(row)
+        # each row[0] is the meet of every function: the bottom
+        bottoms = {row[0] for row in meets}
+        J = tuple(sorted({k for row in meets for k in row[1:] if k is not None} - bottoms))
         position = {j: p for p, j in enumerate(J)}
-        below = [
-            [position[i] for i in (*b, k) if i in position]
-            for k, b in enumerate(strictly_all)
+        generator: dict[int, tuple[int, int]] = {}
+        for x, row in enumerate(meets):
+            for level, k in enumerate(row):
+                if k in position:
+                    generator.setdefault(position[k], (x, level))
+        fs = self.ifuncs
+        strictly = [
+            {q for q in range(len(J)) if q != p and fs[j][generator[q][0]] >= generator[q][1]}
+            for p, j in enumerate(J)
         ]
-        strictly = [set(below[j][:-1]) for j in J]
 
-        def maximal(b: list[int]) -> list[int]:
-            return [q for q in b if not any(q in strictly[r] for r in b)]
+        def maximal(b) -> list[int]:
+            return sorted(q for q in b if not any(q in strictly[r] for r in b))
 
-        return J, [maximal(b) for b in below], [maximal(below[j][:-1]) for j in J]
+        tops = [
+            maximal({position[meets[x][v]] for x, v in enumerate(f) if meets[x][v] in position})
+            for f in fs
+        ]
+        return J, tops, [maximal(b) for b in strictly]
+
+    @cached_property
+    def top_columns(self) -> list[list[int]]:
+        """At least two columns whose pointwise max over a level list g on
+        J, with one more slot for 0, is the table t(f) = max{g(j) : j <=
+        f}: column k reads each function's k-th top or, past its last,
+        that slot."""
+        J, tops, _ = self.join_order
+        width = max(2, *map(len, tops))
+        return [[b[k] if k < len(b) else len(J) for b in tops] for k in range(width)]
+
+    @cached_property
+    def cover_pairs(self) -> tuple[list[int], list[int]]:
+        """Every cover q < p in J as two aligned position lists, the lower
+        ends and the upper ends."""
+        covers = self.join_order[2]
+        pairs = [(q, p) for p, below in enumerate(covers) for q in below]
+        return [q for q, _ in pairs], [p for _, p in pairs]
+
+    @cached_property
+    def join_tensors(self) -> list[tuple[int, int, int]]:
+        """(p, q, k) for each pair of positions q <= p in J whose tensor
+        stays in the space, k its index; p ascending, then q."""
+        J = self.join_order[0]
+        return [
+            (p, q, k)
+            for p, j in enumerate(J)
+            for q in range(p + 1)
+            if (k := self.tensor_index(j, J[q])) >= 0
+        ]
 
     def unary_ops(self, op: str) -> list[tuple[int, ...]]:
         """The "act", "minus" or "power" table, built on first read: row u
@@ -418,50 +508,91 @@ def check_conditions(phi: Functional) -> ConditionReport:
     return ConditionReport(mon, act, sup, tenlax, ten, top, minus, zero_witness)
 
 
-def _acts_and_joins(space: FunctionSpace, t) -> bool:
-    """The level table t commutes with the action and with binary joins."""
-    tt = space.gops.tensor_t
-    for u, au in enumerate(space.unary_ops("act")):
-        tu = tt[u]
-        for i in range(space.size):
-            if t[au[i]] != tu[t[i]]:
+PRUNING_CONDITIONS = ("act", "minus", "tenlax")
+
+
+def certify(space: FunctionSpace, itable, conditions: Sequence[str]) -> bool:
+    """Whether the level table preserves binary joins, sends the bottom to
+    0 and satisfies each named condition ("act", "minus", "tenlax")
+    everywhere; decided on J, with no pair of functions.
+
+    The certificate, with g the table on J (``join_order``):
+    - the table is max{g(j) : j in tops[f]} at every f, 0 at the bottom;
+    - g is monotone along the covers;
+    - act: t(u tensor j) = u tensor g(j) for each j in J and 0 < u < n;
+    - minus: t(j minus u) = g(j) minus u for each j in J and u >= 1;
+    - tenlax: t(j tensor k) <= g(j) tensor g(k) for each pair of J.
+    The first two hold exactly for the tables that preserve joins and send
+    the bottom to 0, and every join-irreducible is join-prime.  Act,
+    minus and the pointwise tensor are monotone on the chain of levels, so
+    they distribute over pointwise joins, and each condition holds
+    everywhere iff it holds on J (on J x J for tenlax); at u = 0 and u = n
+    the action is the bottom and the identity.  For tenlax that needs the
+    tensor of every pair of J to stay in the space; then every tensor of
+    two functions, the join of such tensors, stays too.  That holds on
+    every ``tensor_closed`` space.  On a space where the tensor of two
+    join-irreducibles leaves, a pair of functions can fail tenlax with
+    every instance on J holding, so tenlax is refused there with
+    ValueError, never decided on J.
+
+    The minus table is built first, then the act table, then tenlax is
+    refused where it must be: an escaping minus raises before anything
+    else, and every refusal comes before any check of the table.  The
+    checks on J come first; the first failing one decides.
+    """
+    minus_t = space.unary_ops("minus") if "minus" in conditions else None
+    act_t = space.unary_ops("act") if "act" in conditions else None
+    J = space.join_order[0]
+    if "tenlax" in conditions and len(space.join_tensors) < len(J) * (len(J) + 1) // 2:
+        j, k = next(
+            (j, k) for p, j in enumerate(J) for k in J[: p + 1] if space.tensor_index(j, k) < 0
+        )
+        raise ValueError(
+            f"tensor of f{j} and f{k} leaves the function space: tenlax is not "
+            "decided on the join-irreducibles"
+        )
+    # the bottom, the least function, comes first in the enumeration
+    if itable[0]:
+        return False
+    n, tt, at = space.n, space.gops.tensor_t, itable.__getitem__
+    g = [*map(at, J), 0]
+    lows, highs = space.cover_pairs
+    if any(map(gt, map(g.__getitem__, lows), map(g.__getitem__, highs))):
+        return False
+    if act_t is not None:
+        for u in range(1, n):
+            if any(map(ne, map(at, map(act_t[u].__getitem__, J)), map(tt[u].__getitem__, g))):
                 return False
-    for i, j, k_join, _ in space.pair_ops():
-        a, b = t[i], t[j]
-        if t[k_join] != (a if a >= b else b):
+    if minus_t is not None:
+        for u in range(1, n + 1):
+            row = [v - u if v > u else 0 for v in range(n + 1)]
+            if any(map(ne, map(at, map(minus_t[u].__getitem__, J)), map(row.__getitem__, g))):
+                return False
+    if "tenlax" in conditions:
+        if any(itable[k] > tt[g[p]][g[q]] for p, q, k in space.join_tensors):
             return False
-    return True
+    # the join check last: it reads every function, the others only J
+    extension = map(max, *[map(g.__getitem__, column) for column in space.top_columns])
+    return not any(map(ne, itable, extension))
 
 
 def passes_cut(space: FunctionSpace, itable, drop_tenlax: bool = False) -> bool:
-    """Fast path for the representability cut (act, sup, minus[, tenlax]).
-
-    Monotonicity is implied by sup, so it is not re-checked here.
+    """The representability cut: the table preserves binary joins and the
+    action, commutes with truncated minus and, unless dropped, is lax for
+    the pointwise tensor.  Decided by ``certify`` on J.  That is exact
+    wherever the tensor of two join-irreducibles stays in the space, as on
+    the ``tensor_closed`` spaces the audit scans; elsewhere the cut with
+    tenlax raises ValueError.  An escaping minus raises ValueError before
+    any check; monotonicity follows from the joins.
     """
-    t = itable
-    minus_t = space.unary_ops("minus")  # refuses an escaping minus before any check
-    if not _acts_and_joins(space, t):
-        return False
-    for u, mu in enumerate(minus_t):
-        for i in range(space.size):
-            ti = t[i]
-            if t[mu[i]] != (ti - u if ti > u else 0):
-                return False
-    if not drop_tenlax:
-        tt = space.gops.tensor_t
-        for i, j, _, k_tens in space.pair_ops():
-            if k_tens >= 0 and t[k_tens] > tt[t[i]][t[j]]:
-                return False
-    return True
+    conditions = ("act", "minus") if drop_tenlax else PRUNING_CONDITIONS
+    return certify(space, itable, conditions)
 
 
 def join_irreducibles(space: FunctionSpace) -> tuple[int, ...]:
     """Indices of the join-irreducible functions, ascending: every
     non-bottom index that is not the join of two indices other than itself."""
     return space.join_order[0]
-
-
-PRUNING_CONDITIONS = ("act", "minus", "tenlax")
 
 
 def join_homomorphisms(
@@ -511,17 +642,11 @@ def join_homomorphisms(
         for p, j in enumerate(J):
             equal[p] += [(tops[act_t[u][j]], tt[u]) for u in range(1, n)]
     if "tenlax" in conditions:
-        for p, j in enumerate(J):
-            for q in range(p + 1):
-                f = space.tensor_index(j, J[q])
-                if f >= 0:
-                    lax[p].append((tops[f], q))
-    # g holds one more slot, always 0; a table is the pointwise max of at
-    # least two columns, column k reading each function's k-th top or,
-    # past its last, that slot
+        for p, q, f in space.join_tensors:
+            lax[p].append((tops[f], q))
+    # g holds one more slot, always 0, that ``top_columns`` read
     g = [0] * (len(J) + 1)
-    width = max(2, *map(len, tops))
-    columns = [[b[k] if k < len(b) else len(J) for b in tops] for k in range(width)]
+    columns = space.top_columns
 
     def table() -> tuple[int, ...]:
         return tuple(map(max, *[map(g.__getitem__, column) for column in columns]))
@@ -556,15 +681,32 @@ def count_join_homomorphisms(space: FunctionSpace) -> int:
     the down-sets of J are the functions, so g is the multichain
     f_1 <= ... <= f_n with f_v the join of {j : g(j) < v}.  Their number
     is the sum of c_n, where c_1 = 1 and c_{k+1}(f) sums c_k over the
-    functions below f: n - 1 passes over ``le_pairs``.
+    functions below f.  That sum is a zeta transform: with c_k extended
+    by 0 to the grid (n+1)^|X|, prefix sums along each coordinate give it
+    at every grid point, and masking back to the space gives c_{k+1}.
+    n - 1 such passes, with no pair of functions.
     """
-    counts = [1] * space.size
-    pairs = space.le_pairs()
+    radix = space.n + 1
+    size = radix**space.carrier_size
+    mask = [0] * size
+    for f in space.ifuncs:
+        cell = 0
+        for v in f:
+            cell = cell * radix + v
+        mask[cell] = 1
+    counts = mask
     for _ in range(space.n - 1):
-        summed = counts[:]
-        for i, j in pairs:
-            summed[j] += counts[i]
-        counts = summed
+        counts = counts[:]
+        # the last coordinate has stride 1, each earlier one radix times
+        # the next
+        stride = 1
+        while stride < size:
+            block = stride * radix
+            for start in range(0, size, block):
+                for k in range(start + stride, start + block, stride):
+                    counts[k : k + stride] = map(add, counts[k : k + stride], counts[k - stride : k])
+            stride = block
+        counts = list(map(mul, counts, mask))
     return sum(counts)
 
 
@@ -626,8 +768,8 @@ def representability_audit(P: FinPoset, q: Quantale, n: int) -> CheckReport:
     bottom to 0 (act at u=0), so the scan covers the tables of
     ``join_homomorphisms`` only, in lexicographic order, and is always
     exhaustive.  That search prunes on the cut's instances at the
-    join-irreducibles J (act, minus and, unless dropped, tenlax), and the
-    full cut decides each table that survives; the number scanned is
+    join-irreducibles J (act, minus and, unless dropped, tenlax), and
+    ``passes_cut`` decides each table that survives; the number scanned is
     ``count_join_homomorphisms``.  The note states that number, |J| and
     (n+1)^|CX|.  The tensor-lax condition is dropped from the cut for
     nilpotent-free tensors.  Passing functionals must equal the

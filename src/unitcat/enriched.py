@@ -10,12 +10,13 @@ checked exhaustively.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import getitem
 from typing import Iterator, Sequence
 
 from .duality import (
     FunctionSpace,
     Functional,
-    _acts_and_joins,
+    certify,
     count_join_homomorphisms,
     cx_levels,
     cx_space,
@@ -97,37 +98,32 @@ def grid_endodistributors(X: VCategory, n: int) -> list[tuple[tuple[int, ...], .
 
 
 def enriched_c(phi: Sequence[int], space: FunctionSpace) -> Functional:
-    """The functional of a level row out of the unit: sup of psi tensor phi."""
-    tt = space.gops.tensor_t
-    itable = [
-        max((tt[a][b] for a, b in zip(f, phi)), default=0) for f in space.ifuncs
-    ]
-    return Functional.from_levels(space, itable)
+    """The functional of a level row out of the unit: sup of psi tensor phi,
+    the elementwise max over the points x of the act columns (x, phi(x)).
+    Levels are never below 0, so two zero columns change no max."""
+    zero = (0,) * space.size
+    columns = map(space.act_column, range(len(phi)), phi)
+    return Functional.from_levels(space, map(max, zero, zero, *columns))
 
 
 def enriched_c_map(
     phi_matrix, cy: FunctionSpace, cx: FunctionSpace
 ) -> tuple[int, ...]:
-    """Two-sided version on level rows: psi |-> (x |-> sup_y psi(y) tensor phi(x,y))."""
-    tt = cy.gops.tensor_t
-    out = []
-    for f in cy.ifuncs:
-        g = tuple(
-            max((tt[a][b] for a, b in zip(f, row)), default=0) for row in phi_matrix
-        )
-        out.append(cx.iindex[g])
-    return tuple(out)
+    """Two-sided version on level rows: psi |-> (x |-> sup_y psi(y) tensor
+    phi(x,y)).  Column x of the images is ``enriched_c`` of row x on CY,
+    and the images are the columns' zip, as in ``c_of_distributor``."""
+    columns = [enriched_c(row, cy).itable for row in phi_matrix]
+    images = zip(*columns) if columns else [()] * cy.size
+    return tuple(map(cx.iindex.__getitem__, images))
 
 
 def retract_phi(phi_func: Functional) -> tuple[int, ...]:
-    """Recover a level row: inf over psi of hom(psi(x), value at psi)."""
+    """Recover a level row: inf over psi of hom(psi(x), value at psi), the
+    min at each point x of its hom rows (``point_hom_rows``) read at the
+    table's values."""
     space = phi_func.space
-    ht = space.gops.hom_t
-    pairs = list(zip(space.ifuncs, phi_func.itable))
-    return tuple(
-        min((ht[f[x]][v] for f, v in pairs), default=space.n)
-        for x in range(space.carrier_size)
-    )
+    t = phi_func.itable
+    return tuple(min(map(getitem, rows, t), default=space.n) for rows in space.point_hom_rows)
 
 
 def retract_phi_simplified(phi_func: Functional) -> tuple[int, ...]:
@@ -143,8 +139,10 @@ def retract_phi_simplified(phi_func: Functional) -> tuple[int, ...]:
 
 def is_finsup_functional(phi_func: Functional) -> bool:
     """Monotone, action-preserving and join-preserving table (the finitely
-    cocontinuous maps out of the function space)."""
-    return _acts_and_joins(phi_func.space, phi_func.itable)
+    cocontinuous maps out of the function space), decided on J by
+    ``duality.certify``: it preserves joins, sends the bottom to 0 and
+    commutes with the action at every join-irreducible."""
+    return certify(phi_func.space, phi_func.itable, ("act",))
 
 
 def adjunction_audit(X: VCategory, n: int) -> CheckReport:

@@ -7,9 +7,12 @@ from itertools import product as iproduct
 
 import pytest
 
+from oracles import compare_certificates, count_by_walk, join_order_by_pairs
 from unitcat import duality as D
 from unitcat import posets as P
+from unitcat import suites as SU
 from unitcat import tnorms as T
+from unitcat.instances import parse_tnorm
 from unitcat.suites import _random_distributor
 
 LUK = T.lukasiewicz()
@@ -519,39 +522,6 @@ def test_count_join_homomorphisms_on_antichains_without_enumerating(monkeypatch)
         assert D.count_join_homomorphisms(sp) == count
 
 
-def _count_by_walk(space):
-    """Oracle for ``count_join_homomorphisms``: the walk over J that
-    ``join_homomorphisms`` makes, with the count below each position kept
-    per value of the earlier positions the rest of the walk reads, and the
-    n + 1 - (lower bound) values of the last position counted at once."""
-    n = space.n
-    J, _, covers = space.join_order
-    last = len(J) - 1
-    # live[p]: the positions before p that a cover at p or later reads
-    live = [
-        sorted({q for r in range(p, len(J)) for q in covers[r] if q < p})
-        for p in range(len(J))
-    ]
-    g = [0] * len(J)
-    memo = {}
-
-    def count(p):
-        low = max((g[q] for q in covers[p]), default=0)
-        if p == last:
-            return n + 1 - low
-        key = (p, *(g[q] for q in live[p]))
-        total = memo.get(key)
-        if total is None:
-            total = 0
-            for v in range(low, n + 1):
-                g[p] = v
-                total += count(p + 1)
-            memo[key] = total
-        return total
-
-    return count(0) if J else 1
-
-
 def _small_spaces():
     """Every poset space of size <= 3 at n <= 3 under both tensors, and
     every enriched C(X) of size <= 2 at n <= 3: 202 spaces."""
@@ -575,9 +545,36 @@ def _small_spaces():
     return spaces
 
 
-def test_multichain_count_matches_the_walk():
-    for sp in _small_spaces():
-        assert D.count_join_homomorphisms(sp) == _count_by_walk(sp), (sp.base, sp.n)
+def _oracle_spaces():
+    """``_small_spaces`` and every poset space of size 4 at n <= 2 under
+    both tensors: 1,078 spaces."""
+    yield from _small_spaces()
+    for q in (LUK, MIN):
+        for n in (1, 2):
+            for Q in P.all_posets(4):
+                yield D.function_space(Q, q, n)
+
+
+def test_join_order_and_count_match_the_pair_oracles():
+    # J, tops and covers from the meets equal those from the pair table,
+    # down to list order, and the prefix sums over the grid equal the memo
+    # walk over that J
+    compared = 0
+    for sp in _oracle_spaces():
+        case = (sp.base, sp.quantale.name, sp.n)
+        order = join_order_by_pairs(sp)
+        assert sp.join_order == order, case
+        assert D.count_join_homomorphisms(sp) == count_by_walk(sp, order), case
+        compared += 1
+    assert compared == 1078
+
+
+def test_a_meet_leaving_the_space_is_refused():
+    # closed under joins, but (1/2, 2/2) meet (2/2, 1/2) = (1/2, 1/2) is not
+    # a member: the least function reaching 1/2 at point 0 does not exist
+    sp = D.FunctionSpace(P.antichain(2), LUK.grid(2), [(0, 0), (1, 2), (2, 1), (2, 2)])
+    with pytest.raises(ValueError, match="at least 1/2 at point 0 leaves"):
+        sp.join_order
 
 
 def _sup_column_by_generator(space, mask):
@@ -608,10 +605,8 @@ def test_multichain_count_is_fast_where_the_walk_is_not():
 
 
 def test_join_order_is_derived_once_per_space(monkeypatch):
-    # J and the order on it come from one pass over the pair table, kept
-    # on the space: the audit's readers of J scan no pair table again
-    sp = D.FunctionSpace(P.vee(), LUK.grid(2), D.function_space(P.vee(), LUK, 2).ifuncs)
-    J, tops, covers = sp.join_order
+    # J and the order on it are read off the meets, with no pair table,
+    # and kept on the space: no reader of J builds one either
     calls = [0]
     original = D.FunctionSpace.pair_ops
 
@@ -620,11 +615,73 @@ def test_join_order_is_derived_once_per_space(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(D.FunctionSpace, "pair_ops", counted)
+    sp = D.FunctionSpace(P.vee(), LUK.grid(2), D.function_space(P.vee(), LUK, 2).ifuncs)
+    J, tops, covers = sp.join_order
     assert D.join_irreducibles(sp) == J and len(J) == 3 * 2
     assert D.count_join_homomorphisms(sp) == len(list(D.join_homomorphisms(sp)))
     assert list(D.join_homomorphisms(sp, D.PRUNING_CONDITIONS))
     assert sp.join_order == (J, tops, covers)
     assert calls[0] == 0
+
+
+@pytest.mark.parametrize("suite", ["representability", "enriched-roundtrip"])
+def test_functional_scans_build_no_pair_table(monkeypatch, suite):
+    # both functional scans at grid 3, max-size 2 read J and the unary
+    # tables only
+    calls = [0]
+    original = D.FunctionSpace.pair_ops
+
+    def counted(self):
+        calls[0] += 1
+        return original(self)
+
+    monkeypatch.setattr(D.FunctionSpace, "pair_ops", counted)
+    config = SU.SuiteConfig(suite=suite, quantale=parse_tnorm("lukasiewicz"), grid=3, max_size=2)
+    report = SU.run_suite(config)
+    assert report.passed and report.instances == {"representability": 4}.get(suite, 58)
+    assert calls[0] == 0
+
+
+def test_certificates_match_the_full_pair_scans():
+    # passes_cut and is_finsup_functional against the pair scans they
+    # replace: every grid table where (n+1)^|CX| <= 1,000, every
+    # join-preserving table elsewhere, on the poset spaces of size <= 3 and
+    # the enriched C(X) of size <= 2, at n <= 2 (118 spaces); the full
+    # comparison (tests/oracles.py as a script) covers 1,971 spaces
+    from unitcat import enriched as E
+
+    spaces = [
+        D.function_space(Q, q, n)
+        for q in (LUK, MIN)
+        for n in (1, 2)
+        for size in (1, 2, 3)
+        for Q in P.all_posets(size)
+    ]
+    spaces += [
+        E.enumerate_cx(X, n)
+        for q in (LUK, MIN)
+        for n in (1, 2)
+        for size in (1, 2)
+        for X in E.enumerate_enriched_categories(size, q, n)
+    ]
+    tables = sum(compare_certificates(sp, 1_000) for sp in spaces)
+    assert (len(spaces), tables) == (118, 12_593)
+
+
+def test_cut_with_tenlax_is_refused_where_a_tensor_of_J_leaves():
+    # under lukasiewicz with a(1,0) = 1/2, two join-irreducibles of C(X)
+    # have a tensor outside it: a table can fail tenlax on a pair of
+    # functions while every instance on J holds, so the cut with tenlax is
+    # refused, and the cut without it still decides
+    from unitcat import enriched as E
+    from unitcat import vcat as VC
+
+    sp = E.enumerate_cx(VC.vcategory(LUK, [["1", "0"], ["1/2", "1"]]), 2)
+    assert not sp.tensor_closed
+    table = (0, 0, 0, 0, 0, 0, 1, 1)
+    with pytest.raises(ValueError, match="tenlax is not decided on the join-irreducibles"):
+        D.passes_cut(sp, table)
+    assert D.passes_cut(sp, table, drop_tenlax=True)
 
 
 def _instances_hold(sp, t, conditions):

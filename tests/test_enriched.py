@@ -3,6 +3,7 @@ from itertools import product as iproduct
 
 import pytest
 
+from oracles import compare_enriched_maps, enriched_c_map_by_generator, retract_phi_by_generator
 from unitcat import duality as D
 from unitcat import enriched as E
 from unitcat import posets as P
@@ -146,6 +147,38 @@ def test_retract_formulas_agree_and_invert():
     assert E.retract_phi_simplified(f) == (1,)
     zero = D.Functional(sp, [F(0)] * sp.size)
     assert E.retract_phi(zero) == (0,)
+
+
+def test_enriched_maps_match_the_generator_formulas():
+    # enriched_c and retract_phi read off cached columns equal the
+    # generator formulas on every grid distributor of every enriched C(X)
+    # of size <= 2 at n <= 3 and of size 3 at n = 1, under both tensors
+    # (tests/oracles.py as a script adds size 3 at n = 2); retract_phi
+    # also on every join-preserving table the fullness scan reads at size
+    # <= 2, n <= 2; enriched_c_map on every endodistributor
+    # tensor-maximality maps
+    spaces = distributors = tables = endomaps = 0
+    for q in (LUK, T.minimum()):
+        for size, grids in ((1, (1, 2, 3)), (2, (1, 2, 3)), (3, (1,))):
+            for n in grids:
+                for X in E.enumerate_enriched_categories(size, q, n):
+                    distributors += compare_enriched_maps(X, n)
+                    spaces += 1
+                    if size == 3 or n == 3:
+                        continue
+                    sp = E.enumerate_cx(X, n)
+                    for t in D.join_homomorphisms(sp):
+                        func = D.Functional.from_levels(sp, t)
+                        assert E.retract_phi(func) == retract_phi_by_generator(sp, t)
+                        tables += 1
+        for size in (1, 2):
+            for Q in P.all_posets(size):
+                X = VC.from_poset(Q, q)
+                sp = E.enumerate_cx(X, 2)
+                for mat in E.grid_endodistributors(X, 2):
+                    assert E.enriched_c_map(mat, sp, sp) == enriched_c_map_by_generator(mat, sp, sp)
+                    endomaps += 1
+    assert (spaces, distributors, tables, endomaps) == (96, 648, 390, 248)
 
 
 def test_retract_of_upper_set_functional_is_indicator():

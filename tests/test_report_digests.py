@@ -68,6 +68,9 @@ CONFIGS = (
     # still run over every join-preserving table
     ("representability", "lukasiewicz", 6, 2, 1000, None),
     ("enriched-roundtrip", "lukasiewicz", 4, 2, 1000, None),
+    # all 242 posets of size <= 4: the scan whose cut is decided on J for
+    # every survivor
+    ("representability", "lukasiewicz", 3, 4, 1000, None),
 )
 
 DIGESTS = {
@@ -206,6 +209,10 @@ DIGESTS = {
     "enriched-roundtrip lukasiewicz g4 m2 c1000": (
         "f22a76d62721de3d901f5fdf63a89c9a39f005efadfa66c66f7d7263db730062",
         "6ca15fffd9d7aee1c3024f4d4cad4a25cfa1bcabf1ef20d775ace133a9fb2ccf",
+    ),
+    "representability lukasiewicz g3 m4 c1000": (
+        "0808b8f4047e94a6ecf19475cd2514eeee7770d80b022394f64906d10740a68c",
+        "7eda7d36bd583ae8b4128b519dc2848ee1abc3d3d6bdf02ef26486507c27586c",
     ),
 }
 
