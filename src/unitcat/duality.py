@@ -27,7 +27,8 @@ class FunctionSpace:
     ``ifuncs`` are grid-level tuples in ascending lexicographic order;
     ``functions``/``index`` are their Fraction views, rendered on first
     use.  Tables are built on first read and kept: each unary op in
-    ``unary_ops``, each point's levels in ``point_columns``, the sup over
+    ``unary_ops``, each point's levels in ``point_columns`` and, as one
+    bitmask of the functions per level, in ``level_masks``, the sup over
     each mask of points in ``sup_column`` (the elementwise max of the
     mask's point columns), u tensor f(x) for each point x and level u in
     ``act_column``, each point's hom rows in ``point_hom_rows``, and the
@@ -69,7 +70,7 @@ class FunctionSpace:
         return len(self.ifuncs)
 
     @cached_property
-    def structure(self) -> list[list[int]]:
+    def structure(self) -> Sequence[Sequence[int]]:
         """The base's structure levels, read on first use; ``cx_space``
         sets them from the levels it enumerated the space by."""
         return structure_levels(self.base, self.gops)
@@ -142,6 +143,18 @@ class FunctionSpace:
         """Each point's levels, in enumeration order: the transpose of
         ``ifuncs``, built on first read and kept."""
         return tuple(zip(*self.ifuncs))
+
+    @cached_property
+    def level_masks(self) -> tuple[tuple[int, ...], ...]:
+        """For each point x and level l, the bitmask over the enumeration
+        of the functions f with f(x) = l; built on first read and kept."""
+        out = []
+        for column in self.point_columns:
+            masks = [0] * (self.n + 1)
+            for i, a in enumerate(column):
+                masks[a] |= 1 << i
+            out.append(tuple(masks))
+        return tuple(out)
 
     def sup_column(self, mask: int) -> tuple[int, ...]:
         """Each function's sup over the points in ``mask`` (0 for the empty
@@ -324,33 +337,60 @@ class FunctionSpace:
         return table
 
 
-def structure_levels(base, gops: GridOps) -> list[list[int]]:
+def structure_levels(base, gops: GridOps) -> Sequence[Sequence[int]]:
     """The structure of a carrier as grid levels, row x, column y: n where
-    x <= y in a FinPoset and 0 elsewhere, a(x, y) in a category."""
+    x <= y in a FinPoset and 0 elsewhere, a(x, y) in a category, read off
+    the category's ``grid_levels`` when it keeps them for this grid."""
     m = base.size
+    n = gops.n
     if isinstance(base, FinPoset):
-        n = gops.n
         return [[n if base.leq[x][y] else 0 for y in range(m)] for x in range(m)]
+    if base.grid_levels is not None and base.grid_levels[0] == n:
+        return base.grid_levels[1]
     return [[gops.index(base.a(x, y)) for y in range(m)] for x in range(m)]
 
 
 def cx_levels(gops: GridOps, ia) -> list[tuple[int, ...]]:
     """The level tables f with ia[x][y] <= hom(f(y), f(x)) for all x, y, in
     ascending lexicographic order: the grid-valued morphisms into the
-    opposite interval from a carrier with structure levels ``ia``.  Tables
-    grow one coordinate at a time, checked against the earlier coordinates
-    with a positive level either way (level 0 and the diagonal always hold)."""
+    opposite interval from a carrier with structure levels ``ia``.
+
+    Tables grow one coordinate at a time.  Coordinate k is constrained by
+    each earlier x with a positive level either way (level 0 and the
+    diagonal always hold): with a = ia[x][k] and b = ia[k][x], the
+    admissible v are those with a <= hom(v, f(x)) and b <= hom(f(x), v).
+    That set is a bitmask of levels per value of f(x), tabled once per
+    (a, b) in the call; the AND of a table's masks gives its admissible
+    v, appended in ascending order.
+    """
     ht = gops.hom_t
     levels = range(gops.n + 1)
+    every = (1 << gops.n + 1) - 1
+    admissible: dict[tuple[int, int], list[int]] = {}
+    ascending: dict[int, tuple[int, ...]] = {}
     tables = [()]
     for k in range(len(ia)):
-        cons = [(x, ia[x][k], ia[k][x]) for x in range(k) if ia[x][k] or ia[k][x]]
-        tables = [
-            f + (v,)
-            for f in tables
-            for v in levels
-            if all(a <= ht[v][f[x]] and b <= ht[f[x]][v] for x, a, b in cons)
-        ]
+        cons = []
+        for x in range(k):
+            a, b = ia[x][k], ia[k][x]
+            if a or b:
+                masks = admissible.get((a, b))
+                if masks is None:
+                    masks = admissible[a, b] = [
+                        sum(1 << v for v in levels if a <= ht[v][w] and b <= ht[w][v])
+                        for w in levels
+                    ]
+                cons.append((x, masks))
+        grown = []
+        for f in tables:
+            mask = every
+            for x, masks in cons:
+                mask &= masks[f[x]]
+            vs = ascending.get(mask)
+            if vs is None:
+                vs = ascending[mask] = mask_elements(mask)
+            grown += [f + (v,) for v in vs]
+        tables = grown
     return tables
 
 

@@ -25,7 +25,7 @@ from .duality import (
 )
 from .reports import CheckReport
 from .tnorms import GridOps, Quantale
-from .values import ONE, format_value
+from .values import format_value
 from .vcat import VCategory, is_poset_based, is_separated, validate_vcategory
 
 
@@ -53,17 +53,27 @@ def representable_index(space: FunctionSpace, x: int) -> int:
 def is_cogenerated(space: FunctionSpace) -> bool:
     """The cone of the space into the opposite interval is point-separating
     and initial: the structure of its base category is the pointwise
-    infimum of hom gaps over the space."""
-    gops, fs = space.gops, space.ifuncs
-    ht = gops.hom_t
+    infimum of hom gaps over the space.
+
+    Read off the ``level_masks``: some function has f(y) = a and f(x) = b
+    iff the two masks meet, so the infimum at (x, y) is the least
+    hom(a, b) over the meeting level pairs, and x and y are separated iff
+    their rows of masks differ.
+    """
+    ht = space.gops.hom_t
     ia = space.structure
-    pairs = [(x, y) for x in range(len(ia)) for y in range(len(ia))]
-    if any(
-        min((ht[f[y]][f[x]] for f in fs), default=gops.n) != ia[x][y]
-        for x, y in pairs
-    ):
-        return False
-    return not any(x != y and all(f[x] == f[y] for f in fs) for x, y in pairs)
+    eq = space.level_masks
+    for x, row in enumerate(ia):
+        for y, level in enumerate(row):
+            gaps = (
+                ht[a][b]
+                for a, at_a in enumerate(eq[y])
+                for b, at_b in enumerate(eq[x])
+                if at_a & at_b
+            )
+            if min(gaps, default=space.n) != level:
+                return False
+    return not any(eq[x] == eq[y] for x in range(len(eq)) for y in range(x))
 
 
 def grid_distributors_into(X: VCategory, n: int) -> list[tuple[int, ...]]:
@@ -212,7 +222,8 @@ def adjunction_audit(X: VCategory, n: int) -> CheckReport:
 
 def lemma1_audit(X: VCategory, n: int) -> CheckReport:
     """Structure recovery: a(y,x) is the least value at y among the
-    functions hitting 1 at x."""
+    functions hitting 1 at x, the least level whose mask at y meets the
+    mask of level n at x (``FunctionSpace.level_masks``)."""
     space = enumerate_cx(X, n)
     gops = space.gops
     ia = space.structure
@@ -224,12 +235,13 @@ def lemma1_audit(X: VCategory, n: int) -> CheckReport:
             checked=0,
             notes=("skipped: category is not cogenerated by the interval",),
         )
+    eq = space.level_masks
     for x in range(X.size):
+        # the functions hitting 1 at x; the least level at y meeting them
+        ones = eq[x][gops.n]
         for y in range(X.size):
             checked += 1
-            best = min(
-                (f[y] for f in space.ifuncs if f[x] == gops.n), default=gops.n
-            )
+            best = next((level for level, mask in enumerate(eq[y]) if mask & ones), gops.n)
             if best != ia[y][x]:
                 failures.append(
                     f"a({y},{x}) = {format_value(X.a(y, x))} but infimum gives "
@@ -376,10 +388,11 @@ def enumerate_enriched_categories(size: int, q: Quantale, n: int) -> Iterator[VC
 
     Fractions are built only for the categories yielded, and each is
     checked again by ``validate_vcategory`` and ``is_separated``; a
-    disagreement raises RuntimeError.  The grid must be closed.
+    disagreement raises RuntimeError.  Each keeps its level matrix as
+    ``grid_levels``, which its function spaces read.  The grid must be closed.
     """
     gops = q.grid(n)
-    tt, values = gops.tensor_t, gops.values
+    tt = gops.tensor_t
     cells = [(x, y) for x in range(size) for y in range(size) if x != y]
     position = {cell: p for p, cell in enumerate(cells)}
     converse = [position[y, x] for x, y in cells]
@@ -396,7 +409,7 @@ def enumerate_enriched_categories(size: int, q: Quantale, n: int) -> Iterator[VC
 
     def extend(p: int):
         if p == len(cells):
-            yield _checked_category(q, values, size, cells, level)
+            yield _checked_category(gops, size, cells, level)
             return
         c = converse[p]
         for v in range(n + 1):
@@ -409,11 +422,18 @@ def enumerate_enriched_categories(size: int, q: Quantale, n: int) -> Iterator[VC
     return extend(0)
 
 
-def _checked_category(q: Quantale, values, size: int, cells, level) -> VCategory:
-    matrix = [[ONE] * size for _ in range(size)]
+def _checked_category(gops: GridOps, size: int, cells, level) -> VCategory:
+    """The category of a level matrix, keeping its levels, once the axiom
+    check accepts its Fractions."""
+    levels = [[gops.n] * size for _ in range(size)]
     for (x, y), v in zip(cells, level):
-        matrix[x][y] = values[v]
-    X = VCategory(q, tuple(tuple(row) for row in matrix))
+        levels[x][y] = v
+    values = gops.values
+    X = VCategory(
+        gops.quantale,
+        tuple(tuple(values[v] for v in row) for row in levels),
+        (gops.n, tuple(map(tuple, levels))),
+    )
     if not (validate_vcategory(X).passed and is_separated(X)):
         raise RuntimeError(f"level search yielded a matrix the axiom check refuses: {X.matrix}")
     return X

@@ -195,13 +195,17 @@ def unit_map(P: FinPoset) -> dict[int, int]:
 
 
 def mult_map(P: FinPoset, V: VietorisSpace) -> dict[int, int]:
-    """Union of members: upper sets of VX (masks over VX indices) -> upper sets of X."""
+    """Union of members: upper sets of VX (masks over VX indices) -> upper sets of X.
+
+    Each nonempty s is its lower cover s - {e} plus one member e minimal
+    in s, so its union is the cover's union with member e.  The highest
+    index in s is minimal: members ascend by bitmask, so a strict superset
+    of a member comes after it.  The cover is a smaller mask, done first.
+    """
     out = {}
-    for script_a in upper_sets(V.poset):
-        union = 0
-        for i in mask_elements(script_a):
-            union |= V.members[i]
-        out[script_a] = union
+    for s in upper_sets(V.poset):
+        e = s.bit_length() - 1
+        out[s] = out[s ^ 1 << e] | V.members[e] if s else 0
     return out
 
 
@@ -211,7 +215,9 @@ def verify_monad_laws(P: FinPoset) -> CheckReport:
     Associativity is checked on the principal members of the triple space
     plus the empty one; both composites preserve unions and every member
     is a union of principals, so this covers all of it.  The unions over
-    each principal come from ``_principal_unions``, built from lower covers.
+    each principal come from ``_principal_unions``, and those of ``mult_map``
+    from one lower cover each.  The m.Ve check ORs, per member, the masks of
+    the members inside each of its points' principal up-sets.
     """
     failures = []
     checked = 0
@@ -226,14 +232,16 @@ def verify_monad_laws(P: FinPoset) -> CheckReport:
         if m_x[principals[i]] != a:
             failures.append(f"m.eV != id at upper set {mask_elements(a)}")
 
-    # m . Ve = id: Ve(A) up-closes {principal up of x : x in A} inside VX.
+    # m . Ve = id: Ve(A) up-closes {principal up of x : x in A} inside VX,
+    # the members inside some up(x), x in A: the OR of the principals in
+    # VX of the members up(x).
     e_x = unit_map(P)
+    inside = [principals[V.index(e_x[x])] for x in range(P.size)]
     for a in V.members:
         checked += 1
         hits = 0
-        for j, b in enumerate(V.members):
-            if any(e_x[x] | b == e_x[x] for x in mask_elements(a)):
-                hits |= 1 << j
+        for x in mask_elements(a):
+            hits |= inside[x]
         if m_x[hits] != a:
             failures.append(f"m.Ve != id at upper set {mask_elements(a)}")
 

@@ -34,7 +34,8 @@ DEGENERACY_NOTE = (
 class SubStructure:
     """A generated subset of a function space, with what generated it.
 
-    ``members`` are the closure's function indices, ascending.  ``trace``
+    ``members`` are the closure's function indices, ascending, and
+    ``mask`` the same set as a bitmask over the enumeration.  ``trace``
     is the generation trace of the worklist over all the ops
     (``_worklist``): one line per member, in the order the worklist
     reaches it.  It is replayed from the generators and ops on first
@@ -44,11 +45,12 @@ class SubStructure:
 
     space: FunctionSpace
     members: tuple[int, ...]
+    mask: int
     generators: tuple[int, ...]
     ops: frozenset[str]
 
     def __contains__(self, i: int) -> bool:
-        return i in set(self.members)
+        return i >= 0 and self.mask >> i & 1 == 1
 
     @cached_property
     def trace(self) -> tuple[str, ...]:
@@ -81,7 +83,8 @@ def generate_closure(
     joins, and the join-closure of T is closed under all of them (the
     space itself is join-closed).  So with join among the ops the members
     are the joins of nonempty subsets of T, found by per-point level
-    bitmasks (``_join_closure``); without it they are T.
+    bitmasks (``_join_closure``), which give the member mask; without it
+    they are T.
 
     A reached pair whose tensor leaves the space raises ValueError naming
     the first such pair the worklist over all the ops reaches.  A pair
@@ -97,27 +100,27 @@ def generate_closure(
     except ValueError:
         _worklist(space, generators, ops)  # raises, naming its own first pair
         raise
-    members = _join_closure(space, T) if "join" in ops else T
-    return SubStructure(space, members, generators, ops)
+    if "join" in ops:
+        mask = _join_closure(space, T)
+        members = mask_elements(mask)
+    else:
+        members, mask = T, sum(1 << t for t in T)
+    return SubStructure(space, members, mask, generators, ops)
 
 
-def _join_closure(space: FunctionSpace, T: Sequence[int]) -> tuple[int, ...]:
-    """Indices of the joins of nonempty subsets of T, ascending.
+def _join_closure(space: FunctionSpace, T: Sequence[int]) -> int:
+    """The bitmask over the enumeration of the joins of nonempty subsets
+    of T.
 
     f is such a join iff at every point x some t in T lies below f and
-    agrees with it at x (then f is the join of those t).  As bitmasks
-    over the enumeration, with eq[x][l] the functions whose level at x is
-    l and ge[x][l] those at least l, the functions above t are
+    agrees with it at x (then f is the join of those t).  With eq[x][l]
+    the functions whose level at x is l (``FunctionSpace.level_masks``)
+    and ge[x][l] those at least l, the functions above t are
     up(t) = AND over x of ge[x][t(x)], and the members are the AND over x
     of the OR over t of up(t) & eq[x][t(x)].
     """
     fs = space.ifuncs
-    eq = []
-    for column in space.point_columns:
-        masks = [0] * (space.n + 1)
-        for i, a in enumerate(column):
-            masks[a] |= 1 << i
-        eq.append(masks)
+    eq = space.level_masks
     ge = [list(accumulate(reversed(masks), or_))[::-1] for masks in eq]
     up = []
     for t in T:
@@ -131,7 +134,7 @@ def _join_closure(space: FunctionSpace, T: Sequence[int]) -> tuple[int, ...]:
         for t, above in zip(T, up):
             reach |= above & masks[fs[t][x]]
         members &= reach
-    return mask_elements(members)
+    return members
 
 
 def _worklist(
@@ -200,26 +203,28 @@ def check_sep(L: SubStructure) -> CheckReport:
     """For every pair x not>= y: some member is 1 at x and 0 at y.
 
     The finite/discrete reading of the separation condition: the open
-    neighbourhood of y is {y} itself.
+    neighbourhood of y is {y} itself.  The members that separate the pair
+    are the member mask AND the functions at level n at x AND those at 0
+    at y (``FunctionSpace.level_masks``); the witness noted is the lowest
+    of them.
     """
     space = L.space
     P: FinPoset = space.base
-    n = space.n
+    eq = space.level_masks
     failures = []
     notes = []
     checked = 0
-    fs = space.ifuncs
     for x in range(P.size):
+        ones = L.mask & eq[x][space.n]
         for y in range(P.size):
             if P.leq[y][x]:
                 continue
             checked += 1
-            witness = next(
-                (i for i in L.members if fs[i][x] == n and fs[i][y] == 0), None
-            )
-            if witness is None:
+            separators = ones & eq[y][0]
+            if not separators:
                 failures.append(f"no separator for x={x}, y={y}")
             elif len(notes) < 4:
+                witness = (separators & -separators).bit_length() - 1
                 notes.append(f"({x},{y}) separated by f{witness}")
     return CheckReport(
         name="separation", checked=checked, failures=tuple(failures), notes=tuple(notes)
@@ -229,40 +234,39 @@ def check_sep(L: SubStructure) -> CheckReport:
 def density_at_level(
     space: FunctionSpace, L: SubStructure, u: Fraction
 ) -> CheckReport:
-    """Every function of CX is two-sidedly within hom-distance u of a member."""
+    """Every function of CX is two-sidedly within hom-distance u of a member.
+
+    Levels a and b are within u when hom(a, b) and hom(b, a) are both at
+    least u.  The band mask of a point x and level a holds the functions
+    whose level at x is within u of a, so the members near f are the
+    member mask AND the band masks at f's levels.  Every function counts
+    as checked; only the non-members are walked, ascending.
+    """
     gops = space.gops
     level = u * gops.n
     if level.denominator != 1:
         raise ValueError(f"density level {u} must be a grid point")
     level = level.numerator
-    ht = gops.hom_t
-    fs = space.ifuncs
     failures = []
-    checked = 0
-    exact = True
-    member_set = set(L.members)
-    for i in range(space.size):
-        checked += 1
-        if i in member_set:
-            continue
-        exact = False
-        fi = fs[i]
-        good = False
-        for j in L.members:
-            fj = fs[j]
-            if all(ht[a][b] >= level for a, b in zip(fi, fj)) and all(
-                ht[b][a] >= level for a, b in zip(fi, fj)
-            ):
-                good = True
-                break
-        if not good:
-            failures.append(f"f{i} has no member within level {format_value(u)}")
+    outside = ((1 << space.size) - 1) & ~L.mask
+    if outside:
+        ht = gops.hom_t
+        grid = range(gops.n + 1)
+        close = [[b for b in grid if ht[a][b] >= level and ht[b][a] >= level] for a in grid]
+        bands = [[sum(masks[b] for b in near) for near in close] for masks in space.level_masks]
+        fs = space.ifuncs
+        for i in mask_elements(outside):
+            near = L.mask
+            for band, a in zip(bands, fs[i]):
+                near &= band[a]
+            if not near:
+                failures.append(f"f{i} has no member within level {format_value(u)}")
     notes = [DEGENERACY_NOTE]
-    if exact:
+    if not outside:
         notes.append("exact equality: the substructure is all of the space")
     return CheckReport(
         name=f"density@{format_value(u)}",
-        checked=checked,
+        checked=space.size,
         failures=tuple(failures),
         notes=tuple(notes),
     )

@@ -115,6 +115,7 @@ class Quantale:
     unit: Fraction = ONE
     bottom: Fraction = ZERO
     _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _tensors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def name(self) -> str:
@@ -130,6 +131,14 @@ class Quantale:
 
     def tensor(self, u: Fraction, v: Fraction) -> Fraction:
         return self.tnorm.tensor(u, v)
+
+    def kept_tensor(self, u: Fraction, v: Fraction) -> Fraction:
+        """u tensor v, computed on first use per pair and kept on this
+        quantale."""
+        w = self._tensors.get((u, v))
+        if w is None:
+            w = self._tensors[u, v] = self.tnorm.tensor(u, v)
+        return w
 
     def hom(self, u: Fraction, v: Fraction) -> Fraction:
         return self.tnorm.hom(u, v)

@@ -1,24 +1,43 @@
-"""Reference implementations for the J-first function-space code.
+"""Reference implementations for the J-first and mask-based code.
 
-Each one is the formula the library used before J was read off the
-pointwise meets: the join-irreducibles and their order from the full
+The first group is the formula the library used before J was read off
+the pointwise meets: the join-irreducibles and their order from the full
 pair table, the memo walk over J for the count, the full pair scans of
 the functional checks, and the generator formulas of the enriched maps.
 They walk every pair (or every function) on purpose, so they share no
 code with what they check beyond ``pair_ops``/``le_pairs`` and the unary
 tables.
 
-Run as a script to compare everything on the 1,971 spaces named in
-``full_comparison_spaces``: ``PYTHONPATH=src python tests/oracles.py``
-(about 27 minutes on one core of a 2-core x86_64 machine).
+The second group is the scan each bitmask reading replaced: C(X) by
+filtering every extension of every table (``cx_levels_by_filter``),
+separation and density by scanning the members
+(``check_sep_by_members``, ``density_at_level_by_members``),
+cogeneration and structure recovery by scanning every function, and the
+monad laws with each union taken member by member
+(``verify_monad_laws_by_scan``).  They read the functions and the
+members directly, never ``level_masks``.
+
+Run as a script to compare the first group on the 1,971 spaces named in
+``full_comparison_spaces``, then the second on the C(X) of every poset
+of size <= 5 and enriched category of size <= 3 at n <= 4, the closures
+of every poset space of size <= 3 at n <= 4 and of size 4 at n <= 2,
+the 2,697 enriched categories of size <= 2 at n <= 4 and of size 3 at
+n <= 3, and every poset of size <= 5:
+``PYTHONPATH=src python tests/oracles.py``.  Both take about 20 minutes
+together on one core of a 2-core x86_64 machine, the second about 50 s
+of it.
 """
 
+import random
 from itertools import product as iproduct
 
 from unitcat import duality as D
 from unitcat import enriched as E
 from unitcat import posets as P
+from unitcat import stone as S
 from unitcat import tnorms as T
+from unitcat.reports import CheckReport
+from unitcat.values import format_value
 
 LUK = T.lukasiewicz()
 MIN = T.minimum()
@@ -144,6 +163,257 @@ def retract_phi_by_generator(space, t):
     )
 
 
+def cx_levels_by_filter(gops, ia):
+    """``duality.cx_levels`` by filtering each extension v of each table
+    against every constrained earlier coordinate in turn."""
+    ht = gops.hom_t
+    levels = range(gops.n + 1)
+    tables = [()]
+    for k in range(len(ia)):
+        cons = [(x, ia[x][k], ia[k][x]) for x in range(k) if ia[x][k] or ia[k][x]]
+        tables = [
+            f + (v,)
+            for f in tables
+            for v in levels
+            if all(a <= ht[v][f[x]] and b <= ht[f[x]][v] for x, a, b in cons)
+        ]
+    return tables
+
+
+def check_sep_by_members(L):
+    """``stone.check_sep`` by scanning the members in ascending order for
+    each pair."""
+    space = L.space
+    Q = space.base
+    n = space.n
+    fs = space.ifuncs
+    failures, notes, checked = [], [], 0
+    for x in range(Q.size):
+        for y in range(Q.size):
+            if Q.leq[y][x]:
+                continue
+            checked += 1
+            witness = next((i for i in L.members if fs[i][x] == n and fs[i][y] == 0), None)
+            if witness is None:
+                failures.append(f"no separator for x={x}, y={y}")
+            elif len(notes) < 4:
+                notes.append(f"({x},{y}) separated by f{witness}")
+    return CheckReport(
+        name="separation", checked=checked, failures=tuple(failures), notes=tuple(notes)
+    )
+
+
+def density_at_level_by_members(space, L, u):
+    """``stone.density_at_level`` by comparing each function with every
+    member, point by point."""
+    level = u * space.n
+    if level.denominator != 1:
+        raise ValueError(f"density level {u} must be a grid point")
+    level = level.numerator
+    ht = space.gops.hom_t
+    fs = space.ifuncs
+    failures = []
+    exact = True
+    member_set = set(L.members)
+    for i in range(space.size):
+        if i in member_set:
+            continue
+        exact = False
+        if not any(
+            all(ht[a][b] >= level and ht[b][a] >= level for a, b in zip(fs[i], fs[j]))
+            for j in L.members
+        ):
+            failures.append(f"f{i} has no member within level {format_value(u)}")
+    notes = [S.DEGENERACY_NOTE]
+    if exact:
+        notes.append("exact equality: the substructure is all of the space")
+    return CheckReport(
+        name=f"density@{format_value(u)}",
+        checked=space.size,
+        failures=tuple(failures),
+        notes=tuple(notes),
+    )
+
+
+def mult_map_by_masks(V):
+    """``posets.mult_map``: the union of each upper set of VX, member by
+    member."""
+    out = {}
+    for s in P.upper_sets(V.poset):
+        union = 0
+        for i in P.mask_elements(s):
+            union |= V.members[i]
+        out[s] = union
+    return out
+
+
+def verify_monad_laws_by_scan(Q):
+    """``posets.verify_monad_laws`` with the unions of ``mult_map_by_masks``
+    and Ve(A) found by testing every member of VX against every point of
+    A; associativity is ``_principal_unions`` as in the library."""
+    failures = []
+    checked = 0
+    V = P.vietoris(Q)
+    m_x = mult_map_by_masks(V)
+    principals = [P._principal_in_vx(V, i) for i in range(len(V.members))]
+    for i, a in enumerate(V.members):
+        checked += 1
+        if m_x[principals[i]] != a:
+            failures.append(f"m.eV != id at upper set {P.mask_elements(a)}")
+    e_x = P.unit_map(Q)
+    for a in V.members:
+        checked += 1
+        hits = 0
+        points = P.mask_elements(a)
+        for j, b in enumerate(V.members):
+            if any(e_x[x] | b == e_x[x] for x in points):
+                hits |= 1 << j
+        if m_x[hits] != a:
+            failures.append(f"m.Ve != id at upper set {P.mask_elements(a)}")
+    flat, mapped = P._principal_unions(V, m_x, principals)
+    for seed in flat:
+        checked += 1
+        if m_x[flat[seed]] != m_x[mapped[seed]]:
+            failures.append(f"associativity fails at principal of {seed}")
+    checked += 1
+    return CheckReport(
+        name=f"vietoris-monad-laws[{Q.size} points]",
+        checked=checked,
+        failures=tuple(failures),
+    )
+
+
+def is_cogenerated_by_scan(space):
+    """``enriched.is_cogenerated`` by the infimum of hom gaps over every
+    function, pair by pair, and a separation scan over every function."""
+    ht = space.gops.hom_t
+    fs = space.ifuncs
+    ia = space.structure
+    pairs = [(x, y) for x in range(len(ia)) for y in range(len(ia))]
+    if any(min((ht[f[y]][f[x]] for f in fs), default=space.n) != ia[x][y] for x, y in pairs):
+        return False
+    return not any(x != y and all(f[x] == f[y] for f in fs) for x, y in pairs)
+
+
+def lemma1_audit_by_scan(X, n):
+    """``enriched.lemma1_audit`` with the least level at y found by scanning
+    every function that hits 1 at x."""
+    space = E.enumerate_cx(X, n)
+    gops = space.gops
+    if not E.is_cogenerated(space):
+        return CheckReport(
+            name="structure-recovery",
+            checked=0,
+            notes=("skipped: category is not cogenerated by the interval",),
+        )
+    failures = []
+    checked = 0
+    for x in range(X.size):
+        for y in range(X.size):
+            checked += 1
+            best = min((f[y] for f in space.ifuncs if f[x] == gops.n), default=gops.n)
+            if best != space.structure[y][x]:
+                failures.append(
+                    f"a({y},{x}) = {format_value(X.a(y, x))} but infimum gives "
+                    f"{format_value(gops.values[best])}"
+                )
+    return CheckReport(name="structure-recovery", checked=checked, failures=tuple(failures))
+
+
+def thinned_copies(space):
+    """Up to three nonempty spaces over the same base, each holding every
+    third function; mostly not cogenerated."""
+    return [
+        D.FunctionSpace(space.base, space.gops, space.ifuncs[k::3])
+        for k in range(min(3, space.size))
+    ]
+
+
+def compare_cogeneration(X, n):
+    """``lemma1_audit`` and ``is_cogenerated`` against the scans on C(X)
+    and on its ``thinned_copies``; returns how many spaces are
+    cogenerated."""
+    assert E.lemma1_audit(X, n) == lemma1_audit_by_scan(X, n), (X.matrix, n)
+    cogenerated = 0
+    for sub in [E.enumerate_cx(X, n), *thinned_copies(E.enumerate_cx(X, n))]:
+        got = E.is_cogenerated(sub)
+        assert got == is_cogenerated_by_scan(sub), (X.matrix, n, sub.ifuncs)
+        cogenerated += got
+    return cogenerated
+
+
+def compare_cx_levels(structures):
+    """``cx_levels`` against the filter on each (gops, structure levels);
+    returns the number of tables compared."""
+    compared = 0
+    for gops, ia in structures:
+        got = D.cx_levels(gops, ia)
+        assert got == cx_levels_by_filter(gops, ia), (gops.quantale.name, gops.n, ia)
+        compared += len(got)
+    return compared
+
+
+def cx_structures(poset_size, category_size, grids, tensors):
+    """(gops, structure levels) of every poset of size 1 to
+    ``poset_size`` and every enriched category of size 1 to
+    ``category_size``, on each closed grid Q_n, n in ``grids``, of each
+    tensor."""
+    for q in tensors:
+        for n in grids:
+            if not T.grid_closed(q, n):
+                continue
+            gops = q.grid(n)
+            for size in range(1, poset_size + 1):
+                for Q in P.all_posets(size):
+                    yield gops, D.structure_levels(Q, gops)
+            for size in range(1, category_size + 1):
+                for X in E.enumerate_enriched_categories(size, q, n):
+                    yield gops, D.structure_levels(X, gops)
+
+
+def compare_stone_checks(L):
+    """``check_sep`` and ``density_at_level`` at every grid level against
+    the member scans."""
+    space = L.space
+    assert S.check_sep(L) == check_sep_by_members(L), (space.base, space.n, L.members)
+    for u in T.GridChain(space.n).elements:
+        got = S.density_at_level(space, L, u)
+        assert got == density_at_level_by_members(space, L, u), (space.base, space.n, L.members, u)
+
+
+OP_SUBSETS = (
+    ("join", "tensor", "act"),
+    ("join",),
+    ("tensor", "act"),
+    ("join", "power"),
+    ("act", "minus"),
+    ("constants",),
+    ("join", "constants"),
+    (),
+)
+
+
+def stone_closures(sizes, grids, tensors, seed):
+    """Closures of every poset space of the given sizes and grids: from
+    the down-set indicators, from a seeded random generator set, and from
+    nothing, under each op subset of ``OP_SUBSETS``."""
+    rng = random.Random(seed)
+    for q in tensors:
+        for n in grids:
+            for size in sizes:
+                for Q in P.all_posets(size):
+                    space = D.function_space(Q, q, n)
+                    picks = rng.randint(1, min(3, space.size))
+                    seeds = (
+                        S.down_set_indicators(space),
+                        tuple(rng.sample(range(space.size), picks)),
+                        (),
+                    )
+                    for gens in seeds:
+                        for ops in OP_SUBSETS:
+                            yield S.generate_closure(space, gens, ops)
+
+
 def _outcome(check, *args):
     """The check's verdict, or the message of the ValueError it raises."""
     try:
@@ -227,5 +497,31 @@ def _full_comparison():
     print(f"{spaces} spaces, {tables} tables, {distributors} distributors: all agree")
 
 
+def _sweep_comparison():
+    tables = compare_cx_levels(
+        cx_structures(5, 3, (1, 2, 3, 4), (LUK, MIN, T.product()))
+    )
+    closures = 0
+    for sizes, grids in (((1, 2, 3), (1, 2, 3, 4)), ((4,), (1, 2))):
+        for L in stone_closures(sizes, grids, (LUK, MIN), seed=11):
+            compare_stone_checks(L)
+            closures += 1
+    categories = 0
+    for q in (LUK, MIN):
+        for size, grids in ((1, (1, 2, 3, 4)), (2, (1, 2, 3, 4)), (3, (1, 2, 3))):
+            for n in grids:
+                for X in E.enumerate_enriched_categories(size, q, n):
+                    compare_cogeneration(X, n)
+                    categories += 1
+    posets = [Q for size in range(1, 6) for Q in P.all_posets(size)]
+    for Q in posets:
+        assert P.verify_monad_laws(Q) == verify_monad_laws_by_scan(Q), Q.leq
+    print(
+        f"{tables} C(X) tables, {closures} closures, {categories} categories, "
+        f"{len(posets)} posets: all agree"
+    )
+
+
 if __name__ == "__main__":
     _full_comparison()
+    _sweep_comparison()

@@ -7,7 +7,13 @@ from itertools import product as iproduct
 
 import pytest
 
-from oracles import compare_certificates, count_by_walk, join_order_by_pairs
+from oracles import (
+    compare_certificates,
+    compare_cx_levels,
+    count_by_walk,
+    cx_structures,
+    join_order_by_pairs,
+)
 from unitcat import duality as D
 from unitcat import posets as P
 from unitcat import suites as SU
@@ -553,6 +559,14 @@ def _oracle_spaces():
         for n in (1, 2):
             for Q in P.all_posets(4):
                 yield D.function_space(Q, q, n)
+
+
+def test_cx_levels_match_the_filter():
+    # the admissible-level masks give the filter's tables in its order, on
+    # every poset of size <= 4 and every enriched category of size <= 3,
+    # on each closed grid up to n = 4 (product is closed at n = 1 only)
+    tables = compare_cx_levels(cx_structures(4, 3, (1, 2, 3, 4), (LUK, MIN, T.product())))
+    assert tables == 602_361
 
 
 def test_join_order_and_count_match_the_pair_oracles():

@@ -3,7 +3,14 @@ from itertools import product as iproduct
 
 import pytest
 
-from oracles import compare_enriched_maps, enriched_c_map_by_generator, retract_phi_by_generator
+from oracles import (
+    compare_cogeneration,
+    compare_enriched_maps,
+    enriched_c_map_by_generator,
+    lemma1_audit_by_scan,
+    retract_phi_by_generator,
+    thinned_copies,
+)
 from unitcat import duality as D
 from unitcat import enriched as E
 from unitcat import posets as P
@@ -116,6 +123,32 @@ def test_cogeneration():
     for size in (1, 2, 3):
         for Q in P.all_posets(size):
             assert E.is_cogenerated(E.enumerate_cx(VC.from_poset(Q, LUK), 2))
+
+
+def test_cogeneration_and_recovery_match_the_scans(monkeypatch):
+    # the level-mask readings equal the scans over every function, on each
+    # C(X) and on thinned copies of it, which are mostly not cogenerated;
+    # lemma1 on a thinned copy (taken as cogenerated) reports the scan's
+    # failures
+    cogenerated = failing = 0
+    for q in (LUK, T.minimum()):
+        for size, n in ((1, 3), (2, 3), (3, 2)):
+            for X in E.enumerate_enriched_categories(size, q, n):
+                cogenerated += compare_cogeneration(X, n)
+                for sub in thinned_copies(E.enumerate_cx(X, n)):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(E, "enumerate_cx", lambda X, n: sub)
+                        patch.setattr(E, "is_cogenerated", lambda space: True)
+                        report = E.lemma1_audit(X, n)
+                        assert report == lemma1_audit_by_scan(X, n), (X.matrix, sub.ifuncs)
+                        failing += not report.passed
+    # 455 categories, each C(X) cogenerated, and 254 of the thinned copies
+    assert cogenerated == 455 + 254 and failing > 0
+    # categories with two equivalent points: the infimum holds, the
+    # separation fails
+    for rows in ([[1, 1], [1, 1]], [[1, 1, "1/2"], [1, 1, "1/2"], [0, 0, 1]]):
+        X = VC.vcategory(LUK, rows)
+        assert not VC.is_separated(X) and compare_cogeneration(X, 2) == 0
 
 
 def test_cogeneration_fails_on_truncated_space():

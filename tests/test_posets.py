@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from oracles import verify_monad_laws_by_scan
 from test_duality import _up_to_isomorphism
 
 from unitcat import posets as P
@@ -68,6 +69,15 @@ def test_monad_laws_small_sweep():
     for n in range(1, 4):
         for Q in P.all_posets(n):
             assert P.verify_monad_laws(Q).passed
+
+
+def test_monad_laws_match_the_scan_oracle():
+    # unions from lower covers and Ve from the principals give the reports
+    # of the member-by-member scans on every poset of size <= 5
+    posets = [Q for size in range(1, 6) for Q in P.all_posets(size)]
+    assert len(posets) == 4473
+    for Q in posets:
+        assert P.verify_monad_laws(Q) == verify_monad_laws_by_scan(Q), Q.leq
 
 
 def test_monad_laws_at_the_five_antichain():

@@ -71,6 +71,13 @@ CONFIGS = (
     # all 242 posets of size <= 4: the scan whose cut is decided on J for
     # every survivor
     ("representability", "lukasiewicz", 3, 4, 1000, None),
+    # the benchmark's sweep runs (its lemma1 min g2 m3 is pinned above):
+    # closures, separation and density on masks, C(X) by admissible
+    # levels, the monad-law unions from lower covers
+    ("stone-weierstrass", "lukasiewicz", 2, 4, 1000, None),
+    ("stone-weierstrass", "min", 2, 4, 1000, None),
+    ("lemma1", "lukasiewicz", 2, 3, 1000, None),
+    ("monad-laws", "lukasiewicz", 2, 4, 1000, None),
 )
 
 DIGESTS = {
@@ -213,6 +220,22 @@ DIGESTS = {
     "representability lukasiewicz g3 m4 c1000": (
         "0808b8f4047e94a6ecf19475cd2514eeee7770d80b022394f64906d10740a68c",
         "7eda7d36bd583ae8b4128b519dc2848ee1abc3d3d6bdf02ef26486507c27586c",
+    ),
+    "stone-weierstrass lukasiewicz g2 m4 c1000": (
+        "8e7050211632701474af9d1a504ac3d1877e47247c6aca5f2bc005a5a76f8ed2",
+        "7276ab7db36e3d70ae1fa3886fa3f4366e5ccc28d56c832bdc5e9affb2e714a7",
+    ),
+    "stone-weierstrass min g2 m4 c1000": (
+        "03b70a4ee0afbe83a733d51e20a8227ac35345fd274d49646b7db502db8125fd",
+        "90bfe6ea2d7c75403269050b02f4b8d52b3f999c679c9b93451f668500a9bad9",
+    ),
+    "lemma1 lukasiewicz g2 m3 c1000": (
+        "806b19a15379cf7117b544978b6252c1a2fed2d1d02b6915c07d98915b87cd2a",
+        "d41d1f26dda5e3f7090d4a20e3333671e2a23e4489e6f14cf59b124f9b9b87a0",
+    ),
+    "monad-laws lukasiewicz g2 m4 c1000": (
+        "2d765cd6f8389e1b11069587ae7318edcb4253421e8d391213199f91f5e15590",
+        "5d8898aa2e1d899da1c295b10ae971201cdeb527859e9333649faf7e1a912c9d",
     ),
 }
 
