@@ -70,7 +70,7 @@ class FunctionSpace:
         return len(self.ifuncs)
 
     @cached_property
-    def structure(self) -> Sequence[Sequence[int]]:
+    def structure(self) -> list[list[int]]:
         """The base's structure levels, read on first use; ``cx_space``
         sets them from the levels it enumerated the space by."""
         return structure_levels(self.base, self.gops)
@@ -146,13 +146,14 @@ class FunctionSpace:
 
     @cached_property
     def level_masks(self) -> tuple[tuple[int, ...], ...]:
-        """For each point x and level l, the bitmask over the enumeration
-        of the functions f with f(x) = l; built on first read and kept."""
+        """For each point x of the base and level l, the bitmask over the
+        enumeration of the functions f with f(x) = l (all 0 in a space
+        with no functions); built on first read and kept."""
         out = []
-        for column in self.point_columns:
+        for x in range(self.base.size):
             masks = [0] * (self.n + 1)
-            for i, a in enumerate(column):
-                masks[a] |= 1 << i
+            for i, f in enumerate(self.ifuncs):
+                masks[f[x]] |= 1 << i
             out.append(tuple(masks))
         return tuple(out)
 
@@ -337,16 +338,13 @@ class FunctionSpace:
         return table
 
 
-def structure_levels(base, gops: GridOps) -> Sequence[Sequence[int]]:
+def structure_levels(base, gops: GridOps) -> list[list[int]]:
     """The structure of a carrier as grid levels, row x, column y: n where
-    x <= y in a FinPoset and 0 elsewhere, a(x, y) in a category, read off
-    the category's ``grid_levels`` when it keeps them for this grid."""
+    x <= y in a FinPoset and 0 elsewhere, a(x, y) in a category."""
     m = base.size
-    n = gops.n
     if isinstance(base, FinPoset):
+        n = gops.n
         return [[n if base.leq[x][y] else 0 for y in range(m)] for x in range(m)]
-    if base.grid_levels is not None and base.grid_levels[0] == n:
-        return base.grid_levels[1]
     return [[gops.index(base.a(x, y)) for y in range(m)] for x in range(m)]
 
 

@@ -25,7 +25,7 @@ from .duality import (
 )
 from .reports import CheckReport
 from .tnorms import GridOps, Quantale
-from .values import format_value
+from .values import ONE, format_value
 from .vcat import VCategory, is_poset_based, is_separated, validate_vcategory
 
 
@@ -388,11 +388,10 @@ def enumerate_enriched_categories(size: int, q: Quantale, n: int) -> Iterator[VC
 
     Fractions are built only for the categories yielded, and each is
     checked again by ``validate_vcategory`` and ``is_separated``; a
-    disagreement raises RuntimeError.  Each keeps its level matrix as
-    ``grid_levels``, which its function spaces read.  The grid must be closed.
+    disagreement raises RuntimeError.  The grid must be closed.
     """
     gops = q.grid(n)
-    tt = gops.tensor_t
+    tt, values = gops.tensor_t, gops.values
     cells = [(x, y) for x in range(size) for y in range(size) if x != y]
     position = {cell: p for p, cell in enumerate(cells)}
     converse = [position[y, x] for x, y in cells]
@@ -409,7 +408,7 @@ def enumerate_enriched_categories(size: int, q: Quantale, n: int) -> Iterator[VC
 
     def extend(p: int):
         if p == len(cells):
-            yield _checked_category(gops, size, cells, level)
+            yield _checked_category(q, values, size, cells, level)
             return
         c = converse[p]
         for v in range(n + 1):
@@ -422,18 +421,11 @@ def enumerate_enriched_categories(size: int, q: Quantale, n: int) -> Iterator[VC
     return extend(0)
 
 
-def _checked_category(gops: GridOps, size: int, cells, level) -> VCategory:
-    """The category of a level matrix, keeping its levels, once the axiom
-    check accepts its Fractions."""
-    levels = [[gops.n] * size for _ in range(size)]
+def _checked_category(q: Quantale, values, size: int, cells, level) -> VCategory:
+    matrix = [[ONE] * size for _ in range(size)]
     for (x, y), v in zip(cells, level):
-        levels[x][y] = v
-    values = gops.values
-    X = VCategory(
-        gops.quantale,
-        tuple(tuple(values[v] for v in row) for row in levels),
-        (gops.n, tuple(map(tuple, levels))),
-    )
+        matrix[x][y] = values[v]
+    X = VCategory(q, tuple(tuple(row) for row in matrix))
     if not (validate_vcategory(X).passed and is_separated(X)):
         raise RuntimeError(f"level search yielded a matrix the axiom check refuses: {X.matrix}")
     return X

@@ -34,23 +34,26 @@ DEGENERACY_NOTE = (
 class SubStructure:
     """A generated subset of a function space, with what generated it.
 
-    ``members`` are the closure's function indices, ascending, and
-    ``mask`` the same set as a bitmask over the enumeration.  ``trace``
-    is the generation trace of the worklist over all the ops
-    (``_worklist``): one line per member, in the order the worklist
-    reaches it.  It is replayed from the generators and ops on first
-    read and kept, so a closure under join whose trace is never read
-    never pairs its members by join.
+    ``mask`` is the closure as a bitmask over the enumeration, and
+    ``members`` its function indices, ascending, read off the mask on
+    first use.  ``trace`` is the generation trace of the worklist over
+    all the ops (``_worklist``): one line per member, in the order the
+    worklist reaches it.  It is replayed from the generators and ops on
+    first read and kept, so a closure under join whose trace is never
+    read never pairs its members by join.
     """
 
     space: FunctionSpace
-    members: tuple[int, ...]
     mask: int
     generators: tuple[int, ...]
     ops: frozenset[str]
 
     def __contains__(self, i: int) -> bool:
         return i >= 0 and self.mask >> i & 1 == 1
+
+    @cached_property
+    def members(self) -> tuple[int, ...]:
+        return mask_elements(self.mask)
 
     @cached_property
     def trace(self) -> tuple[str, ...]:
@@ -83,8 +86,7 @@ def generate_closure(
     joins, and the join-closure of T is closed under all of them (the
     space itself is join-closed).  So with join among the ops the members
     are the joins of nonempty subsets of T, found by per-point level
-    bitmasks (``_join_closure``), which give the member mask; without it
-    they are T.
+    bitmasks (``_join_closure``); without it they are T.
 
     A reached pair whose tensor leaves the space raises ValueError naming
     the first such pair the worklist over all the ops reaches.  A pair
@@ -100,12 +102,8 @@ def generate_closure(
     except ValueError:
         _worklist(space, generators, ops)  # raises, naming its own first pair
         raise
-    if "join" in ops:
-        mask = _join_closure(space, T)
-        members = mask_elements(mask)
-    else:
-        members, mask = T, sum(1 << t for t in T)
-    return SubStructure(space, members, mask, generators, ops)
+    mask = _join_closure(space, T) if "join" in ops else sum(1 << t for t in T)
+    return SubStructure(space, mask, generators, ops)
 
 
 def _join_closure(space: FunctionSpace, T: Sequence[int]) -> int:

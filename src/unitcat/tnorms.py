@@ -115,7 +115,6 @@ class Quantale:
     unit: Fraction = ONE
     bottom: Fraction = ZERO
     _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _tensors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def name(self) -> str:
@@ -131,14 +130,6 @@ class Quantale:
 
     def tensor(self, u: Fraction, v: Fraction) -> Fraction:
         return self.tnorm.tensor(u, v)
-
-    def kept_tensor(self, u: Fraction, v: Fraction) -> Fraction:
-        """u tensor v, computed on first use per pair and kept on this
-        quantale."""
-        w = self._tensors.get((u, v))
-        if w is None:
-            w = self._tensors[u, v] = self.tnorm.tensor(u, v)
-        return w
 
     def hom(self, u: Fraction, v: Fraction) -> Fraction:
         return self.tnorm.hom(u, v)
@@ -268,6 +259,7 @@ class GridOps:
         self.quantale = q
         self.n = n
         self.values = GridChain(n).elements
+        self._levels = {v: i for i, v in enumerate(self.values)}
         try:
             self.tensor_t = [
                 [self.index(q.tensor(u, v)) for v in self.values] for u in self.values
@@ -285,10 +277,11 @@ class GridOps:
         self.spaces: list = []
 
     def index(self, v: Fraction) -> int:
-        iv = v * self.n
-        if iv.denominator != 1 or not 0 <= iv <= self.n:
+        """The level of the grid point v, looked up among ``values``."""
+        i = self._levels.get(v)
+        if i is None:
             raise GridNotClosed(f"{v} is not a point of Q_{self.n}")
-        return iv.numerator
+        return i
 
     def value(self, i: int) -> Fraction:
         return self.values[i]

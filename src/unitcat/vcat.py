@@ -6,9 +6,8 @@ grid whenever an exhaustive suite runs, arbitrary rationals otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .posets import FinPoset
 from .reports import CheckReport
@@ -18,16 +17,8 @@ from .values import ONE, ZERO, as_value, format_value
 
 @dataclass(frozen=True)
 class VCategory:
-    """A structure matrix over a quantale.  ``grid_levels`` is (n, the
-    matrix as levels of Q_n) when it was built from grid levels, so the
-    function spaces read them without converting the Fractions back; it
-    takes no part in equality."""
-
     quantale: Quantale
     matrix: tuple[tuple[Fraction, ...], ...]
-    grid_levels: Optional[tuple[int, tuple[tuple[int, ...], ...]]] = field(
-        default=None, compare=False, repr=False
-    )
 
     @property
     def size(self) -> int:
@@ -50,10 +41,10 @@ def validate_vcategory(X: VCategory) -> CheckReport:
     """Reflexivity (a(x,x) = 1) and the tensor triangle inequality, on
     every point and triple, in the quantale's exact Fraction tensor and
     order.  The matrix is read as positions of its distinct values, and
-    each pair of those is tensored once per quantale
-    (``Quantale.kept_tensor``)."""
+    each pair of those is tensored once per call."""
     failures = []
     checked = 0
+    q = X.quantale
     matrix = X.matrix
     for x in range(X.size):
         checked += 1
@@ -62,7 +53,7 @@ def validate_vcategory(X: VCategory) -> CheckReport:
     position: dict[Fraction, int] = {}
     rows = [[position.setdefault(v, len(position)) for v in row] for row in matrix]
     values = list(position)
-    tensors = [[X.quantale.kept_tensor(u, v) for v in values] for u in values]
+    tensors = [[q.tensor(u, v) for v in values] for u in values]
     for x, row in enumerate(rows):
         for y, i in enumerate(row):
             for z, j in enumerate(rows[y]):

@@ -7,6 +7,7 @@ from oracles import (
     compare_cogeneration,
     compare_enriched_maps,
     enriched_c_map_by_generator,
+    is_cogenerated_by_scan,
     lemma1_audit_by_scan,
     retract_phi_by_generator,
     thinned_copies,
@@ -149,6 +150,18 @@ def test_cogeneration_and_recovery_match_the_scans(monkeypatch):
     for rows in ([[1, 1], [1, 1]], [[1, 1, "1/2"], [1, 1, "1/2"], [0, 0, 1]]):
         X = VC.vcategory(LUK, rows)
         assert not VC.is_separated(X) and compare_cogeneration(X, 2) == 0
+    # spaces with no functions, which have all-zero level masks: every
+    # third function from the third of the two-function C(ONE) at n = 1,
+    # and none of C(HALF_PAIR)
+    for X, n, cut in ((ONE, 1, slice(2, None, 3)), (HALF_PAIR, 2, slice(0))):
+        space = E.enumerate_cx(X, n)
+        empty = D.FunctionSpace(X, space.gops, space.ifuncs[cut])
+        assert empty.size == 0
+        assert E.is_cogenerated(empty) == is_cogenerated_by_scan(empty)
+        with monkeypatch.context() as patch:
+            patch.setattr(E, "enumerate_cx", lambda X, n: empty)
+            patch.setattr(E, "is_cogenerated", lambda space: True)
+            assert E.lemma1_audit(X, n) == lemma1_audit_by_scan(X, n)
 
 
 def test_cogeneration_fails_on_truncated_space():

@@ -127,6 +127,11 @@ def test_separation_and_density_match_the_member_scans():
         ]
         closures += 1
     assert closures == 2 * 3 * (1 + 3 + 19) * 3 * 8
+    # a space with no functions: no pair has a separator, and density
+    # holds exactly
+    space = D.function_space(P.antichain(2), LUK, 1)
+    empty = D.FunctionSpace(space.base, space.gops, ())
+    compare_stone_checks(S.SubStructure(empty, 0, (), frozenset()))
 
 
 def test_sep_premise_audit_sweep():
