@@ -1,7 +1,7 @@
 """Tensor arithmetic on the unit interval, exactly.
 
 Walks through the three basic continuous t-norms and an ordinal sum,
-their residuals, idempotent/nilpotent structure, and the exhaustive
+their residuals, nilpotent structure, and the exhaustive
 axiom sweeps that back every other demo.
 """
 
@@ -11,16 +11,12 @@ from unitcat import (
     GridChain,
     SampleSpec,
     grid_closed,
-    hom,
-    is_idempotent,
     is_nilpotent,
     lukasiewicz,
     minimum,
     no_zero_divisor_audit,
     ordinal_sum,
     product,
-    tensor,
-    truncated_minus,
     verify_quantale_axioms,
     verify_quantale_axioms_sampled,
 )
@@ -29,18 +25,16 @@ from unitcat.tnorms import Lukasiewicz
 luk, mini, prod = lukasiewicz(), minimum(), product()
 
 print("== tensors and residuals ==")
-print("lukasiewicz: 7/10 (x) 6/10 =", tensor(luk, F(7, 10), F(6, 10)))
-print("product hom: hom(1/2, 1/4) =", hom(prod, F(1, 2), F(1, 4)))
-print("minimum hom: hom(1/4, 1/2) =", hom(mini, F(1, 4), F(1, 2)))
-print("truncated minus: 8/10 - 5/10 =", truncated_minus(F(8, 10), F(5, 10)))
+print("lukasiewicz: 7/10 (x) 6/10 =", luk.tensor(F(7, 10), F(6, 10)))
+print("product hom: hom(1/2, 1/4) =", prod.hom(F(1, 2), F(1, 4)))
+print("minimum hom: hom(1/4, 1/2) =", mini.hom(F(1, 4), F(1, 2)))
 
 print("\n== an ordinal sum: lukasiewicz rescaled onto [1/4, 3/4] ==")
 osum = ordinal_sum((F(1, 4), F(3, 4), Lukasiewicz()))
-print("inside the segment: 1/2 (x) 5/8 =", tensor(osum, F(1, 2), F(5, 8)))
-print("straddling it:      1/8 (x) 7/8 =", tensor(osum, F(1, 8), F(7, 8)), "(minimum)")
+print("inside the segment: 1/2 (x) 5/8 =", osum.tensor(F(1, 2), F(5, 8)))
+print("straddling it:      1/8 (x) 7/8 =", osum.tensor(F(1, 8), F(7, 8)), "(minimum)")
 
-print("\n== idempotents and nilpotents ==")
-print("every value is idempotent for minimum:", is_idempotent(mini, F(2, 7)))
+print("\n== nilpotents ==")
 print("1/2 is nilpotent for lukasiewicz:", is_nilpotent(luk, F(1, 2)))
 print("3/4 needs four factors:", is_nilpotent(luk, F(3, 4)))
 print("no nilpotents under multiplication:", is_nilpotent(prod, F(1, 2)))

@@ -22,7 +22,7 @@ from unitcat import (
     representability_audit,
     zero_set,
 )
-from unitcat.duality import join_homomorphisms, join_irreducibles, passes_cut
+from unitcat.duality import join_homomorphisms, passes_cut
 from unitcat.posets import chain, mask_elements, upper_sets
 
 luk = lukasiewicz()
@@ -43,7 +43,7 @@ for a in upper_sets(c2):
     )
 
 print("\n== flagship scan: the cut over the join-irreducibles ==")
-irreducibles = join_irreducibles(cx)
+irreducibles = cx.join_order[0]
 candidates = list(join_homomorphisms(cx))
 print(
     f"join-irreducibles {irreducibles}: {len(candidates)} join-preserving"

@@ -3,7 +3,9 @@
 Closes the down-set indicators of the 2-chain under join, tensor and the
 interval action; the closure is the whole six-function space, so the
 separation condition and density at level (n-1)/n come for free.  A
-constants-only substructure shows both checks failing honestly.
+constants-only substructure shows both checks failing honestly.  A
+closure is shown by its members: the library keeps no generation trace
+and no audit of the separation lemmas' premises.
 """
 
 from fractions import Fraction as F
@@ -18,7 +20,6 @@ from unitcat import (
     sw_audit,
 )
 from unitcat.posets import all_posets, chain
-from unitcat.stone import sep_premise_audit
 
 luk = lukasiewicz()
 c2 = chain(2)
@@ -28,9 +29,6 @@ print("== closing the down-set indicators ==")
 gens = down_set_indicators(cx)
 L = generate_closure(cx, gens, ("join", "tensor", "act"))
 print(f"{len(gens)} generators close to {len(L.members)} of {cx.size} functions")
-print("trace:")
-for line in L.trace:
-    print("  ", line)
 
 print("\n== separation and density ==")
 print(check_sep(L).summary())
@@ -40,11 +38,6 @@ print("\n== constants alone separate nothing ==")
 consts = generate_closure(cx, [], ("constants",))
 print(check_sep(consts).summary())
 print(density_at_level(cx, consts, F(1, 2)).summary())
-
-print("\n== premise audit: monoid + powers + initial cone force separation ==")
-L2 = generate_closure(cx, gens, ("tensor", "power"))
-for note in sep_premise_audit(L2).notes:
-    print("  ", note)
 
 print("\n== end-to-end audit across every poset on <= 3 points ==")
 for size in (1, 2, 3):

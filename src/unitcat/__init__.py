@@ -15,16 +15,12 @@ from .tnorms import (
     Quantale,
     SampleSpec,
     grid_closed,
-    hom,
-    is_idempotent,
     is_nilpotent,
     lukasiewicz,
     minimum,
     no_zero_divisor_audit,
     ordinal_sum,
     product,
-    tensor,
-    truncated_minus,
     verify_quantale_axioms,
     verify_quantale_axioms_sampled,
 )
@@ -33,7 +29,6 @@ from .posets import (
     all_posets,
     antichain,
     chain,
-    down_closure,
     is_irreducible,
     kleisli_compose,
     poset,
@@ -61,7 +56,6 @@ from .duality import (
     count_join_homomorphisms,
     function_space,
     join_homomorphisms,
-    join_irreducibles,
     phi_of,
     representability_audit,
     total_partial_audit,
@@ -73,7 +67,6 @@ from .stone import (
     density_at_level,
     down_set_indicators,
     generate_closure,
-    sep_premise_audit,
     sw_audit,
 )
 from .enriched import (

@@ -627,12 +627,6 @@ def passes_cut(space: FunctionSpace, itable, drop_tenlax: bool = False) -> bool:
     return certify(space, itable, conditions)
 
 
-def join_irreducibles(space: FunctionSpace) -> tuple[int, ...]:
-    """Indices of the join-irreducible functions, ascending: every
-    non-bottom index that is not the join of two indices other than itself."""
-    return space.join_order[0]
-
-
 def join_homomorphisms(
     space: FunctionSpace, conditions: Sequence[str] = ()
 ) -> Iterator[tuple[int, ...]]:
@@ -829,7 +823,7 @@ def representability_audit(P: FinPoset, q: Quantale, n: int) -> CheckReport:
     ]
     note = (
         f"exhaustive scan of {checked} join-preserving functionals "
-        f"(|J| = {len(join_irreducibles(space))}, {n + 1}^{space.size} grid tables)"
+        f"(|J| = {len(space.join_order[0])}, {n + 1}^{space.size} grid tables)"
     )
     for itable in passing:
         if itable not in expected:

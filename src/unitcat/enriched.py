@@ -21,7 +21,6 @@ from .duality import (
     cx_levels,
     cx_space,
     join_homomorphisms,
-    join_irreducibles,
 )
 from .reports import CheckReport
 from .tnorms import GridOps, Quantale
@@ -44,10 +43,6 @@ def enumerate_cx(X: VCategory, n: int) -> FunctionSpace:
     mutated.
     """
     return cx_space(X, X.quantale.grid(n))
-
-
-def representable_index(space: FunctionSpace, x: int) -> int:
-    return space.iindex[tuple(row[x] for row in space.structure)]
 
 
 def is_cogenerated(space: FunctionSpace) -> bool:
@@ -209,7 +204,7 @@ def adjunction_audit(X: VCategory, n: int) -> CheckReport:
         findings.append(f"fullness gap: max {max_gap}/{n} grid steps")
     note = (
         f"fullness direction max gap {max_gap}/{n} over {scanned} join-preserving "
-        f"tables (|J| = {len(join_irreducibles(space))}, {n + 1}^{space.size} grid tables)"
+        f"tables (|J| = {len(space.join_order[0])}, {n + 1}^{space.size} grid tables)"
     )
     return CheckReport(
         name="enriched-adjunction",

@@ -69,14 +69,6 @@ def _point_ups(leq: tuple[tuple[bool, ...], ...]) -> tuple[int, ...]:
     )
 
 
-@lru_cache(maxsize=None)
-def _point_downs(leq: tuple[tuple[bool, ...], ...]) -> tuple[int, ...]:
-    n = len(leq)
-    return tuple(
-        sum(1 << y for y in range(n) if leq[y][x]) for x in range(n)
-    )
-
-
 def up_closure(P: FinPoset, members: Iterable[int] | int) -> int:
     """Least upper set containing the given elements (bitmask in, bitmask out)."""
     mask = members if isinstance(members, int) else _to_mask(members)
@@ -85,17 +77,6 @@ def up_closure(P: FinPoset, members: Iterable[int] | int) -> int:
     while mask:
         x = (mask & -mask).bit_length() - 1
         out |= ups[x]
-        mask &= mask - 1
-    return out
-
-
-def down_closure(P: FinPoset, members: Iterable[int] | int) -> int:
-    mask = members if isinstance(members, int) else _to_mask(members)
-    downs = _point_downs(P.leq)
-    out = 0
-    while mask:
-        x = (mask & -mask).bit_length() - 1
-        out |= downs[x]
         mask &= mask - 1
     return out
 
@@ -214,10 +195,12 @@ def verify_monad_laws(P: FinPoset) -> CheckReport:
 
     Associativity is checked on the principal members of the triple space
     plus the empty one; both composites preserve unions and every member
-    is a union of principals, so this covers all of it.  The unions over
-    each principal come from ``_principal_unions``, and those of ``mult_map``
-    from one lower cover each.  The m.Ve check ORs, per member, the masks of
-    the members inside each of its points' principal up-sets.
+    is a union of principals, so this covers all of it.  At the principal
+    of s, m . mV reads m_x[s]: the union of the members t <= s of VVX is s
+    itself.  m . Vm reads the union of their images under V(m), from
+    ``_principal_unions``.  The unions of ``mult_map`` come from one lower
+    cover each.  The m.Ve check ORs, per member, the masks of the members
+    inside each of its points' principal up-sets.
     """
     failures = []
     checked = 0
@@ -247,10 +230,10 @@ def verify_monad_laws(P: FinPoset) -> CheckReport:
 
     # m . mV = m . Vm on principal members of VVVX, then the empty one,
     # where both unions are empty.
-    flat, mapped = _principal_unions(V, m_x, principals)
-    for seed in flat:
+    mapped = _principal_unions(V, m_x, principals)
+    for seed, union in mapped.items():
         checked += 1
-        if m_x[flat[seed]] != m_x[mapped[seed]]:
+        if m_x[seed] != m_x[union]:
             failures.append(f"associativity fails at principal of {seed}")
     checked += 1
     return CheckReport(
@@ -261,9 +244,9 @@ def verify_monad_laws(P: FinPoset) -> CheckReport:
 
 
 def _principal_unions(V: VietorisSpace, m_x: dict[int, int], principals: list[int]):
-    """For each member s of VVX, ascending: the union of the members t <= s
-    of VVX (``flat``) and the union of their images under V(m) (``mapped``),
-    the two sides of associativity at the principal of s in VVVX.
+    """For each member s of VVX, ascending: the union of the images under
+    V(m) of the members t <= s of VVX, the m . Vm side of associativity at
+    the principal of s in VVVX.
 
     The t <= s are s itself and those below a lower cover s - {e}, for e
     minimal in s; each cover is a smaller mask, done before s.  V(m) sends
@@ -275,21 +258,17 @@ def _principal_unions(V: VietorisSpace, m_x: dict[int, int], principals: list[in
         for a in V.members
     ]
     principal_of = dict(zip(V.members, principals))
-    flat: dict[int, int] = {}
     mapped: dict[int, int] = {}
     for s in upper_sets(V.poset):
-        f, g = s, principal_of[m_x[s]]
+        g = principal_of[m_x[s]]
         rest = s
         while rest:
             e = (rest & -rest).bit_length() - 1
             rest &= rest - 1
             if not s & strictly_below[e]:
-                t = s ^ 1 << e
-                f |= flat[t]
-                g |= mapped[t]
-        flat[s] = f
+                g |= mapped[s ^ 1 << e]
         mapped[s] = g
-    return flat, mapped
+    return mapped
 
 
 def _principal_in_vx(V: VietorisSpace, i: int) -> int:
@@ -302,26 +281,6 @@ def _principal_in_vx(V: VietorisSpace, i: int) -> int:
     return out
 
 
-def kleisli_identity(P: FinPoset) -> tuple[tuple[int, ...], ...]:
-    """The identity continuous distributor on a poset is its order relation."""
-    return tuple(tuple(int(v) for v in row) for row in P.leq)
-
-
-def is_continuous_distributor(phi, P: FinPoset, R: FinPoset) -> bool:
-    """0/1 relation X -|-> Y: down-closed in X, up-closed in Y."""
-    for x in range(P.size):
-        for y in range(R.size):
-            if not phi[x][y]:
-                continue
-            for x2 in range(P.size):
-                if P.leq[x2][x] and not phi[x2][y]:
-                    return False
-            for y2 in range(R.size):
-                if R.leq[y][y2] and not phi[x][y2]:
-                    return False
-    return True
-
-
 def kleisli_compose(phi2, phi1) -> tuple[tuple[int, ...], ...]:
     """Relational composite of continuous distributors (phi2 after phi1).
 
@@ -331,13 +290,6 @@ def kleisli_compose(phi2, phi1) -> tuple[tuple[int, ...], ...]:
     zero = (0,) * len(phi2[0]) if phi2 else ()
     return tuple(
         tuple(map(max, zero, zero, *compress(phi2, row1))) for row1 in phi1
-    )
-
-
-def graph_distributor(f, P: FinPoset, R: FinPoset) -> tuple[tuple[int, ...], ...]:
-    """The continuous distributor of a monotone map: x phi y iff f(x) <= y."""
-    return tuple(
-        tuple(int(R.leq[f[x]][y]) for y in range(R.size)) for x in range(P.size)
     )
 
 

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 from .duality import FunctionSpace, function_space
 from .posets import FinPoset, mask_elements
 from .reports import CheckReport
-from .tnorms import Lukasiewicz, Minimum, Product, Quantale
+from .tnorms import Quantale
 from .values import format_value
 
 KNOWN_OPS = ("join", "tensor", "act", "power", "minus", "constants")
@@ -32,21 +32,15 @@ DEGENERACY_NOTE = (
 
 @dataclass(frozen=True)
 class SubStructure:
-    """A generated subset of a function space, with what generated it.
+    """A generated subset of a function space.
 
-    ``mask`` is the closure as a bitmask over the enumeration, and
+    ``mask`` is the subset as a bitmask over the enumeration, and
     ``members`` its function indices, ascending, read off the mask on
-    first use.  ``trace`` is the generation trace of the worklist over
-    all the ops (``_worklist``): one line per member, in the order the
-    worklist reaches it.  It is replayed from the generators and ops on
-    first read and kept, so a closure under join whose trace is never
-    read never pairs its members by join.
+    first use.
     """
 
     space: FunctionSpace
     mask: int
-    generators: tuple[int, ...]
-    ops: frozenset[str]
 
     def __contains__(self, i: int) -> bool:
         return i >= 0 and self.mask >> i & 1 == 1
@@ -54,10 +48,6 @@ class SubStructure:
     @cached_property
     def members(self) -> tuple[int, ...]:
         return mask_elements(self.mask)
-
-    @cached_property
-    def trace(self) -> tuple[str, ...]:
-        return _worklist(self.space, self.generators, self.ops)[1]
 
 
 def down_set_indicators(space: FunctionSpace) -> tuple[int, ...]:
@@ -98,12 +88,12 @@ def generate_closure(
         raise ValueError(f"unknown closure ops {sorted(unknown)}")
     generators, ops = tuple(generators), frozenset(ops)
     try:
-        T = _worklist(space, generators, ops - {"join"})[0]
+        T = _worklist(space, generators, ops - {"join"})
     except ValueError:
         _worklist(space, generators, ops)  # raises, naming its own first pair
         raise
     mask = _join_closure(space, T) if "join" in ops else sum(1 << t for t in T)
-    return SubStructure(space, mask, generators, ops)
+    return SubStructure(space, mask)
 
 
 def _join_closure(space: FunctionSpace, T: Sequence[int]) -> int:
@@ -135,66 +125,54 @@ def _join_closure(space: FunctionSpace, T: Sequence[int]) -> int:
     return members
 
 
-def _worklist(
-    space: FunctionSpace, generators, ops
-) -> tuple[tuple[int, ...], tuple[str, ...]]:
-    """The members, ascending, and trace of the closure under ``ops`` by
-    one worklist.
+def _worklist(space: FunctionSpace, generators, ops) -> tuple[int, ...]:
+    """The members, ascending, of the closure under ``ops`` by one worklist.
 
     Each member meets itself and every earlier member, by one
     ``pair_indices`` row gather per binary op (join, then tensor), then
-    the unary tables.  New results join in operand order; the trace
-    records one line per new member: operation, operand indices, result
-    index.  A reached pair whose tensor leaves the space raises
-    ValueError naming the first such pair.  On a ``tensor_closed`` space
-    the worklist stops once every function is a member: nothing new can
-    be reached and no tensor can escape.  Any other space is scanned to
-    the end, so an escaping pair is still found.
+    the unary tables.  New results join in operand order.  A reached pair
+    whose tensor leaves the space raises ValueError naming the first such
+    pair.  On a ``tensor_closed`` space the worklist stops once every
+    function is a member: nothing new can be reached and no tensor can
+    escape.  Any other space is scanned to the end, so an escaping pair
+    is still found.
     """
     members: list[int] = []
     seen = set()
-    trace = []
 
-    def add(i: int, how: str):
+    def add(i: int):
         if i not in seen:
             seen.add(i)
             members.append(i)
-            trace.append(f"{how} -> f{i}")
 
     for g in generators:
-        add(g, "generator")
+        add(g)
     if "constants" in ops:
-        add(space.constant_index(0), "constant 0")
-        add(space.constant_index(space.n), "constant 1")
+        add(space.constant_index(0))
+        add(space.constant_index(space.n))
     if "tensor" in ops:
-        add(space.top_index, "monoid unit")
+        add(space.top_index)
 
     tables = {"join": space.gops.join_t, "tensor": space.gops.tensor_t}
-    binary = [(op, tables[op]) for op in ("join", "tensor") if op in ops]
-    unary = [(op, space.unary_ops(op)) for op in ("act", "power", "minus") if op in ops]
-    n = space.n
+    binary = [tables[op] for op in ("join", "tensor") if op in ops]
+    unary = [space.unary_ops(op) for op in ("act", "power", "minus") if op in ops]
+    levels = range(space.n + 1)
     full = space.size if space.tensor_closed else None
     # members grows while it is walked: it is the worklist
     for k, i in enumerate(members):
         if len(members) == full:
             break
-        for op, table in binary:
+        for table in binary:
             js = members[: k + 1]
             for j, r in zip(js, space.pair_indices(table, i, js)):
                 if r not in seen:
                     if r < 0:
-                        raise _tensor_escape(i, j)
-                    add(r, f"{op}(f{i},f{j})")
-        for u in range(n + 1):
-            for op, table in unary:
-                r = table[u][i]
-                if r not in seen:
-                    add(r, f"act({u}/{n},f{i})" if op == "act" else f"{op}(f{i},{u}/{n})")
-    return tuple(sorted(members)), tuple(trace)
-
-
-def _tensor_escape(i: int, j: int) -> ValueError:
-    return ValueError(f"tensor of f{i} and f{j} leaves the function space")
+                        raise ValueError(f"tensor of f{i} and f{j} leaves the function space")
+                    add(r)
+        for u in levels:
+            for table in unary:
+                add(table[u][i])
+    return tuple(sorted(members))
 
 
 def check_sep(L: SubStructure) -> CheckReport:
@@ -268,86 +246,6 @@ def density_at_level(
         failures=tuple(failures),
         notes=tuple(notes),
     )
-
-
-def sep_premise_audit(L: SubStructure) -> CheckReport:
-    """Premises of the separation lemmas, then the implication itself.
-
-    For the Lukasiewicz tensor: closure under the monoid structure and
-    powers, plus an initial cone, forces separation.  For multiplication:
-    closure under powers and truncated minus, plus an initial cone.  If a
-    premise fails the implication is reported vacuous, not failed.
-    """
-    space = L.space
-    tn = space.quantale.tnorm
-    if isinstance(tn, Lukasiewicz):
-        required = ("tensor", "power")
-    elif isinstance(tn, Product):
-        required = ("power", "minus")
-    elif isinstance(tn, Minimum):
-        return CheckReport(
-            name="sep-premises",
-            checked=0,
-            notes=("separation lemmas do not cover the minimum tensor",),
-        )
-    else:
-        required = ("tensor", "power")
-    notes = []
-    failures = []
-    closed = _closed_under(L, required)
-    if closed is not None:
-        notes.append(f"premise fails: not closed under {closed}")
-    initial = _initial_cone(L)
-    if not initial:
-        notes.append("premise fails: cone not initial")
-    if closed is None and initial:
-        sep = check_sep(L)
-        if not sep.passed:
-            failures.append("premises hold but separation fails: " + sep.failures[0])
-        notes.append("premises hold; separation " + ("holds" if sep.passed else "FAILS"))
-    else:
-        notes.append("implication vacuous (premise failure recorded above)")
-    return CheckReport(
-        name="sep-premises", checked=1, failures=tuple(failures), notes=tuple(notes)
-    )
-
-
-def _closed_under(L: SubStructure, required) -> Optional[str]:
-    space = L.space
-    members = set(L.members)
-    minus_t, power_t = (
-        space.unary_ops(op) if op in required else None
-        for op in ("minus", "power")
-    )
-    for i in L.members:
-        for u in range(space.n + 1):
-            if "power" in required and power_t[u][i] not in members:
-                return "power"
-            if "minus" in required and minus_t[u][i] not in members:
-                return "minus"
-        if "tensor" in required:
-            if space.top_index not in members:
-                return "tensor"
-            for j in L.members:
-                r = space.tensor_index(i, j)
-                if r < 0:
-                    raise _tensor_escape(i, j)
-                if r not in members:
-                    return "tensor"
-    return None
-
-
-def _initial_cone(L: SubStructure) -> bool:
-    """x >= y iff every member is antitone across the pair."""
-    space = L.space
-    P: FinPoset = space.base
-    fs = space.ifuncs
-    for x in range(P.size):
-        for y in range(P.size):
-            observed = all(fs[i][x] <= fs[i][y] for i in L.members)
-            if observed != P.leq[y][x]:
-                return False
-    return True
 
 
 def sw_audit(

@@ -156,25 +156,6 @@ def ordinal_sum(*segments) -> Quantale:
     return Quantale(OrdinalSum(segs))
 
 
-def tensor(q: Quantale, u, v) -> Fraction:
-    return q.tensor(as_value(u), as_value(v))
-
-
-def hom(q: Quantale, u, v) -> Fraction:
-    return q.hom(as_value(u), as_value(v))
-
-
-def truncated_minus(u, v) -> Fraction:
-    """u minus v, clamped at 0; independent of the chosen tensor."""
-    d = as_value(u) - as_value(v)
-    return d if d > 0 else ZERO
-
-
-def is_idempotent(q: Quantale, u) -> bool:
-    u = as_value(u)
-    return q.tensor(u, u) == u
-
-
 def is_nilpotent(q: Quantale, u) -> tuple[bool, Optional[int]]:
     """Whether some finite tensor power of u (u != 0) hits 0; returns the least n.
 
@@ -282,9 +263,6 @@ class GridOps:
         if i is None:
             raise GridNotClosed(f"{v} is not a point of Q_{self.n}")
         return i
-
-    def value(self, i: int) -> Fraction:
-        return self.values[i]
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,11 @@ monad laws with each union taken member by member
 (``verify_monad_laws_by_scan``).  They read the functions and the
 members directly, never ``level_masks``.
 
+Two references that no suite needs are kept here, not in the library:
+``truncated_minus``, the value reference for ``GridOps.minus_t``, and
+``is_continuous_distributor``, the membership oracle for
+``posets.continuous_distributors``.
+
 Run as a script to compare the first group on the 1,971 spaces named in
 ``full_comparison_spaces``, then the second on the C(X) of every poset
 of size <= 5 and enriched category of size <= 3 at n <= 4, the closures
@@ -37,10 +42,31 @@ from unitcat import posets as P
 from unitcat import stone as S
 from unitcat import tnorms as T
 from unitcat.reports import CheckReport
-from unitcat.values import format_value
+from unitcat.values import ZERO, as_value, format_value
 
 LUK = T.lukasiewicz()
 MIN = T.minimum()
+
+
+def truncated_minus(u, v):
+    """u minus v, clamped at 0; independent of the chosen tensor."""
+    d = as_value(u) - as_value(v)
+    return d if d > 0 else ZERO
+
+
+def is_continuous_distributor(phi, X, Y):
+    """0/1 relation X -|-> Y: down-closed in X, up-closed in Y."""
+    for x in range(X.size):
+        for y in range(Y.size):
+            if not phi[x][y]:
+                continue
+            for x2 in range(X.size):
+                if X.leq[x2][x] and not phi[x2][y]:
+                    return False
+            for y2 in range(Y.size):
+                if Y.leq[y][y2] and not phi[x][y2]:
+                    return False
+    return True
 
 
 def join_order_by_pairs(space):
@@ -250,7 +276,7 @@ def mult_map_by_masks(V):
 def verify_monad_laws_by_scan(Q):
     """``posets.verify_monad_laws`` with the unions of ``mult_map_by_masks``
     and Ve(A) found by testing every member of VX against every point of
-    A; associativity is ``_principal_unions`` as in the library."""
+    A; associativity reads ``_principal_unions`` as the library does."""
     failures = []
     checked = 0
     V = P.vietoris(Q)
@@ -270,10 +296,10 @@ def verify_monad_laws_by_scan(Q):
                 hits |= 1 << j
         if m_x[hits] != a:
             failures.append(f"m.Ve != id at upper set {P.mask_elements(a)}")
-    flat, mapped = P._principal_unions(V, m_x, principals)
-    for seed in flat:
+    mapped = P._principal_unions(V, m_x, principals)
+    for seed, union in mapped.items():
         checked += 1
-        if m_x[flat[seed]] != m_x[mapped[seed]]:
+        if m_x[seed] != m_x[union]:
             failures.append(f"associativity fails at principal of {seed}")
     checked += 1
     return CheckReport(

@@ -13,6 +13,7 @@ from oracles import (
     count_by_walk,
     cx_structures,
     join_order_by_pairs,
+    truncated_minus,
 )
 from unitcat import duality as D
 from unitcat import posets as P
@@ -26,6 +27,16 @@ MIN = T.minimum()
 
 CHAIN2 = P.chain(2)
 POINT = P.chain(1)
+
+
+def kleisli_identity(X):
+    """The identity continuous distributor on a poset: its order relation."""
+    return tuple(tuple(int(v) for v in row) for row in X.leq)
+
+
+def graph_distributor(f, X, Y):
+    """The continuous distributor of a monotone map: x phi y iff f(x) <= y."""
+    return tuple(tuple(int(Y.leq[f[x]][y]) for y in range(Y.size)) for x in range(X.size))
 
 
 def test_function_space_counts():
@@ -221,7 +232,7 @@ def test_representability_corpus_mode():
 
 def test_c_of_distributor():
     sp = D.function_space(CHAIN2, LUK, 2)
-    ident = P.kleisli_identity(CHAIN2)
+    ident = kleisli_identity(CHAIN2)
     assert D.c_of_distributor(ident, sp, sp) == tuple(range(sp.size))
     empty = ((0, 0), (0, 0))
     assert all(
@@ -233,8 +244,8 @@ def test_c_functoriality_sampled_pair():
     v = P.vee()
     spv = D.function_space(v, LUK, 2)
     spc = D.function_space(CHAIN2, LUK, 2)
-    phi = P.graph_distributor((0, 2), CHAIN2, v)  # chain -> vee
-    phi2 = P.graph_distributor((2, 2, 2), v, v)
+    phi = graph_distributor((0, 2), CHAIN2, v)  # chain -> vee
+    phi2 = graph_distributor((2, 2, 2), v, v)
     lhs = D.c_of_distributor(P.kleisli_compose(phi2, phi), spv, spc)
     c1 = D.c_of_distributor(phi, spv, spc)
     c2 = D.c_of_distributor(phi2, spv, spv)
@@ -263,7 +274,7 @@ def test_c_lands_in_antitone_space_and_is_finsup():
 
 
 def test_total_partial_audit_examples():
-    ident = P.kleisli_identity(CHAIN2)
+    ident = kleisli_identity(CHAIN2)
     assert D.total_partial_audit(ident, CHAIN2, CHAIN2, LUK, 2).passed
     empty = ((0, 0), (0, 0))
     assert D.total_partial_audit(empty, CHAIN2, CHAIN2, LUK, 2).passed
@@ -467,7 +478,7 @@ def test_join_homomorphism_counts_on_antichains():
     # monotone maps J -> {0..n} on the k-antichain: C(2n, n)^k of them
     for k, n, count in ((3, 2, 216), (2, 3, 400), (1, 1, 2)):
         sp = D.function_space(P.antichain(k), LUK, n)
-        assert len(D.join_irreducibles(sp)) == k * n
+        assert len(sp.join_order[0]) == k * n
         tables = list(D.join_homomorphisms(sp))
         assert len(tables) == count
         assert tables == sorted(set(tables))
@@ -515,7 +526,7 @@ def test_pruned_search_matches_the_full_cut_and_the_count():
         tables += len(full)
     assert (spaces, tables) == (288, 121_807)
     empty = D.function_space(P.FinPoset(()), LUK, 2)
-    assert D.join_irreducibles(empty) == ()
+    assert empty.join_order[0] == ()
     assert list(D.join_homomorphisms(empty)) == [(0,)]
     assert D.count_join_homomorphisms(empty) == 1
 
@@ -636,7 +647,7 @@ def test_join_order_is_derived_once_per_space(monkeypatch):
     monkeypatch.setattr(D.FunctionSpace, "pair_ops", counted)
     sp = D.FunctionSpace(P.vee(), LUK.grid(2), D.function_space(P.vee(), LUK, 2).ifuncs)
     J, tops, covers = sp.join_order
-    assert D.join_irreducibles(sp) == J and len(J) == 3 * 2
+    assert len(J) == 3 * 2
     assert D.count_join_homomorphisms(sp) == len(list(D.join_homomorphisms(sp)))
     assert list(D.join_homomorphisms(sp, D.PRUNING_CONDITIONS))
     assert sp.join_order == (J, tops, covers)
@@ -708,7 +719,7 @@ def _instances_hold(sp, t, conditions):
     of each condition named, at every u, and tenlax on every pair of J
     whose tensor stays in the space."""
     tt, n = sp.gops.tensor_t, sp.n
-    J = D.join_irreducibles(sp)
+    J = sp.join_order[0]
     if "act" in conditions:
         act = sp.unary_ops("act")
         if any(t[act[u][j]] != tt[u][t[j]] for u in range(n + 1) for j in J):
@@ -864,7 +875,7 @@ def test_le_pairs_is_the_pointwise_order():
 def test_unary_tables_match_fraction_computation():
     formulas = {
         "act": lambda q, u, v: q.tensor(u, v),
-        "minus": lambda q, u, v: T.truncated_minus(v, u),
+        "minus": lambda q, u, v: truncated_minus(v, u),
         "power": lambda q, u, v: q.hom(u, v),
     }
     escapes = 0

@@ -114,8 +114,7 @@ def test_cx_contains_representables():
     for X in (HALF_PAIR, CHAIN2):
         sp = E.enumerate_cx(X, 2)
         for x in range(X.size):
-            i = E.representable_index(sp, x)
-            assert sp.functions[i] == tuple(X.a(y, x) for y in range(X.size))
+            assert tuple(X.a(y, x) for y in range(X.size)) in sp.index
 
 
 def test_cogeneration():

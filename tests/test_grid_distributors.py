@@ -4,6 +4,7 @@ identity distributor, whose C(.) map is the identity."""
 
 from itertools import product as iproduct
 
+from oracles import is_continuous_distributor
 from unitcat import enriched as E
 from unitcat import posets as P
 from unitcat import tnorms as T
@@ -43,7 +44,7 @@ def test_distributor_rejects_unclosed_01_matrix():
     c2 = P.chain(2)
     X = VC.from_poset(c2, LUK)
     bad = ((0, 0), (1, 0))  # not down-closed in the source
-    assert not P.is_continuous_distributor(bad, c2, c2)
+    assert not is_continuous_distributor(bad, c2, c2)
     assert ((0, 0), (2, 0)) not in E.grid_endodistributors(X, 2)
     # out of the unit a row must be up-closed: 0 <= 1 carries phi(0) to phi(1)
     rows = E.grid_distributors_into(X, 2)
@@ -61,4 +62,4 @@ def test_distributors_match_kleisli_morphisms():
         assert crisp == set(P.continuous_distributors(Q, Q))
         for rows in iproduct((0, 1), repeat=4):
             mat = (rows[:2], rows[2:])
-            assert (mat in crisp) == P.is_continuous_distributor(mat, Q, Q)
+            assert (mat in crisp) == is_continuous_distributor(mat, Q, Q)

@@ -199,10 +199,7 @@ def test_a_kept_space_builds_no_structure_levels(structures):
     # a hit, and every reader of the structure, build none
     assert E.enumerate_cx(X, 2) is space
     assert E.is_cogenerated(space) and E.lemma1_audit(X, 2).passed
-    assert [E.representable_index(space, x) for x in range(2)] == [
-        space.iindex[(2, 0)],
-        space.iindex[(1, 2)],
-    ]
+    assert [tuple(row[x] for row in space.structure) for x in range(2)] == [(2, 0), (1, 2)]
     assert D.function_space(P.vee(), q, 2) is D.function_space(P.vee(), q, 2)
     assert structures[0] == 2
     # a space built directly reads its base's structure on first use
