@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from operator import add, getitem, gt, mul, ne
 from typing import Iterator, Optional, Sequence
 
@@ -33,16 +34,18 @@ class FunctionSpace:
     mask's point columns), u tensor f(x) for each point x and level u in
     ``act_column``, each point's hom rows in ``point_hom_rows``, and the
     join-irreducibles with the order on them in ``join_order``, read off
-    the pointwise meets with no pair of functions.  ``top_columns``,
-    ``cover_pairs`` and ``join_tensors`` rearrange ``join_order`` for the
-    functional scans.
-    The pair tables, join and tensor in ``pair_ops``, the pointwise order
-    in ``le_pairs`` and the tensor again as an index-pair lookup in
-    ``tensor_table``, are built only for the audits that still walk every
-    pair (``check_conditions``, ``total_partial_audit``,
-    ``twovalued_audit``, ``make_corpus``).
+    the pointwise meets with no pair of functions.  ``top_columns`` and
+    ``cover_pairs`` rearrange ``join_order`` for the functional scans, and
+    ``extension`` reads a level list on J back as a table.
+    ``join_instances`` is the one table of each condition set's instances
+    at J: the pruned search (``join_homomorphisms``) and the certificate
+    (``certify``) both check it.
     ``pair_indices`` computes a join or tensor of one function with many
-    on demand, ``tensor_index`` of one pair.
+    by one row gather.  The pair tables, join and tensor in ``pair_ops``
+    (row gathers for every i <= j) and the tensor again as an index-pair
+    lookup in ``tensor_table``, are built only for the audits that still
+    walk every pair (``check_conditions``, ``total_partial_audit``,
+    ``twovalued_audit``, ``make_corpus``).
     ``structure`` holds the base's structure levels
     (``structure_levels``).  ``tensor_closed``
     certifies that no pair's tensor leaves the space; only ``cx_space``
@@ -59,7 +62,6 @@ class FunctionSpace:
         self.carrier_size = len(self.ifuncs[0]) if self.ifuncs else 0
         self.tensor_closed = False
         self._pair_ops = None
-        self._le_pairs = None
         self._tensor_table = None
         self._unary: dict[str, list[tuple[int, ...]]] = {}
         self._sup_columns: dict[int, tuple[int, ...]] = {}
@@ -91,40 +93,27 @@ class FunctionSpace:
     def top_index(self) -> int:
         return self.constant_index(self.n)
 
-    @property
-    def bottom_index(self) -> int:
-        return self.constant_index(0)
-
-    def le_pairs(self) -> list[tuple[int, int]]:
-        """(i, j) with f_i <= f_j pointwise, i != j, in ascending order,
-        read off ``pair_ops``: f_i <= f_j iff their join is f_j, and then
-        i < j, since the enumeration is lexicographic.  Built on first
-        read and kept."""
-        if self._le_pairs is None:
-            self._le_pairs = [
-                (i, j) for i, j, k_join, _ in self.pair_ops() if k_join == j != i
-            ]
-        return self._le_pairs
-
     def pair_ops(self):
         """(i, j, k_join, k_tens) for i <= j (both ops symmetric): the
-        indices of the join and of the tensor of f_i and f_j.
+        indices of the join and of the tensor of f_i and f_j, by one
+        ``pair_indices`` row gather per op and i.
 
         k_tens is -1 when the pointwise tensor leaves the space,
-        which can happen over non-poset carriers; joins always stay.
+        which can happen over non-poset carriers.  Joins stay in every
+        ``cx_space``; a join that leaves a space built any other way
+        raises ValueError.
         """
         if self._pair_ops is None:
-            fs = self.ifuncs
-            tt = self.gops.tensor_t
-            idx = self.iindex
+            jt, tt = self.gops.join_t, self.gops.tensor_t
             out = []
-            for i in range(len(fs)):
-                fi = fs[i]
-                for j in range(i, len(fs)):
-                    fj = fs[j]
-                    join = tuple(a if a >= b else b for a, b in zip(fi, fj))
-                    tens = tuple(tt[a][b] for a, b in zip(fi, fj))
-                    out.append((i, j, idx[join], idx.get(tens, -1)))
+            for i in range(self.size):
+                js = range(i, self.size)
+                joins = self.pair_indices(jt, i, js)
+                if -1 in joins:
+                    raise ValueError(
+                        f"join of f{i} and f{i + joins.index(-1)} leaves the function space"
+                    )
+                out += zip(repeat(i), js, joins, self.pair_indices(tt, i, js))
             self._pair_ops = out
         return self._pair_ops
 
@@ -178,11 +167,6 @@ class FunctionSpace:
         rows = [table[a] for a in self.ifuncs[i]]
         get, fs = self.iindex.get, self.ifuncs
         return [get(tuple(map(getitem, rows, fs[j])), -1) for j in js]
-
-    def tensor_index(self, i: int, j: int) -> int:
-        """The index of the pointwise tensor of f_i and f_j, -1 when it
-        leaves the space."""
-        return self.pair_indices(self.gops.tensor_t, i, (j,))[0]
 
     def act_column(self, x: int, u: int) -> tuple[int, ...]:
         """u tensor f(x) for each function f, in enumeration order: tensor
@@ -291,17 +275,68 @@ class FunctionSpace:
         pairs = [(q, p) for p, below in enumerate(covers) for q in below]
         return [q for q, _ in pairs], [p for _, p in pairs]
 
+    def extension(self, g) -> Iterator[int]:
+        """The table t(f) = max{g(j) : j <= f} of a level list g on J with
+        one more slot, 0, in enumeration order: g read through the
+        ``top_columns``, maxed pointwise."""
+        return map(max, *[map(g.__getitem__, column) for column in self.top_columns])
+
     @cached_property
-    def join_tensors(self) -> list[tuple[int, int, int]]:
-        """(p, q, k) for each pair of positions q <= p in J whose tensor
-        stays in the space, k its index; p ascending, then q."""
-        J = self.join_order[0]
-        return [
-            (p, q, k)
-            for p, j in enumerate(J)
-            for q in range(p + 1)
-            if (k := self.tensor_index(j, J[q])) >= 0
-        ]
+    def _join_instances(self) -> dict:
+        """``join_instances`` tables by set of condition names."""
+        return {}
+
+    def join_instances(self, conditions: Sequence[str]):
+        """The instances at J of the named conditions ("act", "minus",
+        "tenlax"), built on first read per set of names and kept, and the
+        first pair of J whose tensor leaves the space (None when every
+        pair's stays, or tenlax is not named).
+
+        Entry p lists the instances decided once g(j) is set for j = J[p],
+        as (equal, lax): equal holds (f, tops[f], row) for each that needs
+        t(f) = row[g(j)], lax holds (f, tops[f], q) for each that needs
+        t(f) <= g(j) tensor g(J[q]); ``certify`` reads t(f) in the table
+        at f, the search reads it off g through tops[f].  They are
+        t(j minus u) = g(j) minus u for u >= 1, t(u tensor j) = u tensor
+        g(j) for 0 < u < n, and t(j tensor k) <= g(j) tensor g(k) for each
+        k = J[q] with q <= p whose tensor with j stays in the space.  Each
+        such f lies below j, so tops[f] holds positions up to p only.  The minus table is read
+        first, so an escaping minus raises ValueError before anything
+        else; an unknown name raises too.
+        """
+        key = frozenset(conditions)
+        built = self._join_instances.get(key)
+        if built is None:
+            unknown = sorted(key - set(PRUNING_CONDITIONS))
+            if unknown:
+                raise ValueError(f"no pruning on {unknown}: pick from {PRUNING_CONDITIONS}")
+            n, tt = self.n, self.gops.tensor_t
+            J, tops, _ = self.join_order
+            equal: list[list] = [[] for _ in J]
+            lax: list[list] = [[] for _ in J]
+            escape = None
+            # for each u of an equal instance: the op's row of function
+            # indices and its row of levels
+            ops = []
+            if "minus" in key:
+                minus_t, mt = self.unary_ops("minus"), self.gops.minus_t
+                ops += [(minus_t[u], [mt[v][u] for v in range(n + 1)]) for u in range(1, n + 1)]
+            if "act" in key:
+                act_t = self.unary_ops("act")
+                ops += [(act_t[u], tt[u]) for u in range(1, n)]
+            for p, j in enumerate(J):
+                for indices, row in ops:
+                    f = indices[j]
+                    equal[p].append((f, tops[f], row))
+            if "tenlax" in key:
+                for p, j in enumerate(J):
+                    for q, k in enumerate(self.pair_indices(tt, j, J[: p + 1])):
+                        if k >= 0:
+                            lax[p].append((k, tops[k], q))
+                        elif escape is None:
+                            escape = (j, J[q])
+            built = self._join_instances[key] = (list(zip(equal, lax)), escape)
+        return built
 
     def unary_ops(self, op: str) -> list[tuple[int, ...]]:
         """The "act", "minus" or "power" table, built on first read: row u
@@ -458,9 +493,6 @@ class Functional:
         values = self.space.gops.values
         return tuple(values[i] for i in self.itable)
 
-    def __call__(self, i: int) -> Fraction:
-        return self.space.gops.values[self.itable[i]]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Functional) and self.itable == other.itable
 
@@ -548,83 +580,72 @@ def check_conditions(phi: Functional) -> ConditionReport:
 
 PRUNING_CONDITIONS = ("act", "minus", "tenlax")
 
+# the representability cut's conditions, by whether tenlax is dropped
+CUT_CONDITIONS = {False: PRUNING_CONDITIONS, True: ("act", "minus")}
+
 
 def certify(space: FunctionSpace, itable, conditions: Sequence[str]) -> bool:
     """Whether the level table preserves binary joins, sends the bottom to
     0 and satisfies each named condition ("act", "minus", "tenlax")
     everywhere; decided on J, with no pair of functions.
 
-    The certificate, with g the table on J (``join_order``):
-    - the table is max{g(j) : j in tops[f]} at every f, 0 at the bottom;
-    - g is monotone along the covers;
-    - act: t(u tensor j) = u tensor g(j) for each j in J and 0 < u < n;
-    - minus: t(j minus u) = g(j) minus u for each j in J and u >= 1;
-    - tenlax: t(j tensor k) <= g(j) tensor g(k) for each pair of J.
-    The first two hold exactly for the tables that preserve joins and send
-    the bottom to 0, and every join-irreducible is join-prime.  Act,
-    minus and the pointwise tensor are monotone on the chain of levels, so
-    they distribute over pointwise joins, and each condition holds
-    everywhere iff it holds on J (on J x J for tenlax); at u = 0 and u = n
-    the action is the bottom and the identity.  For tenlax that needs the
-    tensor of every pair of J to stay in the space; then every tensor of
-    two functions, the join of such tensors, stays too.  That holds on
-    every ``tensor_closed`` space.  On a space where the tensor of two
-    join-irreducibles leaves, a pair of functions can fail tenlax with
-    every instance on J holding, so tenlax is refused there with
-    ValueError, never decided on J.
+    The certificate, with g the table on J (``join_order``): the table is
+    0 at the bottom, g is monotone along the covers, every instance in
+    the space's ``join_instances`` for the names holds (the table the
+    pruned search checks), and the table is g's ``extension``.  The
+    first two and the last hold exactly for the tables that preserve
+    joins and send the bottom to 0, and every join-irreducible is
+    join-prime.  Act, minus and the pointwise tensor are monotone on the
+    chain of levels, so they distribute over pointwise joins, and each
+    condition holds everywhere iff it holds on J (on J x J for tenlax);
+    at u = 0 and u = n the action is the bottom and the identity.  For
+    tenlax that needs the tensor of every pair of J to stay in the space;
+    then every tensor of two functions, the join of such tensors, stays
+    too.  That holds on every ``tensor_closed`` space.  On a space where
+    the tensor of two join-irreducibles leaves, a pair of functions can
+    fail tenlax with every instance on J holding, so tenlax is refused
+    there with ValueError, never decided on J.
 
-    The minus table is built first, then the act table, then tenlax is
-    refused where it must be: an escaping minus raises before anything
-    else, and every refusal comes before any check of the table.  The
-    checks on J come first; the first failing one decides.
+    Every refusal, an escaping minus first, comes before any check of
+    the table.  The checks on J come first; the first failing one
+    decides.
     """
-    minus_t = space.unary_ops("minus") if "minus" in conditions else None
-    act_t = space.unary_ops("act") if "act" in conditions else None
-    J = space.join_order[0]
-    if "tenlax" in conditions and len(space.join_tensors) < len(J) * (len(J) + 1) // 2:
-        j, k = next(
-            (j, k) for p, j in enumerate(J) for k in J[: p + 1] if space.tensor_index(j, k) < 0
-        )
+    instances, escape = space.join_instances(conditions)
+    if escape is not None:
         raise ValueError(
-            f"tensor of f{j} and f{k} leaves the function space: tenlax is not "
-            "decided on the join-irreducibles"
+            f"tensor of f{escape[0]} and f{escape[1]} leaves the function space: "
+            "tenlax is not decided on the join-irreducibles"
         )
     # the bottom, the least function, comes first in the enumeration
     if itable[0]:
         return False
-    n, tt, at = space.n, space.gops.tensor_t, itable.__getitem__
-    g = [*map(at, J), 0]
+    g = [*map(itable.__getitem__, space.join_order[0]), 0]
     lows, highs = space.cover_pairs
     if any(map(gt, map(g.__getitem__, lows), map(g.__getitem__, highs))):
         return False
-    if act_t is not None:
-        for u in range(1, n):
-            if any(map(ne, map(at, map(act_t[u].__getitem__, J)), map(tt[u].__getitem__, g))):
+    tt, at = space.gops.tensor_t, itable.__getitem__
+    for (equal, lax), v in zip(instances, g):
+        for f, _, row in equal:
+            if at(f) != row[v]:
                 return False
-    if minus_t is not None:
-        for u in range(1, n + 1):
-            row = [v - u if v > u else 0 for v in range(n + 1)]
-            if any(map(ne, map(at, map(minus_t[u].__getitem__, J)), map(row.__getitem__, g))):
+        for f, _, q in lax:
+            if at(f) > tt[v][g[q]]:
                 return False
-    if "tenlax" in conditions:
-        if any(itable[k] > tt[g[p]][g[q]] for p, q, k in space.join_tensors):
-            return False
     # the join check last: it reads every function, the others only J
-    extension = map(max, *[map(g.__getitem__, column) for column in space.top_columns])
-    return not any(map(ne, itable, extension))
+    return not any(map(ne, itable, space.extension(g)))
 
 
 def passes_cut(space: FunctionSpace, itable, drop_tenlax: bool = False) -> bool:
     """The representability cut: the table preserves binary joins and the
     action, commutes with truncated minus and, unless dropped, is lax for
-    the pointwise tensor.  Decided by ``certify`` on J.  That is exact
-    wherever the tensor of two join-irreducibles stays in the space, as on
-    the ``tensor_closed`` spaces the audit scans; elsewhere the cut with
-    tenlax raises ValueError.  An escaping minus raises ValueError before
-    any check; monotonicity follows from the joins.
+    the pointwise tensor (``CUT_CONDITIONS``).  Decided by ``certify`` on
+    J.  That is exact wherever the tensor of two join-irreducibles stays
+    in the space, as on the ``tensor_closed`` spaces the audit scans;
+    elsewhere the cut with tenlax raises ValueError.  An escaping minus
+    raises ValueError before any check; monotonicity follows from the
+    joins.
     """
-    conditions = ("act", "minus") if drop_tenlax else PRUNING_CONDITIONS
-    return certify(space, itable, conditions)
+    return certify(space, itable, CUT_CONDITIONS[drop_tenlax])
 
 
 def join_homomorphisms(
@@ -636,67 +657,43 @@ def join_homomorphisms(
 
     Every function is the join of the join-irreducibles J below it, so
     such a table is fixed by its values on J, and it comes from exactly
-    one monotone map g: J -> {0..n} as t(f) = max{g(j) : j <= f}.  The
-    space is a distributive lattice (pointwise joins and meets), so every
-    such extension preserves joins.  J is visited in index order, a
-    linear extension of the pointwise order, and the first position where
-    two maps differ is then the first where their tables differ.
+    one monotone map g: J -> {0..n} as its ``extension``.  The space is a
+    distributive lattice (pointwise joins and meets), so every such
+    extension preserves joins.  J is visited in index order, a linear
+    extension of the pointwise order, and the first position where two
+    maps differ is then the first where their tables differ.
 
     ``conditions`` names any of "act", "minus" and "tenlax".  Once g(j)
-    is set for j = J[p], the search checks each named instance at j:
-    t(u tensor j) = u tensor g(j) for 0 < u < n, t(j minus u) = g(j) minus
-    u for u >= 1, and t(j tensor k) <= g(j) tensor g(k) for each k = J[q]
-    with q <= p whose tensor with j stays in the space.  Each such f lies
-    below j, so t(f) is already fixed, and a failing prefix is dropped
+    is set for j = J[p], the search checks the space's ``join_instances``
+    at p, the table ``certify`` checks too; tenlax instances are checked
+    on the pairs of J whose tensor stays in the space, and never refused.
+    Each reads only positions up to p, and a failing prefix is dropped
     with every table that extends it.  Each check is one instance of the
     full condition, so no table the full checker accepts is dropped; the
     full checker must still decide each table yielded.  An escaping minus
-    raises ValueError here, before any table.
+    or an unknown name raises ValueError here, before any table.
     """
-    unknown = sorted(set(conditions) - set(PRUNING_CONDITIONS))
-    if unknown:
-        raise ValueError(f"no pruning on {unknown}: pick from {PRUNING_CONDITIONS}")
-    n = space.n
-    tt = space.gops.tensor_t
-    J, tops, covers = space.join_order
-    # the instances at J[p]: equal[p] holds (tops[f], row) for each that
-    # needs t(f) = row[g(J[p])], lax[p] holds (tops[f], q) for each that
-    # needs t(f) <= g(J[p]) tensor g(J[q])
-    equal: list[list] = [[] for _ in J]
-    lax: list[list] = [[] for _ in J]
-    if "minus" in conditions:
-        minus_t, mt = space.unary_ops("minus"), space.gops.minus_t
-        for p, j in enumerate(J):
-            equal[p] += [(tops[minus_t[u][j]], [mt[v][u] for v in range(n + 1)])
-                         for u in range(1, n + 1)]
-    if "act" in conditions:
-        act_t = space.unary_ops("act")
-        for p, j in enumerate(J):
-            equal[p] += [(tops[act_t[u][j]], tt[u]) for u in range(1, n)]
-    if "tenlax" in conditions:
-        for p, q, f in space.join_tensors:
-            lax[p].append((tops[f], q))
-    # g holds one more slot, always 0, that ``top_columns`` read
-    g = [0] * (len(J) + 1)
-    columns = space.top_columns
-
-    def table() -> tuple[int, ...]:
-        return tuple(map(max, *[map(g.__getitem__, column) for column in columns]))
+    n, tt = space.n, space.gops.tensor_t
+    instances, _ = space.join_instances(conditions)
+    covers = space.join_order[2]
+    # g holds one more slot, always 0, that ``extension`` reads
+    g = [0] * (len(covers) + 1)
 
     def holds(p: int, v: int) -> bool:
-        for b, row in equal[p]:
+        equal, lax = instances[p]
+        for _, b, row in equal:
             if max((g[q] for q in b), default=0) != row[v]:
                 return False
-        for b, q in lax[p]:
+        for _, b, q in lax:
             if max((g[r] for r in b), default=0) > tt[v][g[q]]:
                 return False
         return True
 
     def extend(p: int):
-        if p == len(J):
-            yield table()
+        if p == len(covers):
+            yield tuple(space.extension(g))
             return
-        pruned = equal[p] or lax[p]
+        pruned = instances[p][0] or instances[p][1]
         for v in range(max((g[q] for q in covers[p]), default=0), n + 1):
             g[p] = v
             if not pruned or holds(p, v):
@@ -782,7 +779,14 @@ def c_of_distributor(phi01, cy: FunctionSpace, cx: FunctionSpace) -> tuple[int, 
             f"{cx.carrier_size} rows of {cy.carrier_size}"
         )
     columns = [cy.sup_column(sum(1 << y for y, v in enumerate(row) if v)) for row in phi01]
-    images = list(zip(*columns)) if columns else [()] * cy.size
+    return column_map(columns, cy.size, cx)
+
+
+def column_map(columns, size: int, cx: FunctionSpace) -> tuple[int, ...]:
+    """The index map of ``size`` functions into CX whose image of f_i has
+    entry i of column x at point x: the columns' zip, looked up in CX.
+    An image outside CX raises ValueError naming f_i."""
+    images = list(zip(*columns)) if columns else [()] * size
     try:
         return tuple(map(cx.iindex.__getitem__, images))
     except KeyError as exc:
@@ -815,10 +819,9 @@ def representability_audit(P: FinPoset, q: Quantale, n: int) -> CheckReport:
     expected = {phi_of(a, space).itable: a for a in upper_sets(P)}
 
     checked = count_join_homomorphisms(space)
-    cut = ("act", "minus") if drop_tenlax else PRUNING_CONDITIONS
     passing = [
         itable
-        for itable in join_homomorphisms(space, cut)
+        for itable in join_homomorphisms(space, CUT_CONDITIONS[drop_tenlax])
         if passes_cut(space, itable, drop_tenlax)
     ]
     note = (
@@ -866,7 +869,8 @@ def make_corpus(space: FunctionSpace, count: int, seed: int) -> list[Functional]
     n = space.n
     m = space.size
     ups = upper_sets(space.base) if isinstance(space.base, FinPoset) else (0,)
-    le_pairs = space.le_pairs()
+    # f_i <= f_j, i != j, exactly when their join is f_j
+    le_pairs = [(i, j) for i, j, k_join, _ in space.pair_ops() if k_join == j != i]
     out = []
     for k in range(count):
         kind = k % 3

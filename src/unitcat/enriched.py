@@ -17,6 +17,7 @@ from .duality import (
     FunctionSpace,
     Functional,
     certify,
+    column_map,
     count_join_homomorphisms,
     cx_levels,
     cx_space,
@@ -116,10 +117,11 @@ def enriched_c_map(
 ) -> tuple[int, ...]:
     """Two-sided version on level rows: psi |-> (x |-> sup_y psi(y) tensor
     phi(x,y)).  Column x of the images is ``enriched_c`` of row x on CY,
-    and the images are the columns' zip, as in ``c_of_distributor``."""
+    zipped into indices by ``duality.column_map``, as in
+    ``c_of_distributor``: an image outside CX raises ValueError naming
+    the function."""
     columns = [enriched_c(row, cy).itable for row in phi_matrix]
-    images = zip(*columns) if columns else [()] * cy.size
-    return tuple(map(cx.iindex.__getitem__, images))
+    return column_map(columns, cy.size, cx)
 
 
 def retract_phi(phi_func: Functional) -> tuple[int, ...]:
@@ -309,22 +311,23 @@ def twovalued_audit(phi_matrix, src: VCategory, dst: VCategory, n: int) -> Check
 def tensor_maximality_audit(X: VCategory, psi0: Sequence[Fraction], n: int) -> CheckReport:
     """Among the endomaps induced by grid distributors, constrained to sit
     below the identity and send the top below psi0, the action of psi0 is
-    the pointwise maximum (and itself satisfies the constraints)."""
-    return tensor_maximality_audits(X, (psi0,), n)[0]
+    the pointwise maximum (and itself satisfies the constraints).  psi0
+    is read through the space's Fraction ``index``; a psi0 outside the
+    space raises ValueError."""
+    k = enumerate_cx(X, n).index.get(tuple(psi0), -1)
+    return tensor_maximality_audits(X, (k,), n)[0]
 
 
-def tensor_maximality_audits(
-    X: VCategory, psi0s: Sequence[Sequence[Fraction]], n: int
-) -> list[CheckReport]:
-    """``tensor_maximality_audit`` for each psi0 in turn, with the endomaps
-    of X enumerated and mapped once for all of them."""
+def tensor_maximality_audits(X: VCategory, psi0s: Sequence[int], n: int) -> list[CheckReport]:
+    """``tensor_maximality_audit`` for each psi0 in turn, given by its
+    index in the function space, with the endomaps of X enumerated and
+    mapped once for all of them."""
     if not is_poset_based(X) or X.size > 3 or n > 2:
         raise ValueError("maximality scan is limited to poset-based carriers, |X| <= 3, n <= 2")
     space = enumerate_cx(X, n)
-    gops = space.gops
-    ipsi0s = [tuple(gops.index(v) for v in psi0) for psi0 in psi0s]
-    if any(ipsi0 not in space.iindex for ipsi0 in ipsi0s):
+    if any(not 0 <= k < space.size for k in psi0s):
         raise ValueError("psi0 must be a member of the function space")
+    gops = space.gops
     fs = space.ifuncs
     cmaps = [enriched_c_map(mat, space, space) for mat in grid_endodistributors(X, n)]
     # the constraint independent of psi0: the image of each function is
@@ -335,15 +338,14 @@ def tensor_maximality_audits(
         if all(a <= b for i, f in enumerate(fs) for a, b in zip(fs[cmap[i]], f))
     ]
     reports = []
-    for ipsi0 in ipsi0s:
+    for k in psi0s:
         failures = []
         # the expected maximum: psi |-> psi0 tensor psi pointwise
-        k = space.iindex[ipsi0]
-        expected = tuple(space.tensor_index(k, j) for j in range(space.size))
+        expected = tuple(space.pair_indices(gops.tensor_t, k, range(space.size)))
         survivors = [
             cmap
             for cmap in below_identity
-            if all(a <= b for a, b in zip(fs[cmap[space.top_index]], ipsi0))
+            if all(a <= b for a, b in zip(fs[cmap[space.top_index]], fs[k]))
         ]
         for cmap in survivors:
             for i in range(space.size):
@@ -356,7 +358,7 @@ def tensor_maximality_audits(
             failures.append("the action of psi0 is not among the survivors")
         notes = (
             f"{len(survivors)} surviving endomaps",
-            f"top constraint uses psi0={_row(gops, ipsi0)}",
+            f"top constraint uses psi0={_row(gops, fs[k])}",
         )
         reports.append(
             CheckReport(

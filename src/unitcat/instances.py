@@ -13,17 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .posets import FinPoset, InvalidPoset, poset
-from .tnorms import (
-    Lukasiewicz,
-    Minimum,
-    Product,
-    Quantale,
-    grid_closed,
-    lukasiewicz,
-    minimum,
-    ordinal_sum,
-    product,
-)
+from .tnorms import Quantale, grid_closed, lukasiewicz, minimum, ordinal_sum, product
 from .values import RationalFormatError, UnitRangeError, as_value
 
 KINDS = ("poset", "generators")
@@ -51,27 +41,32 @@ class InstanceDoc:
     functions: Optional[tuple[tuple[Fraction, ...], ...]] = None
 
 
+# every tensor name a document may give, at the top level and as the
+# inner tensor of an ordinal segment
+TNORM_NAMES = {
+    "min": minimum,
+    "minimum": minimum,
+    "product": product,
+    "lukasiewicz": lukasiewicz,
+    "luk": lukasiewicz,
+}
+
+
 def parse_tnorm(spec: str) -> Quantale:
     """min | product | lukasiewicz | ordinal:a-b-inner[,a-b-inner...]"""
     if not isinstance(spec, str):
         raise InstanceError("bad-document", f"tensor must be a name, got {spec!r}")
     name = spec.strip().lower()
-    if name in ("min", "minimum"):
-        return minimum()
-    if name == "product":
-        return product()
-    if name in ("lukasiewicz", "luk"):
-        return lukasiewicz()
+    if name in TNORM_NAMES:
+        return TNORM_NAMES[name]()
     if name.startswith("ordinal:"):
-        inner_names = {"min": Minimum(), "minimum": Minimum(),
-                       "product": Product(), "lukasiewicz": Lukasiewicz(), "luk": Lukasiewicz()}
         segments = []
         for part in name[len("ordinal:"):].split(","):
             pieces = part.split("-")
-            if len(pieces) != 3 or pieces[2] not in inner_names:
+            if len(pieces) != 3 or pieces[2] not in TNORM_NAMES:
                 raise InstanceError("bad-document", f"malformed ordinal segment {part!r}")
             a, b = _value(pieces[0], part), _value(pieces[1], part)
-            segments.append((a, b, inner_names[pieces[2]]))
+            segments.append((a, b, TNORM_NAMES[pieces[2]]()))
         try:
             return ordinal_sum(*segments)
         except ValueError as exc:

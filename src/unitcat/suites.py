@@ -301,7 +301,7 @@ def _run_tensor_maximality(config: SuiteConfig, report: SuiteReport):
     for size in range(1, config.max_size + 1):
         for pk, P in enumerate(all_posets(size)):
             X = from_poset(P, q)
-            psi0s = enriched.enumerate_cx(X, n).functions
+            psi0s = range(enriched.enumerate_cx(X, n).size)
             reps = enriched.tensor_maximality_audits(X, psi0s, n)
             for fi, rep in enumerate(reps):
                 report.absorb(rep, f"poset {size}.{pk} psi0={fi}")

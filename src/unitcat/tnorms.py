@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import ClassVar, Optional, Union
 
 from .reports import CheckReport
 from .values import ONE, ZERO, as_value, format_value
@@ -112,8 +112,8 @@ class Quantale:
     """[0,1] with a chosen continuous t-norm and its residual."""
 
     tnorm: TNormSpec
-    unit: Fraction = ONE
-    bottom: Fraction = ZERO
+    # every continuous t-norm has unit 1; not a field
+    unit: ClassVar[Fraction] = ONE
     _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -265,13 +265,16 @@ class GridOps:
         return i
 
 
+# the largest denominator a sampled rational is drawn with
+SAMPLE_MAX_DEN = 60
+
+
 @dataclass(frozen=True)
 class SampleSpec:
     """Seeded rational sample: the honest domain for non-grid-closed tensors."""
 
     seed: int
     count: int
-    max_den: int = 60
 
 
 def rational_sample(spec: SampleSpec) -> tuple[Fraction, ...]:
@@ -279,20 +282,18 @@ def rational_sample(spec: SampleSpec) -> tuple[Fraction, ...]:
     rng = random.Random(spec.seed)
     out = [ZERO, ONE]
     while len(out) < spec.count:
-        den = rng.randint(1, spec.max_den)
+        den = rng.randint(1, SAMPLE_MAX_DEN)
         out.append(Fraction(rng.randint(0, den), den))
     return tuple(out[: spec.count])
 
 
-Domain = Union[GridChain, SampleSpec, Sequence[Fraction]]
+Domain = Union[GridChain, SampleSpec]
 
 
 def _domain_values(domain: Domain) -> tuple[Fraction, ...]:
     if isinstance(domain, GridChain):
         return domain.elements
-    if isinstance(domain, SampleSpec):
-        return rational_sample(domain)
-    return tuple(as_value(v) for v in domain)
+    return rational_sample(domain)
 
 
 def verify_quantale_axioms(q, domain: Domain) -> CheckReport:
@@ -359,7 +360,7 @@ def verify_quantale_axioms_sampled(q: Quantale, seed: int, count: int) -> CheckR
     checked = 0
 
     def draw() -> Fraction:
-        den = rng.randint(1, 60)
+        den = rng.randint(1, SAMPLE_MAX_DEN)
         return Fraction(rng.randint(0, den), den)
 
     unit = q.unit

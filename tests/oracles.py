@@ -5,8 +5,9 @@ the pointwise meets: the join-irreducibles and their order from the full
 pair table, the memo walk over J for the count, the full pair scans of
 the functional checks, and the generator formulas of the enriched maps.
 They walk every pair (or every function) on purpose, so they share no
-code with what they check beyond ``pair_ops``/``le_pairs`` and the unary
-tables.
+code with what they check beyond ``pair_ops`` and the unary tables.
+``pair_ops_by_pairs`` is the per-pair loop that ``pair_ops`` replaced
+with row gathers; J's order is read off it.
 
 The second group is the scan each bitmask reading replaced: C(X) by
 filtering every extension of every table (``cx_levels_by_filter``),
@@ -69,8 +70,30 @@ def is_continuous_distributor(phi, X, Y):
     return True
 
 
+def pair_ops_by_pairs(space):
+    """``FunctionSpace.pair_ops`` one pair at a time: (i, j, k_join, k_tens)
+    for i <= j, the indices of the pointwise join and tensor of f_i and
+    f_j, k_tens -1 where the tensor leaves the space."""
+    fs, idx, tt = space.ifuncs, space.iindex, space.gops.tensor_t
+    out = []
+    for i in range(len(fs)):
+        fi = fs[i]
+        for j in range(i, len(fs)):
+            fj = fs[j]
+            join = tuple(a if a >= b else b for a, b in zip(fi, fj))
+            tens = tuple(tt[a][b] for a, b in zip(fi, fj))
+            out.append((i, j, idx[join], idx.get(tens, -1)))
+    return out
+
+
+def le_pairs_by_pairs(space):
+    """(i, j) with f_i <= f_j pointwise, i != j, ascending: the pairs of
+    ``pair_ops_by_pairs`` whose join is f_j."""
+    return [(i, j) for i, j, k_join, _ in pair_ops_by_pairs(space) if k_join == j != i]
+
+
 def join_order_by_pairs(space):
-    """``FunctionSpace.join_order`` from one pass over ``le_pairs``.
+    """``FunctionSpace.join_order`` from one pass over ``le_pairs_by_pairs``.
 
     A function is join-irreducible when it is not the bottom and not the
     join of two functions other than itself: in a finite lattice, when the
@@ -79,7 +102,7 @@ def join_order_by_pairs(space):
     last of them, and it is greatest when exactly the others lie below it.
     """
     strictly_all = [[] for _ in range(space.size)]
-    for i, j in space.le_pairs():
+    for i, j in le_pairs_by_pairs(space):
         strictly_all[j].append(i)
     J = tuple(
         k for k, b in enumerate(strictly_all) if b and len(strictly_all[b[-1]]) == len(b) - 1

@@ -13,6 +13,7 @@ from oracles import (
     count_by_walk,
     cx_structures,
     join_order_by_pairs,
+    pair_ops_by_pairs,
     truncated_minus,
 )
 from unitcat import duality as D
@@ -63,7 +64,7 @@ def test_function_space_is_antitone_and_closed():
             assert all(0 <= k < sp.size for k in table[u])
     for i, j, k_join, k_tens in sp.pair_ops():
         assert k_join >= 0 and k_tens >= 0
-    assert sp.top_index >= 0 and sp.bottom_index >= 0
+    assert sp.top_index >= 0 and sp.constant_index(0) >= 0
 
 
 def test_function_space_matches_fraction_enumeration():
@@ -98,8 +99,8 @@ def test_phi_of_examples():
     sp = D.function_space(CHAIN2, LUK, 2)
     psi = sp.index[(F(1), F(1, 2))]
     assert D.phi_of(0, sp).table == (F(0),) * 6
-    assert D.phi_of(0b10, sp)(psi) == F(1, 2)
-    assert D.phi_of(0b11, sp)(psi) == F(1)
+    assert D.phi_of(0b10, sp).table[psi] == F(1, 2)
+    assert D.phi_of(0b11, sp).table[psi] == F(1)
 
 
 def test_phi_conditions_on_upper_sets():
@@ -236,7 +237,7 @@ def test_c_of_distributor():
     assert D.c_of_distributor(ident, sp, sp) == tuple(range(sp.size))
     empty = ((0, 0), (0, 0))
     assert all(
-        i == sp.bottom_index for i in D.c_of_distributor(empty, sp, sp)
+        i == sp.constant_index(0) for i in D.c_of_distributor(empty, sp, sp)
     )
 
 
@@ -468,7 +469,7 @@ def test_join_homomorphisms_are_the_join_preserving_tables():
         brute = [
             t
             for t in iproduct(range(n + 1), repeat=sp.size)
-            if t[sp.bottom_index] == 0
+            if t[sp.constant_index(0)] == 0
             and all(t[k] == max(t[i], t[j]) for i, j, k, _ in sp.pair_ops())
         ]
         assert list(D.join_homomorphisms(sp)) == brute, (Q.leq, n)
@@ -729,9 +730,10 @@ def _instances_hold(sp, t, conditions):
         if any(t[minus[u][j]] != max(t[j] - u, 0) for u in range(n + 1) for j in J):
             return False
     if "tenlax" in conditions:
+        fs = sp.ifuncs
         for j in J:
             for k in J:
-                f = sp.tensor_index(j, k)
+                f = sp.iindex.get(tuple(tt[a][b] for a, b in zip(fs[j], fs[k])), -1)
                 if f >= 0 and t[f] > tt[t[j]][t[k]]:
                     return False
     return True
@@ -860,8 +862,15 @@ def _spaces():
                 yield E.enumerate_cx(X, n)
 
 
-def test_le_pairs_is_the_pointwise_order():
+def test_pair_ops_match_the_pair_by_pair_oracle():
+    # the row gathers against the per-pair loop they replaced, escaping
+    # tensors (-1) included on the enriched spaces; the pairs whose join
+    # is f_j, which make_corpus reads as the order, are the pointwise order
+    escaping = 0
     for sp in _spaces():
+        ops = sp.pair_ops()
+        assert ops == pair_ops_by_pairs(sp), (sp.base, sp.n)
+        escaping += sum(k < 0 for *_, k in ops)
         fs = sp.functions
         want = [
             (i, j)
@@ -869,7 +878,13 @@ def test_le_pairs_is_the_pointwise_order():
             for j in range(sp.size)
             if i != j and all(a <= b for a, b in zip(fs[i], fs[j]))
         ]
-        assert sp.le_pairs() == want, (sp.base, sp.n)
+        assert [(i, j) for i, j, k, _ in ops if k == j != i] == want, (sp.base, sp.n)
+    assert escaping > 0
+    # a hand-built space without (2,1), the join of (1,1) and (2,0)
+    sp = D.function_space(CHAIN2, LUK, 2)
+    thinned = D.FunctionSpace(sp.base, sp.gops, [f for f in sp.ifuncs if f != (2, 1)])
+    with pytest.raises(ValueError, match="join of f2 and f3 leaves"):
+        thinned.pair_ops()
 
 
 def test_unary_tables_match_fraction_computation():

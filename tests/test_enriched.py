@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 from itertools import product as iproduct
 
@@ -185,6 +186,19 @@ def test_enriched_c_identity_on_poset_base():
     assert E.enriched_c_map(((2, 2), (0, 2)), sp, sp) == tuple(range(sp.size))
 
 
+def test_enriched_c_map_refuses_an_image_outside_cx():
+    # the identity endodistributor maps C(X) onto itself; on a CX thinned
+    # to every function but one, the map from the full space has an image
+    # outside it, and the error names that function
+    sp = E.enumerate_cx(CHAIN2, 2)
+    ident = ((2, 2), (0, 2))
+    dropped = sp.size - 1
+    thinned = D.FunctionSpace(sp.base, sp.gops, sp.ifuncs[:dropped])
+    image = sp.ifuncs[dropped]
+    with pytest.raises(ValueError, match=re.escape(f"C(phi) of f{dropped} is {image}")):
+        E.enriched_c_map(ident, sp, thinned)
+
+
 def test_retract_formulas_agree_and_invert():
     sp = E.enumerate_cx(ONE, 2)
     f = E.enriched_c((1,), sp)
@@ -232,7 +246,7 @@ def test_retract_of_upper_set_functional_is_indicator():
     sp = E.enumerate_cx(X, 2)
     for a in P.upper_sets(Q):
         phi_func = D.phi_of(a, D.function_space(Q, LUK, 2))
-        aligned = D.Functional(sp, [phi_func(D.function_space(Q, LUK, 2).index[f]) for f in sp.functions])
+        aligned = D.Functional(sp, [phi_func.table[D.function_space(Q, LUK, 2).index[f]] for f in sp.functions])
         row = E.retract_phi(aligned)
         assert row == tuple(2 if a >> x & 1 else 0 for x in range(2))
 

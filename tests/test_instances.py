@@ -79,6 +79,24 @@ def test_tnorm_parsing():
         I.parse_tnorm("frobenius")
 
 
+def test_every_tensor_alias_parses_at_the_top_level_and_in_a_segment():
+    aliases = {
+        "min": "minimum",
+        "minimum": "minimum",
+        "product": "product",
+        "lukasiewicz": "lukasiewicz",
+        "luk": "lukasiewicz",
+    }
+    for alias, name in aliases.items():
+        assert I.parse_tnorm(f" {alias.upper()} ").name == name, alias
+        q = I.parse_tnorm(f"ordinal:0-1/2-{alias}")
+        (segment,) = q.tnorm.segments
+        assert segment[2].name == name, alias
+    with pytest.raises(I.InstanceError) as exc:
+        I.parse_tnorm("ordinal:0-1/2-frobenius")
+    assert exc.value.code == "bad-document"
+
+
 def test_generators_doc():
     text = json.dumps(
         {

@@ -38,7 +38,7 @@ def test_closure_of_everything_is_everything():
 def test_constants_closure():
     sp = chain2_space()
     L = S.generate_closure(sp, [], ("constants",))
-    assert set(L.members) == {sp.bottom_index, sp.top_index}
+    assert set(L.members) == {sp.constant_index(0), sp.top_index}
 
 
 def test_closure_rejects_unknown_op():
@@ -77,7 +77,7 @@ def test_sep_stable_under_superset():
     gens = S.down_set_indicators(sp)
     L = S.generate_closure(sp, gens, ())
     assert S.check_sep(L).passed
-    bigger = S.generate_closure(sp, list(gens) + [sp.bottom_index], ())
+    bigger = S.generate_closure(sp, list(gens) + [sp.constant_index(0)], ())
     assert S.check_sep(bigger).passed
 
 
@@ -146,7 +146,7 @@ def test_sw_degeneracy_note_everywhere():
 
 def test_sw_bad_generators_reported_not_asserted():
     sp = chain2_space()
-    rep = S.sw_audit(CHAIN2, LUK, 2, generators=[sp.bottom_index])
+    rep = S.sw_audit(CHAIN2, LUK, 2, generators=[sp.constant_index(0)])
     assert rep.passed  # no failures: hypothesis failure is a finding
     assert rep.findings and "separation hypothesis failed" in rep.findings[0]
 
@@ -195,7 +195,7 @@ def _fixpoint(sp, gens, ops):
     fs = sp.functions
     closed = {fs[g] for g in gens}
     if "constants" in ops:
-        closed |= {fs[sp.bottom_index], fs[sp.top_index]}
+        closed |= {fs[sp.constant_index(0)], fs[sp.top_index]}
     if "tensor" in ops:
         closed.add(fs[sp.top_index])
     while True:
