@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .instances import InstanceError, parse_instance, parse_tnorm
+from .instances import InstanceError, parse_tnorm, read_instance
 from .reports import emit_report
 from .suites import SUITES, SuiteConfig, run_suite
 from .tnorms import GridNotClosed
@@ -43,10 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        instance = None
-        if args.instance:
-            with open(args.instance, "r", encoding="utf-8") as fh:
-                instance = parse_instance(fh.read())
+        instance = read_instance(args.instance) if args.instance else None
         config = SuiteConfig(
             suite=args.suite,
             quantale=parse_tnorm(args.tnorm),
@@ -57,7 +54,7 @@ def main(argv=None) -> int:
             instance=instance,
         )
         report = run_suite(config)
-    except (InstanceError, GridNotClosed, OSError) as exc:
+    except (InstanceError, GridNotClosed) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
     print(emit_report(report, args.report))

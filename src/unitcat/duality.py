@@ -363,7 +363,7 @@ class FunctionSpace:
                 elif len(set(level)) == 1:
                     row = [idx.get((level[0],) * self.carrier_size, -1)] * self.size
                 else:
-                    row = [idx.get(tuple(level[a] for a in f), -1) for f in self.ifuncs]
+                    row = [idx.get(tuple(map(level.__getitem__, f)), -1) for f in self.ifuncs]
                 if -1 in row:
                     raise ValueError(
                         f"{op} of f{row.index(-1)} at {u}/{n} leaves the function space"

@@ -126,6 +126,20 @@ def parse_instance(text: str) -> InstanceDoc:
     return out
 
 
+def read_instance(path: str) -> InstanceDoc:
+    """Read and validate the instance document in the file at ``path``.
+    A file that cannot be opened or read is refused as ``unreadable-file``,
+    and one that is not UTF-8 text as ``bad-document``, as invalid JSON is."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InstanceError("bad-document", f"not UTF-8 text: {exc.reason}", path) from exc
+    except OSError as exc:
+        raise InstanceError("unreadable-file", exc.strerror or type(exc).__name__, path) from exc
+    return parse_instance(text)
+
+
 def _parse_poset(rows, where) -> FinPoset:
     if isinstance(rows, dict):
         rows = rows.get("leq")

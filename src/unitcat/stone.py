@@ -78,6 +78,17 @@ def generate_closure(
     are the joins of nonempty subsets of T, found by per-point level
     bitmasks (``_join_closure``); without it they are T.
 
+    The worklist's rule of stopping at the full space holds here one
+    step earlier.  On a ``tensor_closed`` space with join among the ops,
+    the seeds (the generators, both constants with 'constants', the top
+    with 'tensor') are first closed under the unary ops alone, and the
+    join-closure of that is taken.  If it is every function, so is the
+    closure, which contains it, and no tensor pair is gathered: nothing
+    reached can leave such a space, so nothing that could raise is
+    skipped.  On the swept posets this always happens, since every
+    antitone f is the join over x of f(x) tensor the indicator of the
+    down set of x.  Otherwise the two phases run as above.
+
     A reached pair whose tensor leaves the space raises ValueError naming
     the first such pair the worklist over all the ops reaches.  A pair
     of joins escapes only if a pair of their T-operands does, so phase
@@ -87,6 +98,11 @@ def generate_closure(
     if unknown:
         raise ValueError(f"unknown closure ops {sorted(unknown)}")
     generators, ops = tuple(generators), frozenset(ops)
+    if "join" in ops and space.tensor_closed:
+        seeds = generators + ((space.top_index,) if "tensor" in ops else ())
+        mask = _join_closure(space, _worklist(space, seeds, ops - {"join", "tensor"}))
+        if mask == (1 << space.size) - 1:
+            return SubStructure(space, mask)
     try:
         T = _worklist(space, generators, ops - {"join"})
     except ValueError:
@@ -135,7 +151,8 @@ def _worklist(space: FunctionSpace, generators, ops) -> tuple[int, ...]:
     pair.  On a ``tensor_closed`` space the worklist stops once every
     function is a member: nothing new can be reached and no tensor can
     escape.  Any other space is scanned to the end, so an escaping pair
-    is still found.
+    is still found.  (``generate_closure`` stops earlier still, once the
+    joins of the seeds' unary closure are every function.)
     """
     members: list[int] = []
     seen = set()
@@ -275,11 +292,11 @@ def sw_audit(
     dens = density_at_level(space, L, level)
     checked += dens.checked
     failures.extend(dens.failures)
-    if len(L.members) == space.size:
+    if L.mask == (1 << space.size) - 1:
         notes.append("exact equality: closure is all of the function space")
     else:
         findings.append(
-            f"closure has {len(L.members)} of {space.size} functions (density only)"
+            f"closure has {L.mask.bit_count()} of {space.size} functions (density only)"
         )
     return CheckReport(
         name=f"stone-weierstrass[n={n}]",

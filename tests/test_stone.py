@@ -352,7 +352,8 @@ def test_certified_closure_stops_at_the_full_space(monkeypatch):
     monkeypatch.setattr(D.FunctionSpace, "pair_indices", counted)
     L = S.generate_closure(sp, gens, ("join", "tensor", "act"))
     assert L.members == tuple(range(sp.size))
-    assert 0 < pairs[0] < sp.size * (sp.size + 1)  # the full scan pairs every member
+    # the joins of the indicators' actions are already every function
+    assert pairs[0] == 0
 
 
 def test_density_sweep_builds_no_pair_table(monkeypatch):
@@ -395,8 +396,23 @@ def _oracle_spaces():
                     yield D.function_space(Q, q, n)
 
 
-def test_two_phase_closure_matches_the_worklist():
-    cases = raising = 0
+def _counting_worklist(monkeypatch):
+    """Count the ``_worklist`` calls; the returned list holds the count."""
+    calls, worklist = [0], S._worklist
+
+    def counted(space, generators, ops):
+        calls[0] += 1
+        return worklist(space, generators, ops)
+
+    monkeypatch.setattr(S, "_worklist", counted)
+    return calls
+
+
+def test_two_phase_closure_matches_the_worklist(monkeypatch):
+    # a closure with join on a tensor_closed space either stops after its
+    # unary worklist or falls through to the two phases, a second worklist
+    calls = _counting_worklist(monkeypatch)
+    cases = raising = stopped = fell_through = 0
     for sp in _oracle_spaces():
         size = sp.size
         for gens in ((), (0,), (size // 2,), (size - 1,), range(size), range(0, size, 3)):
@@ -410,14 +426,41 @@ def test_two_phase_closure_matches_the_worklist():
                         S.generate_closure(sp, gens, ops)
                     assert str(got.value) == str(exc), (sp.ifuncs, gens, ops)
                     continue
+                before = calls[0]
                 L = S.generate_closure(sp, gens, ops)
                 assert L.members == want, (sp.ifuncs, tuple(gens), ops)
+                if "join" in ops and sp.tensor_closed:
+                    if calls[0] - before == 1:
+                        stopped += 1
+                    else:
+                        fell_through += 1
     assert (cases, raising) == (223 * 6 * len(ORACLE_OPS), 436)
+    assert stopped > 0 and fell_through > 0
+
+
+def test_closure_stop_matches_the_worklist_on_the_sweep(monkeypatch):
+    # the stone-weierstrass traffic at size four: down-set indicators under
+    # join, tensor and act, against the worklist over all three
+    calls = _counting_worklist(monkeypatch)
+    ops = ("join", "tensor", "act")
+    cases = stopped = 0
+    for q in (LUK, T.minimum()):
+        for n in (1, 2):
+            for Q in P.all_posets(4):
+                sp = D.function_space(Q, q, n)
+                gens = S.down_set_indicators(sp)
+                before = calls[0]
+                L = S.generate_closure(sp, gens, ops)
+                stopped += calls[0] - before == 1
+                assert L.members == S._worklist(sp, gens, ops), (q.name, n, Q.leq)
+                cases += 1
+    assert cases == 876 and stopped == cases
 
 
 def test_stone_sweep_never_replays_the_worklist(monkeypatch):
-    # the worklist runs once per closure, without join: the members come
-    # from the level bitmasks
+    # the worklist runs once per closure, under act alone: the joins of
+    # its members, by the level bitmasks, are every function, so no tensor
+    # pair is gathered
     worklist_ops, calls = [], {"unary_ops": 0, "sw_audit": 0}
     worklist, unary_ops, sw_audit = S._worklist, D.FunctionSpace.unary_ops, S.sw_audit
 
@@ -440,6 +483,6 @@ def test_stone_sweep_never_replays_the_worklist(monkeypatch):
         config = SU.SuiteConfig(suite="stone-weierstrass", quantale=q, grid=2, max_size=3)
         assert SU.run_suite(config).passed
     assert calls["sw_audit"] > 0
-    assert worklist_ops == [{"tensor", "act"}] * calls["sw_audit"]
+    assert worklist_ops == [{"act"}] * calls["sw_audit"]
     # one act table per audit: the benchmark's anchor counts these calls
     assert calls["unary_ops"] == calls["sw_audit"]

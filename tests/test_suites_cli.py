@@ -127,6 +127,23 @@ def test_cli_pass_and_exit_codes(tmp_path, capsys):
     assert "bad-poset" in capsys.readouterr().err
 
 
+def test_cli_refuses_an_unreadable_instance_file(tmp_path, capsys):
+    # bytes that are not UTF-8 are a bad document, as invalid JSON is; a
+    # missing file or a directory is unreadable; none escapes as a traceback
+    argv = ["verify", "--suite", "stone-weierstrass", "--instance"]
+    binary = tmp_path / "f.json"
+    binary.write_bytes(b"\xff\xfe")
+    cases = (
+        (binary, "[bad-document] not UTF-8 text"),
+        (tmp_path / "missing.json", "[unreadable-file]"),
+        (tmp_path, "[unreadable-file]"),
+    )
+    for path, code in cases:
+        assert cli.main([*argv, str(path)]) == 3, path
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {code}") and err.rstrip().endswith(str(path)), err
+
+
 def test_cli_instance_file(tmp_path, capsys):
     doc = tmp_path / "vee.json"
     doc.write_text('{"kind": "poset", "leq": [[1, 0, 1], [0, 1, 1], [0, 0, 1]]}')
