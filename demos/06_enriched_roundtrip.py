@@ -14,7 +14,7 @@ from unitcat import (
     adjunction_audit,
     enriched_c,
     enumerate_cx,
-    grid_distributors_into,
+    grid_distributors,
     is_cogenerated,
     lemma1_audit,
     lukasiewicz,
@@ -44,7 +44,7 @@ print(f"{cx.size} of 9 grid tables qualify; (0,1) is rejected by the 1/2 gap")
 print("cogenerated by the interval:", is_cogenerated(cx))
 
 print("\n== represent and retract every grid distributor ==")
-for phi in grid_distributors_into(X, 2):
+for (phi,) in grid_distributors(unit_category(luk), X, 2):
     func = enriched_c(phi, cx)
     back = retract_phi(func)
     status = "ok" if back == phi else "MISMATCH"

@@ -74,7 +74,7 @@ from .enriched import (
     enriched_c,
     enumerate_cx,
     enumerate_enriched_categories,
-    grid_distributors_into,
+    grid_distributors,
     is_cogenerated,
     lemma1_audit,
     pointsep_extension_audit,

@@ -30,9 +30,10 @@ class FunctionSpace:
     use.  Tables are built on first read and kept: each unary op in
     ``unary_ops``, each point's levels in ``point_columns`` and, as one
     bitmask of the functions per level, in ``level_masks``, the sup over
-    each mask of points in ``sup_column`` (the elementwise max of the
-    mask's point columns), u tensor f(x) for each point x and level u in
-    ``act_column``, each point's hom rows in ``point_hom_rows``, and the
+    the points x of levels[x] tensor f(x) for each level row in
+    ``row_column`` (the one column C reads, for 0/1 distributors, upper
+    sets and grid distributors alike), each point's hom rows in
+    ``point_hom_rows``, and the
     join-irreducibles with the order on them in ``join_order``, read off
     the pointwise meets with no pair of functions.  ``top_columns`` and
     ``cover_pairs`` rearrange ``join_order`` for the functional scans, and
@@ -64,8 +65,7 @@ class FunctionSpace:
         self._pair_ops = None
         self._tensor_table = None
         self._unary: dict[str, list[tuple[int, ...]]] = {}
-        self._sup_columns: dict[int, tuple[int, ...]] = {}
-        self._act_columns: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._row_columns: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     @property
     def size(self) -> int:
@@ -146,17 +146,23 @@ class FunctionSpace:
             out.append(tuple(masks))
         return tuple(out)
 
-    def sup_column(self, mask: int) -> tuple[int, ...]:
-        """Each function's sup over the points in ``mask`` (0 for the empty
-        mask), in enumeration order; built on first read per mask as the
-        elementwise max of the mask's point columns.  Levels are never
-        below 0, so two zero columns change no max and give ``max`` at
-        least two arguments, for the empty mask and a single point alike."""
-        column = self._sup_columns.get(mask)
+    def row_column(self, levels: tuple[int, ...]) -> tuple[int, ...]:
+        """Each function's sup over the points x of levels[x] tensor f(x),
+        in enumeration order; built on first read per level row (a tuple)
+        and kept.  It is the elementwise max of point column x read through
+        tensor row levels[x]: a level n reads the column as it is, and a
+        level 0 adds nothing.  Levels are never below 0, so two zero
+        columns change no max and give ``max`` at least two arguments, for
+        the zero row and a single point alike."""
+        column = self._row_columns.get(levels)
         if column is None:
-            points, zero = self.point_columns, (0,) * self.size
-            column = tuple(map(max, zero, zero, *(points[x] for x in mask_elements(mask))))
-            self._sup_columns[mask] = column
+            n, tt, zero = self.n, self.gops.tensor_t, (0,) * self.size
+            columns = [
+                points if u == n else tuple(map(tt[u].__getitem__, points))
+                for u, points in zip(levels, self.point_columns)
+                if u
+            ]
+            column = self._row_columns[levels] = tuple(map(max, zero, zero, *columns))
         return column
 
     def pair_indices(self, table, i: int, js) -> list[int]:
@@ -167,16 +173,6 @@ class FunctionSpace:
         rows = [table[a] for a in self.ifuncs[i]]
         get, fs = self.iindex.get, self.ifuncs
         return [get(tuple(map(getitem, rows, fs[j])), -1) for j in js]
-
-    def act_column(self, x: int, u: int) -> tuple[int, ...]:
-        """u tensor f(x) for each function f, in enumeration order: tensor
-        row u read through point column x, built on first read per (x, u)
-        and kept."""
-        column = self._act_columns.get((x, u))
-        if column is None:
-            column = tuple(map(self.gops.tensor_t[u].__getitem__, self.point_columns[x]))
-            self._act_columns[x, u] = column
-        return column
 
     @cached_property
     def point_hom_rows(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -501,8 +497,11 @@ class Functional:
 
 
 def phi_of(a_mask: int, space: FunctionSpace) -> Functional:
-    """The functional of an upper set: sup of the function over it (0 if empty)."""
-    return Functional.from_levels(space, space.sup_column(a_mask))
+    """The functional of an upper set: sup of the function over it (0 if
+    empty), the ``row_column`` of its indicator row (n on the set, 0 off it)."""
+    n = space.n
+    indicator = tuple(n if a_mask >> x & 1 else 0 for x in range(space.carrier_size))
+    return Functional.from_levels(space, space.row_column(indicator))
 
 
 @dataclass(frozen=True)
@@ -767,26 +766,29 @@ def anti_set(phi: Functional) -> int:
 def c_of_distributor(phi01, cy: FunctionSpace, cx: FunctionSpace) -> tuple[int, ...]:
     """The function-space map of a 0/1 continuous distributor X -|-> Y.
 
-    psi |-> (x |-> sup of psi over the row of x); returned as an index
-    mapping CY -> CX aligned with the enumerations.  Each row is read as
-    CY's sup column of its mask, and the images are the columns' zip.
-    A phi whose shape is not |X| rows of |Y| entries, or an image outside
-    CX, raises ValueError.
+    psi |-> (x |-> sup of psi over the row of x): ``c_of_levels`` of the
+    rows read as levels 0 and n.  A phi whose shape is not |X| rows of
+    |Y| entries, or an image outside CX, raises ValueError.
     """
     if len(phi01) != cx.carrier_size or any(len(row) != cy.carrier_size for row in phi01):
         raise ValueError(
             f"distributor rows of lengths {[len(row) for row in phi01]} are not "
             f"{cx.carrier_size} rows of {cy.carrier_size}"
         )
-    columns = [cy.sup_column(sum(1 << y for y, v in enumerate(row) if v)) for row in phi01]
-    return column_map(columns, cy.size, cx)
+    level = (0, cy.n).__getitem__
+    return c_of_levels([tuple(map(level, row)) for row in phi01], cy, cx)
 
 
-def column_map(columns, size: int, cx: FunctionSpace) -> tuple[int, ...]:
-    """The index map of ``size`` functions into CX whose image of f_i has
-    entry i of column x at point x: the columns' zip, looked up in CX.
-    An image outside CX raises ValueError naming f_i."""
-    images = list(zip(*columns)) if columns else [()] * size
+def c_of_levels(phi, cy: FunctionSpace, cx: FunctionSpace) -> tuple[int, ...]:
+    """The function-space map of a grid distributor X -|-> Y given as level
+    rows (tuples): psi |-> (x |-> sup_y psi(y) tensor phi(x, y)), as an
+    index mapping CY -> CX aligned with the enumerations.
+
+    Column x of the images is CY's ``row_column`` of row x, and the
+    images are the columns' zip, looked up in CX.  An image outside CX
+    raises ValueError naming the function.
+    """
+    images = list(zip(*map(cy.row_column, phi))) if phi else [()] * cy.size
     try:
         return tuple(map(cx.iindex.__getitem__, images))
     except KeyError as exc:

@@ -16,8 +16,8 @@ from typing import Iterator, Sequence
 from .duality import (
     FunctionSpace,
     Functional,
+    c_of_levels,
     certify,
-    column_map,
     count_join_homomorphisms,
     cx_levels,
     cx_space,
@@ -26,7 +26,7 @@ from .duality import (
 from .reports import CheckReport
 from .tnorms import GridOps, Quantale
 from .values import ONE, format_value
-from .vcat import VCategory, is_poset_based, is_separated, validate_vcategory
+from .vcat import VCategory, is_poset_based, is_separated, unit_category, validate_vcategory
 
 
 def enumerate_cx(X: VCategory, n: int) -> FunctionSpace:
@@ -72,56 +72,37 @@ def is_cogenerated(space: FunctionSpace) -> bool:
     return not any(eq[x] == eq[y] for x in range(len(eq)) for y in range(x))
 
 
-def grid_distributors_into(X: VCategory, n: int) -> list[tuple[int, ...]]:
-    """All grid-valued distributors out of the unit, as level rows phi with
-    phi(y) tensor a(y,z) <= phi(z), in ascending lexicographic order.
+def grid_distributors(X: VCategory, Y: VCategory, n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """All grid-valued distributors X -|-> Y, as level matrices phi (row x,
+    column y) with a(x2,x) tensor phi(x,y) tensor b(y,y2) <= phi(x2,y2),
+    in ascending lexicographic order: the ``cx_levels`` tables on the
+    cells (x, y), row-major, with structure a(x2,x) tensor b(y,y2) from
+    (x2,y2) to (x,y).
 
-    Such a row is a [0,1]-functor from X into the interval, so the rows are
-    the C(X^op) tables: ``cx_levels`` over the transposed structure, read
-    off the kept C(X) (every caller serves that space too).
+    Out of the unit category (X = ``unit_category``) a distributor is one
+    row phi with phi(y) tensor b(y,y2) <= phi(y2): a [0,1]-functor from Y
+    into the interval.  With Y = X it is an endodistributor of X.
+
+    Each side's structure levels are read off its kept C(.), which every
+    caller serves too, except a one-point side's: that is [[n]] by
+    reflexivity, so the unit's C is never built here.
     """
-    gops = X.quantale.grid(n)
-    ia = cx_space(X, gops).structure
-    return cx_levels(gops, [list(col) for col in zip(*ia)])
-
-
-def grid_endodistributors(X: VCategory, n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """All grid-valued distributors X -|-> X, as level matrices phi with
-    a(x2,x) tensor phi(x,y) tensor a(y,y2) <= phi(x2,y2), in ascending
-    lexicographic order: the C(.) tables on the cells (x, y), row-major,
-    with structure a(x2,x) tensor a(y,y2) from (x2,y2) to (x,y).  X's
-    structure is read off the kept C(X), as in ``grid_distributors_into``."""
-    gops = X.quantale.grid(n)
+    gops = Y.quantale.grid(n)
     tt = gops.tensor_t
-    ia = cx_space(X, gops).structure
-    m = X.size
-    cells = [(x, y) for x in range(m) for y in range(m)]
-    icells = [[tt[ia[x2][x]][ia[y][y2]] for x, y in cells] for x2, y2 in cells]
+    a, b = ([[n]] if Z.size == 1 else cx_space(Z, gops).structure for Z in (X, Y))
+    width = len(b)
+    cells = [(x, y) for x in range(len(a)) for y in range(width)]
+    icells = [[tt[a[x2][x]][b[y][y2]] for x, y in cells] for x2, y2 in cells]
     return [
-        tuple(flat[i * m : (i + 1) * m] for i in range(m))
+        tuple(flat[x * width : (x + 1) * width] for x in range(len(a)))
         for flat in cx_levels(gops, icells)
     ]
 
 
 def enriched_c(phi: Sequence[int], space: FunctionSpace) -> Functional:
-    """The functional of a level row out of the unit: sup of psi tensor phi,
-    the elementwise max over the points x of the act columns (x, phi(x)).
-    Levels are never below 0, so two zero columns change no max."""
-    zero = (0,) * space.size
-    columns = map(space.act_column, range(len(phi)), phi)
-    return Functional.from_levels(space, map(max, zero, zero, *columns))
-
-
-def enriched_c_map(
-    phi_matrix, cy: FunctionSpace, cx: FunctionSpace
-) -> tuple[int, ...]:
-    """Two-sided version on level rows: psi |-> (x |-> sup_y psi(y) tensor
-    phi(x,y)).  Column x of the images is ``enriched_c`` of row x on CY,
-    zipped into indices by ``duality.column_map``, as in
-    ``c_of_distributor``: an image outside CX raises ValueError naming
-    the function."""
-    columns = [enriched_c(row, cy).itable for row in phi_matrix]
-    return column_map(columns, cy.size, cx)
+    """The functional of a level row out of the unit: sup of psi tensor
+    phi, the space's ``row_column`` of the row."""
+    return Functional.from_levels(space, space.row_column(tuple(phi)))
 
 
 def retract_phi(phi_func: Functional) -> tuple[int, ...]:
@@ -177,7 +158,7 @@ def adjunction_audit(X: VCategory, n: int) -> CheckReport:
             notes=("skipped: category is not cogenerated by the interval",),
         )
     gops = space.gops
-    for phi in grid_distributors_into(X, n):
+    for (phi,) in grid_distributors(unit_category(X.quantale), X, n):
         checked += 1
         rep = enriched_c(phi, space)
         back = retract_phi(rep)
@@ -253,7 +234,7 @@ def pointsep_extension_audit(X: VCategory, n: int) -> CheckReport:
     """Distinct grid distributors are separated by some function's sup-tensor."""
     space = enumerate_cx(X, n)
     gops = space.gops
-    phis = grid_distributors_into(X, n)
+    phis = [phi for (phi,) in grid_distributors(unit_category(X.quantale), X, n)]
     reps = [enriched_c(phi, space) for phi in phis]
     failures = []
     checked = 0
@@ -329,7 +310,7 @@ def tensor_maximality_audits(X: VCategory, psi0s: Sequence[int], n: int) -> list
         raise ValueError("psi0 must be a member of the function space")
     gops = space.gops
     fs = space.ifuncs
-    cmaps = [enriched_c_map(mat, space, space) for mat in grid_endodistributors(X, n)]
+    cmaps = [c_of_levels(mat, space, space) for mat in grid_distributors(X, X, n)]
     # the constraint independent of psi0: the image of each function is
     # below itself
     below_identity = [

@@ -294,30 +294,24 @@ def kleisli_compose(phi2, phi1) -> tuple[tuple[int, ...], ...]:
 
 
 def continuous_distributors(P: FinPoset, R: FinPoset) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All 0/1 continuous distributors X -|-> Y.
+    """All 0/1 continuous distributors X -|-> Y, in lexicographic order of
+    their rows (each row an upper set of Y, read as its bitmask).
 
-    Rows are upper sets of Y, antitone along X; enumerated
-    lexicographically over the per-element row choices.
+    Rows are upper sets of Y, antitone along X: the distributors are the
+    upper sets of the order X^op x Y, with cell (x, y) at bit
+    (|X|-1-x)|Y| + y.  Row 0 takes the highest bits, so ascending masks
+    are the lexicographic order of the rows.
     """
-    ups = upper_sets(R)
-    n = P.size
-    if n == 0:
-        yield ()
-        return
-    for choice in iproduct(range(len(ups)), repeat=n):
-        rows = [ups[c] for c in choice]
-        ok = True
-        for x in range(n):
-            for x2 in range(n):
-                if P.leq[x2][x] and rows[x] | rows[x2] != rows[x2]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield tuple(
-                tuple(int(rows[x] >> y & 1) for y in range(R.size)) for x in range(n)
-            )
+    m, k = P.size, R.size
+    shifts = [(m - 1 - x) * k for x in range(m)]
+    cells = [(x, y) for x in reversed(range(m)) for y in range(k)]
+    product = FinPoset(
+        tuple(tuple(P.leq[x2][x] and R.leq[y][y2] for x2, y2 in cells) for x, y in cells)
+    )
+    full = (1 << k) - 1
+    rows = [tuple(a >> y & 1 for y in range(k)) for a in range(full + 1)]
+    for mask in upper_sets(product):
+        yield tuple(rows[mask >> shift & full] for shift in shifts)
 
 
 def is_irreducible(P: FinPoset, a: int) -> bool:

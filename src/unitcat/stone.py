@@ -87,7 +87,10 @@ def generate_closure(
     reached can leave such a space, so nothing that could raise is
     skipped.  On the swept posets this always happens, since every
     antitone f is the join over x of f(x) tensor the indicator of the
-    down set of x.  Otherwise the two phases run as above.
+    down set of x.  Without tensor among the ops that unary closure is
+    already T, and its join-closure is the answer.  Otherwise the two
+    phases run as above, phase one seeded with the unary closure, which
+    lies inside T.
 
     A reached pair whose tensor leaves the space raises ValueError naming
     the first such pair the worklist over all the ops reaches.  A pair
@@ -98,13 +101,16 @@ def generate_closure(
     if unknown:
         raise ValueError(f"unknown closure ops {sorted(unknown)}")
     generators, ops = tuple(generators), frozenset(ops)
+    seeds = generators
     if "join" in ops and space.tensor_closed:
-        seeds = generators + ((space.top_index,) if "tensor" in ops else ())
-        mask = _join_closure(space, _worklist(space, seeds, ops - {"join", "tensor"}))
-        if mask == (1 << space.size) - 1:
+        seeds += (space.top_index,) if "tensor" in ops else ()
+        U = _worklist(space, seeds, ops - {"join", "tensor"})
+        mask = _join_closure(space, U)
+        if mask == (1 << space.size) - 1 or "tensor" not in ops:
             return SubStructure(space, mask)
+        seeds = U
     try:
-        T = _worklist(space, generators, ops - {"join"})
+        T = _worklist(space, seeds, ops - {"join"})
     except ValueError:
         _worklist(space, generators, ops)  # raises, naming its own first pair
         raise

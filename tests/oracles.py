@@ -18,10 +18,12 @@ monad laws with each union taken member by member
 (``verify_monad_laws_by_scan``).  They read the functions and the
 members directly, never ``level_masks``.
 
-Two references that no suite needs are kept here, not in the library:
-``truncated_minus``, the value reference for ``GridOps.minus_t``, and
+Three references that no suite needs are kept here, not in the library:
+``truncated_minus``, the value reference for ``GridOps.minus_t``,
 ``is_continuous_distributor``, the membership oracle for
-``posets.continuous_distributors``.
+``posets.continuous_distributors``, and
+``continuous_distributors_by_filter``, the product-and-filter loop that
+enumerator replaced by the upper sets of X^op x Y.
 
 Run as a script to compare the first group on the 1,971 spaces named in
 ``full_comparison_spaces``, then the second on the C(X) of every poset
@@ -42,6 +44,7 @@ from unitcat import enriched as E
 from unitcat import posets as P
 from unitcat import stone as S
 from unitcat import tnorms as T
+from unitcat import vcat as VC
 from unitcat.reports import CheckReport
 from unitcat.values import ZERO, as_value, format_value
 
@@ -68,6 +71,26 @@ def is_continuous_distributor(phi, X, Y):
                 if Y.leq[y][y2] and not phi[x][y2]:
                     return False
     return True
+
+
+def continuous_distributors_by_filter(X, Y):
+    """Every choice of one upper set of Y per point of X, lexicographic in
+    the choices (each row's upper sets ascending by bitmask), kept when
+    the rows are antitone along X."""
+    ups = P.upper_sets(Y)
+    out = []
+    for choice in iproduct(range(len(ups)), repeat=X.size):
+        rows = [ups[c] for c in choice]
+        if all(
+            rows[x] | rows[x2] == rows[x2]
+            for x in range(X.size)
+            for x2 in range(X.size)
+            if X.leq[x2][x]
+        ):
+            out.append(
+                tuple(tuple(int(rows[x] >> y & 1) for y in range(Y.size)) for x in range(X.size))
+            )
+    return out
 
 
 def pair_ops_by_pairs(space):
@@ -191,7 +214,7 @@ def enriched_c_by_generator(phi, space):
     return tuple(max((tt[a][b] for a, b in zip(f, phi)), default=0) for f in space.ifuncs)
 
 
-def enriched_c_map_by_generator(phi_matrix, cy, cx):
+def c_of_levels_by_generator(phi_matrix, cy, cx):
     """psi |-> (x |-> sup_y psi(y) tensor phi(x,y)), one image tuple per
     function of CY, looked up in CX."""
     tt = cy.gops.tensor_t
@@ -509,7 +532,7 @@ def compare_enriched_maps(X, n):
     distributors compared."""
     space = E.enumerate_cx(X, n)
     compared = 0
-    for phi in E.grid_distributors_into(X, n):
+    for (phi,) in E.grid_distributors(VC.unit_category(X.quantale), X, n):
         rep = E.enriched_c(phi, space)
         assert rep.itable == enriched_c_by_generator(phi, space), (X.matrix, n, phi)
         assert E.retract_phi(rep) == retract_phi_by_generator(space, rep.itable), (X.matrix, n)

@@ -12,6 +12,7 @@ from oracles import (
     compare_cx_levels,
     count_by_walk,
     cx_structures,
+    enriched_c_by_generator,
     join_order_by_pairs,
     pair_ops_by_pairs,
     truncated_minus,
@@ -608,22 +609,19 @@ def test_a_meet_leaving_the_space_is_refused():
         sp.join_order
 
 
-def _sup_column_by_generator(space, mask):
-    """Each function's sup over the points in ``mask``, one generator
-    ``max`` per function (0 for the empty mask)."""
-    xs = P.mask_elements(mask)
-    return tuple(max((f[x] for x in xs), default=0) for f in space.ifuncs)
-
-
-def test_sup_columns_match_the_per_function_oracle():
-    # every mask of points, not only the upper sets
+def test_row_columns_match_the_per_function_oracle():
+    # every level row, not only the indicator rows of upper sets: per
+    # (tensor, n), (n+1)^|X| rows on each poset space (sizes 0 to 3) and
+    # on each enriched C(X) (1, 3, 8 and 15 categories of size 1 and 2 at
+    # n = 1, 2, 3)
     compared = 0
     for sp in _small_spaces():
-        for mask in range(1 << sp.carrier_size):
-            assert sp.sup_column(mask) == _sup_column_by_generator(sp, mask), (sp.base, mask)
+        for row in iproduct(range(sp.n + 1), repeat=sp.carrier_size):
+            assert sp.row_column(row) == enriched_c_by_generator(row, sp), (sp.base, row)
             compared += 1
-    # 144 poset spaces (sizes 0 to 3), 6 enriched ones of size 1 and 52 of size 2
-    assert compared == 2 * 3 * (1 + 2 + 3 * 4 + 19 * 8) + 6 * 2 + 52 * 4
+    posets = sum(1 + (n + 1) + 3 * (n + 1) ** 2 + 19 * (n + 1) ** 3 for n in (1, 2, 3))
+    enriched = (2 + 3 * 4) + (3 + 8 * 9) + (4 + 15 * 16)
+    assert compared == 2 * (posets + enriched)
 
 
 def test_multichain_count_is_fast_where_the_walk_is_not():

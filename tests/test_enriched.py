@@ -5,9 +5,9 @@ from itertools import product as iproduct
 import pytest
 
 from oracles import (
+    c_of_levels_by_generator,
     compare_cogeneration,
     compare_enriched_maps,
-    enriched_c_map_by_generator,
     is_cogenerated_by_scan,
     lemma1_audit_by_scan,
     retract_phi_by_generator,
@@ -40,20 +40,20 @@ def fraction_distributors_into(X, n):
     ]
 
 
-def fraction_endodistributors(X, n):
-    """Oracle: every Fraction matrix phi over Q_n with
-    a(x2,x) tensor phi(x,y) tensor a(y,y2) <= phi(x2,y2)."""
+def fraction_distributors(X, Y, n):
+    """Oracle: every Fraction matrix phi over Q_n, row x, column y, with
+    a(x2,x) tensor phi(x,y) tensor b(y,y2) <= phi(x2,y2)."""
     q = X.quantale
-    m = X.size
+    m, k = X.size, Y.size
     out = []
-    for flat in iproduct(T.GridChain(n).elements, repeat=m * m):
-        mat = tuple(flat[i * m : (i + 1) * m] for i in range(m))
+    for flat in iproduct(T.GridChain(n).elements, repeat=m * k):
+        mat = tuple(flat[i * k : (i + 1) * k] for i in range(m))
         if all(
-            q.tensor(q.tensor(X.a(x2, x), mat[x][y]), X.a(y, y2)) <= mat[x2][y2]
+            q.tensor(q.tensor(X.a(x2, x), mat[x][y]), Y.a(y, y2)) <= mat[x2][y2]
             for x in range(m)
-            for y in range(m)
+            for y in range(k)
             for x2 in range(m)
-            for y2 in range(m)
+            for y2 in range(k)
         ):
             out.append(mat)
     return out
@@ -183,10 +183,10 @@ def test_enriched_c_point_example():
 
 def test_enriched_c_identity_on_poset_base():
     sp = E.enumerate_cx(CHAIN2, 2)
-    assert E.enriched_c_map(((2, 2), (0, 2)), sp, sp) == tuple(range(sp.size))
+    assert D.c_of_levels(((2, 2), (0, 2)), sp, sp) == tuple(range(sp.size))
 
 
-def test_enriched_c_map_refuses_an_image_outside_cx():
+def test_c_of_levels_refuses_an_image_outside_cx():
     # the identity endodistributor maps C(X) onto itself; on a CX thinned
     # to every function but one, the map from the full space has an image
     # outside it, and the error names that function
@@ -196,7 +196,7 @@ def test_enriched_c_map_refuses_an_image_outside_cx():
     thinned = D.FunctionSpace(sp.base, sp.gops, sp.ifuncs[:dropped])
     image = sp.ifuncs[dropped]
     with pytest.raises(ValueError, match=re.escape(f"C(phi) of f{dropped} is {image}")):
-        E.enriched_c_map(ident, sp, thinned)
+        D.c_of_levels(ident, sp, thinned)
 
 
 def test_retract_formulas_agree_and_invert():
@@ -214,7 +214,7 @@ def test_enriched_maps_match_the_generator_formulas():
     # of size <= 2 at n <= 3 and of size 3 at n = 1, under both tensors
     # (tests/oracles.py as a script adds size 3 at n = 2); retract_phi
     # also on every join-preserving table the fullness scan reads at size
-    # <= 2, n <= 2; enriched_c_map on every endodistributor
+    # <= 2, n <= 2; c_of_levels on every endodistributor
     # tensor-maximality maps
     spaces = distributors = tables = endomaps = 0
     for q in (LUK, T.minimum()):
@@ -234,8 +234,8 @@ def test_enriched_maps_match_the_generator_formulas():
             for Q in P.all_posets(size):
                 X = VC.from_poset(Q, q)
                 sp = E.enumerate_cx(X, 2)
-                for mat in E.grid_endodistributors(X, 2):
-                    assert E.enriched_c_map(mat, sp, sp) == enriched_c_map_by_generator(mat, sp, sp)
+                for mat in E.grid_distributors(X, X, 2):
+                    assert D.c_of_levels(mat, sp, sp) == c_of_levels_by_generator(mat, sp, sp)
                     endomaps += 1
     assert (spaces, distributors, tables, endomaps) == (96, 648, 390, 248)
 
@@ -252,7 +252,7 @@ def test_retract_of_upper_set_functional_is_indicator():
 
 
 def test_grid_distributors():
-    rows = E.grid_distributors_into(CHAIN2, 2)
+    rows = [phi for (phi,) in E.grid_distributors(ONE, CHAIN2, 2)]
     # monotone rows toward the top of the chain
     assert all(r[0] <= r[1] for r in rows)
     assert (0, 1) in rows and (2, 2) in rows
@@ -270,7 +270,8 @@ def test_grid_distributors_match_fraction_oracle():
         gops = q.grid(n)
         for X in E.enumerate_enriched_categories(size, q, n):
             want = levels(gops, fraction_distributors_into(X, n))
-            assert E.grid_distributors_into(X, n) == want, (q.name, n, X.matrix)
+            got = [phi for (phi,) in E.grid_distributors(VC.unit_category(q), X, n)]
+            assert got == want, (q.name, n, X.matrix)
             counted += 1
     assert counted == 718
 
@@ -287,10 +288,30 @@ def test_grid_endodistributors_match_fraction_oracle():
         gops = q.grid(n)
         for Q in P.all_posets(size):
             X = VC.from_poset(Q, q)
-            want = [tuple(levels(gops, mat)) for mat in fraction_endodistributors(X, n)]
-            assert E.grid_endodistributors(X, n) == want, (q.name, n, Q.leq)
+            want = [tuple(levels(gops, mat)) for mat in fraction_distributors(X, X, n)]
+            assert E.grid_distributors(X, X, n) == want, (q.name, n, Q.leq)
             counted += 1
     assert counted == 3 * 2 * (1 + 3) + 19
+
+
+def test_grid_distributors_between_two_categories_match_fraction_oracle():
+    # every ordered pair X != Y of categories of size <= 2 at n <= 2 under
+    # each tensor: the size-1 category is the unit, so it stands on either
+    # side (4 categories at n = 1, 9 at n = 2)
+    counted = 0
+    for q in (LUK, T.minimum()):
+        for n in (1, 2):
+            gops = q.grid(n)
+            cats = [X for size in (1, 2) for X in E.enumerate_enriched_categories(size, q, n)]
+            assert cats[0].matrix == VC.unit_category(q).matrix
+            for X in cats:
+                for Y in cats:
+                    if X is Y:
+                        continue
+                    want = [tuple(levels(gops, mat)) for mat in fraction_distributors(X, Y, n)]
+                    assert E.grid_distributors(X, Y, n) == want, (q.name, n, X.matrix, Y.matrix)
+                    counted += 1
+    assert counted == 2 * (4 * 3 + 9 * 8)
 
 
 def test_adjunction_audit_examples():
@@ -389,7 +410,7 @@ def test_enriched_c_functorial_on_grid_distributors():
     spx = E.enumerate_cx(X, 2)
     gops = spx.gops
 
-    dists = fraction_endodistributors(X, 2)
+    dists = fraction_distributors(X, X, 2)
     assert len(dists) > 1
     for phi in dists[:12]:
         for phi2 in dists[:12]:
@@ -398,9 +419,9 @@ def test_enriched_c_functorial_on_grid_distributors():
                 [max(q.tensor(phi[x][y], phi2[y][z]) for y in range(m)) for z in range(m)]
                 for x in range(m)
             ]
-            via = E.enriched_c_map(levels(gops, composite), spx, spx)
-            c1 = E.enriched_c_map(levels(gops, phi), spx, spx)
-            c2 = E.enriched_c_map(levels(gops, phi2), spx, spx)
+            via = D.c_of_levels(levels(gops, composite), spx, spx)
+            c1 = D.c_of_levels(levels(gops, phi), spx, spx)
+            c2 = D.c_of_levels(levels(gops, phi2), spx, spx)
             assert via == tuple(c1[i] for i in c2)
 
 

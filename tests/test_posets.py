@@ -1,7 +1,11 @@
 import random
 
 import pytest
-from oracles import is_continuous_distributor, verify_monad_laws_by_scan
+from oracles import (
+    continuous_distributors_by_filter,
+    is_continuous_distributor,
+    verify_monad_laws_by_scan,
+)
 from test_duality import _up_to_isomorphism, graph_distributor, kleisli_identity
 
 from unitcat import posets as P
@@ -183,6 +187,19 @@ def test_mult_naturality_small():
                 )
                 for script in P.upper_sets(vq.poset):
                     assert vf[mq[script]] == mr[vvf[script]]
+
+
+def test_continuous_distributors_match_the_product_and_filter_oracle():
+    # the same sequence, order included, for every pair of posets of size
+    # 0 to 3 (1 + 1 + 3 + 19 of them)
+    posets = [Q for size in range(4) for Q in P.all_posets(size)]
+    pairs = 0
+    for X in posets:
+        for Y in posets:
+            expected = continuous_distributors_by_filter(X, Y)
+            assert list(P.continuous_distributors(X, Y)) == expected, (X.leq, Y.leq)
+            pairs += 1
+    assert pairs == 576
 
 
 def test_kleisli_identity_and_composition():

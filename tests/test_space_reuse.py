@@ -110,9 +110,15 @@ def _same_tables(served, fresh):
         and served.unary_ops("act") == fresh.unary_ops("act")
         and served.tensor_table() == fresh.tensor_table()
         and all(
-            served.sup_column(a) == fresh.sup_column(a) for a in P.upper_sets(served.base)
+            served.row_column(row) == fresh.row_column(row)
+            for row in _indicator_rows(served.base, served.n)
         )
     )
+
+
+def _indicator_rows(Q, n):
+    """The indicator row of each upper set: n on the set, 0 off it."""
+    return [tuple(n if a >> x & 1 else 0 for x in range(Q.size)) for a in P.upper_sets(Q)]
 
 
 def test_served_spaces_match_fresh_builds():

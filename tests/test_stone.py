@@ -438,6 +438,25 @@ def test_two_phase_closure_matches_the_worklist(monkeypatch):
     assert stopped > 0 and fell_through > 0
 
 
+def test_a_fall_through_seeds_the_tensor_worklist_with_the_unary_closure(monkeypatch):
+    # one falling-through case of the test above: the point at n = 2 under
+    # lukasiewicz, generated by 1/2 under join and tensor.  The unary
+    # closure {1/2, 1} joins to nothing more; the tensor worklist starts
+    # from it, not from the generators again, and reaches 1/2 tensor 1/2 = 0
+    calls, worklist = [], S._worklist
+
+    def recorded(space, generators, ops):
+        result = worklist(space, generators, ops)
+        calls.append((tuple(generators), result))
+        return result
+
+    monkeypatch.setattr(S, "_worklist", recorded)
+    sp = D.function_space(P.chain(1), LUK, 2)
+    assert S.generate_closure(sp, (1,), ("join", "tensor")).members == (0, 1, 2)
+    (_, unary), (seeds, _) = calls
+    assert unary == (1, 2) and seeds == unary
+
+
 def test_closure_stop_matches_the_worklist_on_the_sweep(monkeypatch):
     # the stone-weierstrass traffic at size four: down-set indicators under
     # join, tensor and act, against the worklist over all three

@@ -64,16 +64,23 @@ def test_swept_open_grid_refused_before_any_work():
         assert e.value.code == "grid-not-closed" and "Q_3" in str(e.value)
 
 
-def test_run_suite_echoes_clamped_config(monkeypatch):
-    rep = run("tensor-maximality", grid=6, max_size=4)
-    assert (rep.config["grid"], rep.config["max-size"]) == (2, 2)
-    assert rep.instances == run("tensor-maximality", grid=2, max_size=2).instances
-    for suite in ("total-partial", "enriched-roundtrip", "lemma1"):
-        ran = []
+def test_run_suite_refuses_over_cap_flags(monkeypatch, capsys):
+    # a flag above a suite's cap is refused before the runner, naming the
+    # suite, the flag and the cap; at the cap the config runs as asked
+    ran = []
+    for suite, caps in SU.SUITE_CAPS.items():
         monkeypatch.setitem(SU._RUNNERS, suite, lambda config, report: ran.append(config))
-        rep = run(suite, grid=3, max_size=4)
-        assert rep.config["max-size"] == 3 and ran[0].max_size == 3
-        assert rep.config["grid"] == 3 and ran[0].grid == 3
+        for key, cap in caps.items():
+            flag = key.replace("_", "-")
+            with pytest.raises(InstanceError) as e:
+                run(suite, **{key: cap + 1})
+            assert e.value.code == "cap-exceeded"
+            assert f"{suite} caps --{flag} at {cap}" in str(e.value)
+            assert cli.main(["verify", "--suite", suite, f"--{flag}", str(cap + 1)]) == 3
+            assert "cap-exceeded" in capsys.readouterr().err
+        rep = run(suite, **caps)
+        assert all(rep.config[key.replace("_", "-")] == cap for key, cap in caps.items())
+    assert [config.suite for config in ran] == list(SU.SUITE_CAPS)
     assert run("monad-laws", max_size=4).config["max-size"] == 4
 
 

@@ -79,7 +79,7 @@ def test_functors_are_monotone():
     for Y in cats:
         order = VC.natural_order(Y)
         below = [(x, y) for x in range(Y.size) for y in range(Y.size) if order[x][y]]
-        rows = E.grid_distributors_into(Y, 2)
+        rows = [phi for (phi,) in E.grid_distributors(VC.unit_category(LUK), Y, 2)]
         assert rows
         for phi in rows:
             assert all(phi[x] <= phi[y] for x, y in below)
