@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from operator import add, getitem, gt, mul, ne
+from operator import add, getitem, gt, le, mul, ne
 from typing import Iterator, Optional, Sequence
 
 from .posets import FinPoset, is_irreducible, mask_elements, upper_sets
@@ -46,7 +46,7 @@ class FunctionSpace:
     (row gathers for every i <= j) and the tensor again as an index-pair
     lookup in ``tensor_table``, are built only for the audits that still
     walk every pair (``check_conditions``, ``total_partial_audit``,
-    ``twovalued_audit``, ``make_corpus``).
+    ``twovalued_audit``).
     ``structure`` holds the base's structure levels
     (``structure_levels``).  ``tensor_closed``
     certifies that no pair's tensor leaves the space; only ``cx_space``
@@ -153,9 +153,14 @@ class FunctionSpace:
         tensor row levels[x]: a level n reads the column as it is, and a
         level 0 adds nothing.  Levels are never below 0, so two zero
         columns change no max and give ``max`` at least two arguments, for
-        the zero row and a single point alike."""
+        the zero row and a single point alike.  A row whose length is not
+        the number of points raises ValueError."""
         column = self._row_columns.get(levels)
         if column is None:
+            if len(levels) != self.carrier_size:
+                raise ValueError(
+                    f"level row of length {len(levels)} on {self.carrier_size} points"
+                )
             n, tt, zero = self.n, self.gops.tensor_t, (0,) * self.size
             columns = [
                 points if u == n else tuple(map(tt[u].__getitem__, points))
@@ -605,10 +610,12 @@ def certify(space: FunctionSpace, itable, conditions: Sequence[str]) -> bool:
     fail tenlax with every instance on J holding, so tenlax is refused
     there with ValueError, never decided on J.
 
-    Every refusal, an escaping minus first, comes before any check of
-    the table.  The checks on J come first; the first failing one
-    decides.
+    Every refusal comes before any check of the table: a table whose
+    length is not the space's size first, then an escaping minus.  The
+    checks on J come first; the first failing one decides.
     """
+    if len(itable) != space.size:
+        raise ValueError(f"a table of {len(itable)} levels on {space.size} functions")
     instances, escape = space.join_instances(conditions)
     if escape is not None:
         raise ValueError(
@@ -767,14 +774,8 @@ def c_of_distributor(phi01, cy: FunctionSpace, cx: FunctionSpace) -> tuple[int, 
     """The function-space map of a 0/1 continuous distributor X -|-> Y.
 
     psi |-> (x |-> sup of psi over the row of x): ``c_of_levels`` of the
-    rows read as levels 0 and n.  A phi whose shape is not |X| rows of
-    |Y| entries, or an image outside CX, raises ValueError.
+    rows read as levels 0 and n, which refuses a misshapen phi.
     """
-    if len(phi01) != cx.carrier_size or any(len(row) != cy.carrier_size for row in phi01):
-        raise ValueError(
-            f"distributor rows of lengths {[len(row) for row in phi01]} are not "
-            f"{cx.carrier_size} rows of {cy.carrier_size}"
-        )
     level = (0, cy.n).__getitem__
     return c_of_levels([tuple(map(level, row)) for row in phi01], cy, cx)
 
@@ -785,9 +786,15 @@ def c_of_levels(phi, cy: FunctionSpace, cx: FunctionSpace) -> tuple[int, ...]:
     index mapping CY -> CX aligned with the enumerations.
 
     Column x of the images is CY's ``row_column`` of row x, and the
-    images are the columns' zip, looked up in CX.  An image outside CX
-    raises ValueError naming the function.
+    images are the columns' zip, looked up in CX.  A phi whose shape is
+    not |X| rows of |Y| entries, or an image outside CX, raises
+    ValueError.
     """
+    if len(phi) != cx.carrier_size or any(len(row) != cy.carrier_size for row in phi):
+        raise ValueError(
+            f"distributor rows of lengths {[len(row) for row in phi]} are not "
+            f"{cx.carrier_size} rows of {cy.carrier_size}"
+        )
     images = list(zip(*map(cy.row_column, phi))) if phi else [()] * cy.size
     try:
         return tuple(map(cx.iindex.__getitem__, images))
@@ -871,8 +878,9 @@ def make_corpus(space: FunctionSpace, count: int, seed: int) -> list[Functional]
     n = space.n
     m = space.size
     ups = upper_sets(space.base) if isinstance(space.base, FinPoset) else (0,)
-    # f_i <= f_j, i != j, exactly when their join is f_j
-    le_pairs = [(i, j) for i, j, k_join, _ in space.pair_ops() if k_join == j != i]
+    # f_i <= f_j pointwise, i < j: the enumeration is a linear extension
+    fs = space.ifuncs
+    le_pairs = [(i, j) for i in range(m) for j in range(i + 1, m) if all(map(le, fs[i], fs[j]))]
     out = []
     for k in range(count):
         kind = k % 3

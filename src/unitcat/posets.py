@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from itertools import product as iproduct
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .reports import CheckReport
 
@@ -69,9 +69,8 @@ def _point_ups(leq: tuple[tuple[bool, ...], ...]) -> tuple[int, ...]:
     )
 
 
-def up_closure(P: FinPoset, members: Iterable[int] | int) -> int:
+def up_closure(P: FinPoset, mask: int) -> int:
     """Least upper set containing the given elements (bitmask in, bitmask out)."""
-    mask = members if isinstance(members, int) else _to_mask(members)
     ups = _point_ups(P.leq)
     out = 0
     while mask:
@@ -79,13 +78,6 @@ def up_closure(P: FinPoset, members: Iterable[int] | int) -> int:
         out |= ups[x]
         mask &= mask - 1
     return out
-
-
-def _to_mask(members: Iterable[int]) -> int:
-    mask = 0
-    for x in members:
-        mask |= 1 << x
-    return mask
 
 
 def mask_elements(mask: int) -> tuple[int, ...]:
@@ -341,36 +333,16 @@ def is_irreducible_by_splitting(P: FinPoset, a: int) -> bool:
 def all_posets(n: int) -> tuple[FinPoset, ...]:
     """Every labeled poset on n elements (1, 3, 19, 219, 4231 for n=1..5).
 
-    Backtracks over strict-order choices per unordered pair, closing
-    transitively as it goes; duplicates from forced consequences are
-    removed at the end.
+    Backtracks per unordered pair: a pair already related by transitivity
+    has no choice left; an incomparable one stays so or is ordered either
+    way, closing transitively (every point below lo comes below every
+    point above hi).  Closing an incomparable pair of a partial order
+    never makes a cycle.  A pair left incomparable can be related later,
+    so duplicates are removed at the end.
     """
-    if n == 0:
-        return (FinPoset(()),)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     leq = [[i == j for j in range(n)] for i in range(n)]
     found: list[tuple[tuple[bool, ...], ...]] = []
-
-    def close_with(lo, hi):
-        # add lo<hi plus consequences; undo and bail on an antisymmetry clash
-        queue = [(lo, hi)]
-        added = []
-        while queue:
-            x, y = queue.pop()
-            if leq[x][y]:
-                continue
-            if leq[y][x]:
-                for a, b in added:
-                    leq[a][b] = False
-                return None
-            leq[x][y] = True
-            added.append((x, y))
-            for k in range(n):
-                if leq[k][x] and not leq[k][y]:
-                    queue.append((k, y))
-                if leq[y][k] and not leq[x][k]:
-                    queue.append((x, k))
-        return added
 
     def place(idx: int):
         if idx == len(pairs):
@@ -378,12 +350,21 @@ def all_posets(n: int) -> tuple[FinPoset, ...]:
             return
         i, j = pairs[idx]
         place(idx + 1)
+        if leq[i][j] or leq[j][i]:
+            return
         for lo, hi in ((i, j), (j, i)):
-            added = close_with(lo, hi)
-            if added is not None:
-                place(idx + 1)
-                for x, y in added:
-                    leq[x][y] = False
+            added = [
+                (a, b)
+                for a in range(n)
+                if leq[a][lo]
+                for b in range(n)
+                if leq[hi][b] and not leq[a][b]
+            ]
+            for a, b in added:
+                leq[a][b] = True
+            place(idx + 1)
+            for a, b in added:
+                leq[a][b] = False
 
     place(0)
     seen = set()

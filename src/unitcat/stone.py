@@ -66,54 +66,39 @@ def generate_closure(
 ) -> SubStructure:
     """Least subset containing the generators closed under the chosen ops.
 
-    ops is a subset of {join, tensor, act, power, minus, constants};
-    'tensor' also seeds the unit constant (it is the monoid structure),
-    'constants' seeds both constants.
+    ops is a subset of {join, tensor, act, power, minus, constants}.  The
+    seeds are the generators, then both constants with 'constants', then
+    the top with 'tensor' (its unit).  ``_worklist`` closes them under the
+    ops other than join, giving T.  Every op is monotone on the chain of
+    levels, so it distributes over pointwise joins, and with join among
+    the ops the members are the joins of nonempty subsets of T
+    (``_join_closure``); without it they are T.
 
-    Computed in two phases.  First the worklist (``_worklist``) closes
-    the seeds under the ops other than join, giving T.  Every op is
-    monotone on the chain of levels, so pointwise it distributes over
-    joins, and the join-closure of T is closed under all of them (the
-    space itself is join-closed).  So with join among the ops the members
-    are the joins of nonempty subsets of T, found by per-point level
-    bitmasks (``_join_closure``); without it they are T.
+    On a ``tensor_closed`` space with join, the seeds are first closed
+    under the unary ops alone.  When the joins of that closure U are every
+    function, so is the closure, and no tensor pair is gathered; on the
+    swept posets this always happens.  Otherwise T is the worklist seeded
+    with U, which lies inside T.
 
-    The worklist's rule of stopping at the full space holds here one
-    step earlier.  On a ``tensor_closed`` space with join among the ops,
-    the seeds (the generators, both constants with 'constants', the top
-    with 'tensor') are first closed under the unary ops alone, and the
-    join-closure of that is taken.  If it is every function, so is the
-    closure, which contains it, and no tensor pair is gathered: nothing
-    reached can leave such a space, so nothing that could raise is
-    skipped.  On the swept posets this always happens, since every
-    antitone f is the join over x of f(x) tensor the indicator of the
-    down set of x.  Without tensor among the ops that unary closure is
-    already T, and its join-closure is the answer.  Otherwise the two
-    phases run as above, phase one seeded with the unary closure, which
-    lies inside T.
-
-    A reached pair whose tensor leaves the space raises ValueError naming
-    the first such pair the worklist over all the ops reaches.  A pair
-    of joins escapes only if a pair of their T-operands does, so phase
-    one finds every escape, and that worklist then runs for its message.
+    A pair of joins escapes only if a pair of their operands in T does,
+    so a closure whose tensor leaves the space raises ValueError naming
+    the first escaping pair the worklist reaches.
     """
     unknown = set(ops) - set(KNOWN_OPS)
     if unknown:
         raise ValueError(f"unknown closure ops {sorted(unknown)}")
-    generators, ops = tuple(generators), frozenset(ops)
-    seeds = generators
+    ops = frozenset(ops)
+    seeds = tuple(generators)
+    if "constants" in ops:
+        seeds += (space.constant_index(0), space.constant_index(space.n))
+    if "tensor" in ops:
+        seeds += (space.top_index,)
     if "join" in ops and space.tensor_closed:
-        seeds += (space.top_index,) if "tensor" in ops else ()
-        U = _worklist(space, seeds, ops - {"join", "tensor"})
-        mask = _join_closure(space, U)
+        seeds = _worklist(space, seeds, ops - {"join", "tensor"})
+        mask = _join_closure(space, seeds)
         if mask == (1 << space.size) - 1 or "tensor" not in ops:
             return SubStructure(space, mask)
-        seeds = U
-    try:
-        T = _worklist(space, seeds, ops - {"join"})
-    except ValueError:
-        _worklist(space, generators, ops)  # raises, naming its own first pair
-        raise
+    T = _worklist(space, seeds, ops - {"join"})
     mask = _join_closure(space, T) if "join" in ops else sum(1 << t for t in T)
     return SubStructure(space, mask)
 
@@ -147,18 +132,17 @@ def _join_closure(space: FunctionSpace, T: Sequence[int]) -> int:
     return members
 
 
-def _worklist(space: FunctionSpace, generators, ops) -> tuple[int, ...]:
-    """The members, ascending, of the closure under ``ops`` by one worklist.
+def _worklist(space: FunctionSpace, seeds, ops) -> tuple[int, ...]:
+    """The members, ascending, of the closure of the seeds under tensor and
+    the unary ops among ``ops``, by one worklist.
 
-    Each member meets itself and every earlier member, by one
-    ``pair_indices`` row gather per binary op (join, then tensor), then
-    the unary tables.  New results join in operand order.  A reached pair
-    whose tensor leaves the space raises ValueError naming the first such
-    pair.  On a ``tensor_closed`` space the worklist stops once every
-    function is a member: nothing new can be reached and no tensor can
-    escape.  Any other space is scanned to the end, so an escaping pair
-    is still found.  (``generate_closure`` stops earlier still, once the
-    joins of the seeds' unary closure are every function.)
+    Each member meets itself and every earlier member by one
+    ``pair_indices`` tensor row gather, then goes through the unary
+    tables; new results join in operand order.  A reached pair whose
+    tensor leaves the space raises ValueError naming the first such pair.
+    On a ``tensor_closed`` space the worklist stops once every function
+    is a member; any other space is scanned to the end, so an escaping
+    pair is still found.
     """
     members: list[int] = []
     seen = set()
@@ -168,16 +152,9 @@ def _worklist(space: FunctionSpace, generators, ops) -> tuple[int, ...]:
             seen.add(i)
             members.append(i)
 
-    for g in generators:
-        add(g)
-    if "constants" in ops:
-        add(space.constant_index(0))
-        add(space.constant_index(space.n))
-    if "tensor" in ops:
-        add(space.top_index)
-
-    tables = {"join": space.gops.join_t, "tensor": space.gops.tensor_t}
-    binary = [tables[op] for op in ("join", "tensor") if op in ops]
+    for s in seeds:
+        add(s)
+    tensor = space.gops.tensor_t if "tensor" in ops else None
     unary = [space.unary_ops(op) for op in ("act", "power", "minus") if op in ops]
     levels = range(space.n + 1)
     full = space.size if space.tensor_closed else None
@@ -185,9 +162,9 @@ def _worklist(space: FunctionSpace, generators, ops) -> tuple[int, ...]:
     for k, i in enumerate(members):
         if len(members) == full:
             break
-        for table in binary:
+        if tensor is not None:
             js = members[: k + 1]
-            for j, r in zip(js, space.pair_indices(table, i, js)):
+            for j, r in zip(js, space.pair_indices(tensor, i, js)):
                 if r not in seen:
                     if r < 0:
                         raise ValueError(f"tensor of f{i} and f{j} leaves the function space")

@@ -19,19 +19,6 @@ from .reports import SuiteReport
 from .tnorms import GridChain, Quantale, SampleSpec, grid_closed, lukasiewicz
 from .vcat import from_poset, unit_category
 
-SUITES = (
-    "quantale-axioms",
-    "monad-laws",
-    "representability",
-    "functoriality",
-    "total-partial",
-    "stone-weierstrass",
-    "enriched-roundtrip",
-    "lemma1",
-    "twovalued",
-    "tensor-maximality",
-)
-
 POSET_SIZE_CAP = 5
 
 # Per-suite bounds on the config: run_suite refuses a config above one
@@ -204,7 +191,7 @@ def _run_functoriality(config: SuiteConfig, report: SuiteReport):
 
     # seeded composable pairs over the configured size bound; nothing kept
     rng = random.Random(config.seed)
-    pool = [P for size in range(1, config.max_size + 1) for P in all_posets(size)]
+    pool = [P for _, P in _poset_sweep(config)]
     for k in range(config.corpus):
         X, Y, Z = (pool[rng.randrange(len(pool))] for _ in range(3))
         phi = _random_distributor(rng, X, Y)
@@ -232,7 +219,7 @@ def _random_distributor(rng: random.Random, X: FinPoset, Y: FinPoset):
 def _run_total_partial(config: SuiteConfig, report: SuiteReport):
     q = config.quantale
     _require_closed(q, config.grid)
-    pool = [P for size in range(1, config.max_size + 1) for P in all_posets(size)]
+    pool = [P for _, P in _poset_sweep(config)]
     for xi, X in enumerate(pool):
         for yi, Y in enumerate(pool):
             for k, phi in enumerate(posets.continuous_distributors(X, Y)):
@@ -298,13 +285,12 @@ def _run_tensor_maximality(config: SuiteConfig, report: SuiteReport):
     q = config.quantale
     n = config.grid
     _require_closed(q, n)
-    for size in range(1, config.max_size + 1):
-        for pk, P in enumerate(all_posets(size)):
-            X = from_poset(P, q)
-            psi0s = range(enriched.enumerate_cx(X, n).size)
-            reps = enriched.tensor_maximality_audits(X, psi0s, n)
-            for fi, rep in enumerate(reps):
-                report.absorb(rep, f"poset {size}.{pk} psi0={fi}")
+    for label, P in _poset_sweep(config):
+        X = from_poset(P, q)
+        psi0s = range(enriched.enumerate_cx(X, n).size)
+        reps = enriched.tensor_maximality_audits(X, psi0s, n)
+        for fi, rep in enumerate(reps):
+            report.absorb(rep, f"{label} psi0={fi}")
 
 
 def _require_closed(q: Quantale, *grids: int):
@@ -329,3 +315,5 @@ _RUNNERS = {
     "twovalued": _run_twovalued,
     "tensor-maximality": _run_tensor_maximality,
 }
+
+SUITES = tuple(_RUNNERS)

@@ -18,12 +18,14 @@ monad laws with each union taken member by member
 (``verify_monad_laws_by_scan``).  They read the functions and the
 members directly, never ``level_masks``.
 
-Three references that no suite needs are kept here, not in the library:
+Four references that no suite needs are kept here, not in the library:
 ``truncated_minus``, the value reference for ``GridOps.minus_t``,
 ``is_continuous_distributor``, the membership oracle for
-``posets.continuous_distributors``, and
+``posets.continuous_distributors``,
 ``continuous_distributors_by_filter``, the product-and-filter loop that
-enumerator replaced by the upper sets of X^op x Y.
+enumerator replaced by the upper sets of X^op x Y, and
+``all_posets_by_clash``, the backtrack ``posets.all_posets`` replaced,
+which also orders related pairs and undoes on a cycle.
 
 Run as a script to compare the first group on the 1,971 spaces named in
 ``full_comparison_spaces``, then the second on the C(X) of every poset
@@ -91,6 +93,51 @@ def continuous_distributors_by_filter(X, Y):
                 tuple(tuple(int(rows[x] >> y & 1) for y in range(Y.size)) for x in range(X.size))
             )
     return out
+
+
+def all_posets_by_clash(n):
+    """Every labeled poset on n elements, in ``posets.all_posets`` order:
+    each unordered pair is left incomparable or ordered either way, the
+    order closed transitively and undone on an antisymmetry clash, with
+    duplicates removed at the end."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    found = []
+
+    def close_with(lo, hi):
+        queue, added = [(lo, hi)], []
+        while queue:
+            x, y = queue.pop()
+            if leq[x][y]:
+                continue
+            if leq[y][x]:
+                for a, b in added:
+                    leq[a][b] = False
+                return None
+            leq[x][y] = True
+            added.append((x, y))
+            for k in range(n):
+                if leq[k][x] and not leq[k][y]:
+                    queue.append((k, y))
+                if leq[y][k] and not leq[x][k]:
+                    queue.append((x, k))
+        return added
+
+    def place(idx):
+        if idx == len(pairs):
+            found.append(tuple(tuple(row) for row in leq))
+            return
+        i, j = pairs[idx]
+        place(idx + 1)
+        for lo, hi in ((i, j), (j, i)):
+            added = close_with(lo, hi)
+            if added is not None:
+                place(idx + 1)
+                for x, y in added:
+                    leq[x][y] = False
+
+    place(0)
+    return [P.FinPoset(mat) for mat in dict.fromkeys(found)]
 
 
 def pair_ops_by_pairs(space):

@@ -232,6 +232,26 @@ def test_representability_corpus_mode():
     assert passing and passing <= expected
 
 
+# SHA-256 of the corpus criterion 6 draws on each of its posets (the
+# corpus does not read the tensor), recorded when make_corpus read its
+# order off the pair table's joins
+CORPUS_DIGESTS = {
+    "chain": "6f9b3694d2cd2b1d2366d72befc91e24c88489ed1a26ef198466e571d5b5c3fb",
+    "vee": "1ef3c1e8a76f46ace2110dc4d2d35144b2e7301cbdce2d3804a205febe864b80",
+    "antichain": "efbd264a52fd2ba925d01c8c3acc067d6982337880542ad228913c27fd2c7231",
+}
+
+
+def test_corpus_reads_the_pointwise_order():
+    import hashlib
+
+    for name, Q in (("chain", CHAIN2), ("vee", P.vee()), ("antichain", P.antichain(2))):
+        for q in (LUK, MIN):
+            corpus = D.make_corpus(D.function_space(Q, q, 2), 400, seed=6)
+            digest = hashlib.sha256(repr([f.itable for f in corpus]).encode()).hexdigest()
+            assert digest == CORPUS_DIGESTS[name], (name, q.name)
+
+
 def test_c_of_distributor():
     sp = D.function_space(CHAIN2, LUK, 2)
     ident = kleisli_identity(CHAIN2)
@@ -413,6 +433,51 @@ def test_c_of_distributor_refuses_an_image_outside_cx():
 def _serve(monkeypatch, spaces):
     """Make total_partial_audit read the hand-built spaces (by carrier)."""
     monkeypatch.setattr(D, "function_space", lambda Q, q, n: spaces[Q])
+
+
+def test_c_of_levels_refuses_a_misshapen_phi():
+    # a missing row used to be reported as an image leaving the space, and
+    # an extra entry was dropped
+    sp = D.function_space(P.antichain(2), LUK, 2)
+    with pytest.raises(ValueError, match=re.escape("lengths [2] are not 2 rows of 2")):
+        D.c_of_levels(((2, 2),), sp, sp)
+    with pytest.raises(ValueError, match=re.escape("lengths [2, 3] are not 2 rows of 2")):
+        D.c_of_levels(((2, 2), (0, 2, 2)), sp, sp)
+
+
+def test_row_column_refuses_a_row_of_the_wrong_length():
+    # the row was zipped with the point columns, so a short row gave a
+    # column and a long one the column of its prefix
+    from unitcat import enriched as E
+
+    sp = D.function_space(P.antichain(2), LUK, 2)
+    assert sp.row_column((2, 0)) == tuple(f[0] for f in sp.ifuncs)
+    for row in ((2,), (2, 0, 2)):
+        with pytest.raises(ValueError, match=f"level row of length {len(row)} on 2 points"):
+            sp.row_column(row)
+        with pytest.raises(ValueError, match=f"level row of length {len(row)} on 2 points"):
+            E.enriched_c(row, sp)
+
+
+def test_certify_refuses_a_table_of_the_wrong_length():
+    # the join check compared the table with its extension from J only as
+    # far as the shorter of the two, so a truncated or padded table passed
+    from unitcat import enriched as E
+
+    sp = D.function_space(P.antichain(2), LUK, 2)
+    table = D.phi_of(0b11, sp).itable
+    assert D.passes_cut(sp, table)
+    with pytest.raises(ValueError, match="a table of 8 levels on 9 functions"):
+        D.passes_cut(sp, table[:-1])
+    chain2 = D.function_space(CHAIN2, LUK, 2)
+    padded = D.phi_of(0b10, chain2).itable + (0, 0, 0)
+    for check in (
+        lambda: D.passes_cut(chain2, padded),
+        lambda: D.certify(chain2, padded, ("act",)),
+        lambda: E.is_finsup_functional(D.Functional.from_levels(chain2, padded)),
+    ):
+        with pytest.raises(ValueError, match="a table of 9 levels on 6 functions"):
+            check()
 
 
 def test_total_partial_refuses_a_tensor_leaving_cy(monkeypatch):

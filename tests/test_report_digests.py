@@ -22,6 +22,14 @@ GENERATORS_DOC = (
     ' "functions": [["1", "0", "0"], ["0", "1", "0"], ["1/2", "1/2", "0"]]}'
 )
 
+# Generators on the same vee whose act-and-join closure is not every
+# function: the closure falls through to its tensor worklist.
+FALL_THROUGH_DOC = (
+    '{"kind": "generators", "tensor": "lukasiewicz", "grid": 2,'
+    ' "poset": {"leq": [[1, 0, 1], [0, 1, 1], [0, 0, 1]]},'
+    ' "functions": [["0", "1", "0"], ["1", "1/2", "0"]]}'
+)
+
 # (suite, tnorm, grid, max-size, corpus, instance document or None)
 CONFIGS = (
     ("quantale-axioms", "lukasiewicz", 3, 2, 1000, None),
@@ -78,6 +86,7 @@ CONFIGS = (
     ("stone-weierstrass", "min", 2, 4, 1000, None),
     ("lemma1", "lukasiewicz", 2, 3, 1000, None),
     ("monad-laws", "lukasiewicz", 2, 4, 1000, None),
+    ("stone-weierstrass", "lukasiewicz", 2, 1, 1000, FALL_THROUGH_DOC),
 )
 
 DIGESTS = {
@@ -236,6 +245,10 @@ DIGESTS = {
     "monad-laws lukasiewicz g2 m4 c1000": (
         "2d765cd6f8389e1b11069587ae7318edcb4253421e8d391213199f91f5e15590",
         "5d8898aa2e1d899da1c295b10ae971201cdeb527859e9333649faf7e1a912c9d",
+    ),
+    "stone-weierstrass lukasiewicz g2 m1 c1000 doc": (
+        "fe8f896549fcad06330ae001280424d576c356b25f84502c85639c8e700ede91",
+        "307ba6651ecf4cbc5b1c32af38ac5ab72e3b21b267be5e13995e7d139d4b81fc",
     ),
 }
 

@@ -419,7 +419,7 @@ def test_two_phase_closure_matches_the_worklist(monkeypatch):
             for ops in ORACLE_OPS:
                 cases += 1
                 try:
-                    want = S._worklist(sp, gens, ops)
+                    want = _closure_pair_by_pair(sp, gens, ops)
                 except ValueError as exc:
                     raising += 1
                     with pytest.raises(ValueError) as got:
@@ -457,6 +457,63 @@ def test_a_fall_through_seeds_the_tensor_worklist_with_the_unary_closure(monkeyp
     assert unary == (1, 2) and seeds == unary
 
 
+def test_the_pinned_fall_through_document_reaches_the_tensor_worklist(monkeypatch):
+    # the generators document pinned in test_report_digests whose joins of
+    # the unary closure are not every function: the tensor worklist runs,
+    # and the closure is still all of the space
+    from test_report_digests import FALL_THROUGH_DOC
+
+    from unitcat.instances import parse_instance
+
+    worklist_ops, worklist = [], S._worklist
+
+    def recorded(space, seeds, ops):
+        worklist_ops.append(ops)
+        return worklist(space, seeds, ops)
+
+    monkeypatch.setattr(S, "_worklist", recorded)
+    config = SU.SuiteConfig(
+        suite="stone-weierstrass", max_size=1, instance=parse_instance(FALL_THROUGH_DOC)
+    )
+    report = SU.run_suite(config)
+    assert report.passed and report.checks == 18
+    assert worklist_ops == [{"act"}, {"act", "tensor"}]
+
+
+def test_a_refusal_runs_one_tensor_worklist(monkeypatch):
+    # the representables a(-, x) of the Lukasiewicz categories of size <= 3
+    # at n <= 2, under join, tensor and act: most closures leave C(X), and
+    # each is refused by its one tensor worklist, naming the pair the
+    # worklist over all the ops reaches first
+    tensor_worklists, worklist = [0], S._worklist
+
+    def counted(space, seeds, ops):
+        tensor_worklists[0] += "tensor" in ops
+        return worklist(space, seeds, ops)
+
+    monkeypatch.setattr(S, "_worklist", counted)
+    ops = ("join", "tensor", "act")
+    cases = refused = 0
+    for size in (1, 2, 3):
+        for n in (1, 2):
+            for X in E.enumerate_enriched_categories(size, LUK, n):
+                sp = E.enumerate_cx(X, n)
+                reps = [sp.iindex[tuple(row[x] for row in sp.structure)] for x in range(size)]
+                cases += 1
+                try:
+                    want = _closure_pair_by_pair(sp, reps, ops)
+                except ValueError as exc:
+                    refused += 1
+                    before = tensor_worklists[0]
+                    with pytest.raises(ValueError) as got:
+                        S.generate_closure(sp, reps, ops)
+                    assert str(got.value) == str(exc), X.matrix
+                    assert tensor_worklists[0] - before == 1, X.matrix
+                    continue
+                assert S.generate_closure(sp, reps, ops).members == want, X.matrix
+    assert (cases, refused) == (288, 242)
+
+
 def test_closure_stop_matches_the_worklist_on_the_sweep(monkeypatch):
     # the stone-weierstrass traffic at size four: down-set indicators under
     # join, tensor and act, against the worklist over all three
@@ -471,7 +528,7 @@ def test_closure_stop_matches_the_worklist_on_the_sweep(monkeypatch):
                 before = calls[0]
                 L = S.generate_closure(sp, gens, ops)
                 stopped += calls[0] - before == 1
-                assert L.members == S._worklist(sp, gens, ops), (q.name, n, Q.leq)
+                assert L.members == _closure_pair_by_pair(sp, gens, ops), (q.name, n, Q.leq)
                 cases += 1
     assert cases == 876 and stopped == cases
 
