@@ -294,16 +294,16 @@ class FunctionSpace:
         pair's stays, or tenlax is not named).
 
         Entry p lists the instances decided once g(j) is set for j = J[p],
-        as (equal, lax): equal holds (f, tops[f], row) for each that needs
-        t(f) = row[g(j)], lax holds (f, tops[f], q) for each that needs
-        t(f) <= g(j) tensor g(J[q]); ``certify`` reads t(f) in the table
-        at f, the search reads it off g through tops[f].  They are
+        as (equal, lax): equal holds (b, row) for each that needs t(f) =
+        row[g(j)], lax holds (b, q) for each that needs t(f) <= g(j) tensor
+        g(J[q]).  b is tops[f] and then the slot len(J), which g holds at
+        0, and ``_holds`` reads t(f) as the max of g over b.  They are
         t(j minus u) = g(j) minus u for u >= 1, t(u tensor j) = u tensor
         g(j) for 0 < u < n, and t(j tensor k) <= g(j) tensor g(k) for each
         k = J[q] with q <= p whose tensor with j stays in the space.  Each
-        such f lies below j, so tops[f] holds positions up to p only.  The minus table is read
-        first, so an escaping minus raises ValueError before anything
-        else; an unknown name raises too.
+        such f lies below j, so tops[f] holds positions up to p only.  The
+        minus table is read first, so an escaping minus raises ValueError
+        before anything else; an unknown name raises too.
         """
         key = frozenset(conditions)
         built = self._join_instances.get(key)
@@ -315,7 +315,7 @@ class FunctionSpace:
             J, tops, _ = self.join_order
             equal: list[list] = [[] for _ in J]
             lax: list[list] = [[] for _ in J]
-            escape = None
+            escape, zero = None, len(J)
             # for each u of an equal instance: the op's row of function
             # indices and its row of levels
             ops = []
@@ -328,12 +328,12 @@ class FunctionSpace:
             for p, j in enumerate(J):
                 for indices, row in ops:
                     f = indices[j]
-                    equal[p].append((f, tops[f], row))
+                    equal[p].append(((*tops[f], zero), row))
             if "tenlax" in key:
                 for p, j in enumerate(J):
                     for q, k in enumerate(self.pair_indices(tt, j, J[: p + 1])):
                         if k >= 0:
-                            lax[p].append((k, tops[k], q))
+                            lax[p].append(((*tops[k], zero), q))
                         elif escape is None:
                             escape = (j, J[q])
             built = self._join_instances[key] = (list(zip(equal, lax)), escape)
@@ -474,19 +474,24 @@ def function_space(P: FinPoset, q: Quantale, n: int) -> FunctionSpace:
 
 class Functional:
     """A [0,1]-valued table on an enumerated function space, held as grid
-    levels; Fractions pass through the space's GridOps, off-grid ones raise."""
+    levels, one per function; Fractions pass through the space's GridOps,
+    off-grid ones raise, and so does a table whose length is not the
+    space's size."""
 
     __slots__ = ("space", "itable")
 
     def __init__(self, space: FunctionSpace, table):
         self.space = space
-        self.itable = tuple(space.gops.index(v) for v in table)
+        self.itable = Functional.from_levels(space, map(space.gops.index, table)).itable
 
     @classmethod
     def from_levels(cls, space: FunctionSpace, itable) -> "Functional":
+        itable = tuple(itable)
+        if len(itable) != space.size:
+            raise ValueError(f"a table of {len(itable)} levels on {space.size} functions")
         f = cls.__new__(cls)
         f.space = space
-        f.itable = tuple(itable)
+        f.itable = itable
         return f
 
     @property
@@ -594,15 +599,18 @@ def certify(space: FunctionSpace, itable, conditions: Sequence[str]) -> bool:
     everywhere; decided on J, with no pair of functions.
 
     The certificate, with g the table on J (``join_order``): the table is
-    0 at the bottom, g is monotone along the covers, every instance in
-    the space's ``join_instances`` for the names holds (the table the
-    pruned search checks), and the table is g's ``extension``.  The
-    first two and the last hold exactly for the tables that preserve
-    joins and send the bottom to 0, and every join-irreducible is
-    join-prime.  Act, minus and the pointwise tensor are monotone on the
-    chain of levels, so they distribute over pointwise joins, and each
-    condition holds everywhere iff it holds on J (on J x J for tenlax);
-    at u = 0 and u = n the action is the bottom and the identity.  For
+    0 at the bottom, g is monotone along the covers, and the table is g's
+    ``extension``; these hold exactly for the tables that preserve joins
+    and send the bottom to 0, since every join-irreducible is join-prime.
+    Then every instance in the space's ``join_instances`` for the names
+    holds, by the pruned search's own test ``_holds``.  It reads t(f) off
+    g, which is the table's t(f) whenever the table is g's extension; so
+    the instances can be checked first, and the extension, which reads
+    every function, last.  Act, minus and the pointwise tensor are
+    monotone on the chain of levels, so they distribute over pointwise
+    joins, and each condition holds everywhere iff it holds on J (on
+    J x J for tenlax); at u = 0 and u = n the action is the bottom and
+    the identity.  For
     tenlax that needs the tensor of every pair of J to stay in the space;
     then every tensor of two functions, the join of such tensors, stays
     too.  That holds on every ``tensor_closed`` space.  On a space where
@@ -612,7 +620,7 @@ def certify(space: FunctionSpace, itable, conditions: Sequence[str]) -> bool:
 
     Every refusal comes before any check of the table: a table whose
     length is not the space's size first, then an escaping minus.  The
-    checks on J come first; the first failing one decides.
+    first failing check decides.
     """
     if len(itable) != space.size:
         raise ValueError(f"a table of {len(itable)} levels on {space.size} functions")
@@ -629,16 +637,25 @@ def certify(space: FunctionSpace, itable, conditions: Sequence[str]) -> bool:
     lows, highs = space.cover_pairs
     if any(map(gt, map(g.__getitem__, lows), map(g.__getitem__, highs))):
         return False
-    tt, at = space.gops.tensor_t, itable.__getitem__
-    for (equal, lax), v in zip(instances, g):
-        for f, _, row in equal:
-            if at(f) != row[v]:
-                return False
-        for f, _, q in lax:
-            if at(f) > tt[v][g[q]]:
-                return False
-    # the join check last: it reads every function, the others only J
+    tt = space.gops.tensor_t
+    if not all(_holds(entry, g, v, tt) for entry, v in zip(instances, g)):
+        return False
     return not any(map(ne, itable, space.extension(g)))
+
+
+def _holds(entry, g, v: int, tt) -> bool:
+    """Whether the instances of one ``join_instances`` entry hold with
+    g(J[p]) = v, each t(f) read as the max of the level list g over the
+    instance's tops of f and the slot that g holds at 0."""
+    equal, lax = entry
+    at = g.__getitem__
+    for b, row in equal:
+        if max(map(at, b)) != row[v]:
+            return False
+    for b, q in lax:
+        if max(map(at, b)) > tt[v][g[q]]:
+            return False
+    return True
 
 
 def passes_cut(space: FunctionSpace, itable, drop_tenlax: bool = False) -> bool:
@@ -671,8 +688,9 @@ def join_homomorphisms(
 
     ``conditions`` names any of "act", "minus" and "tenlax".  Once g(j)
     is set for j = J[p], the search checks the space's ``join_instances``
-    at p, the table ``certify`` checks too; tenlax instances are checked
-    on the pairs of J whose tensor stays in the space, and never refused.
+    at p with ``_holds``, the test ``certify`` runs too; tenlax instances
+    are checked on the pairs of J whose tensor stays in the space, and
+    never refused.
     Each reads only positions up to p, and a failing prefix is dropped
     with every table that extends it.  Each check is one instance of the
     full condition, so no table the full checker accepts is dropped; the
@@ -685,16 +703,6 @@ def join_homomorphisms(
     # g holds one more slot, always 0, that ``extension`` reads
     g = [0] * (len(covers) + 1)
 
-    def holds(p: int, v: int) -> bool:
-        equal, lax = instances[p]
-        for _, b, row in equal:
-            if max((g[q] for q in b), default=0) != row[v]:
-                return False
-        for _, b, q in lax:
-            if max((g[r] for r in b), default=0) > tt[v][g[q]]:
-                return False
-        return True
-
     def extend(p: int):
         if p == len(covers):
             yield tuple(space.extension(g))
@@ -702,7 +710,7 @@ def join_homomorphisms(
         pruned = instances[p][0] or instances[p][1]
         for v in range(max((g[q] for q in covers[p]), default=0), n + 1):
             g[p] = v
-            if not pruned or holds(p, v):
+            if not pruned or _holds(instances[p], g, v, tt):
                 yield from extend(p + 1)
 
     return extend(0)
@@ -774,10 +782,15 @@ def c_of_distributor(phi01, cy: FunctionSpace, cx: FunctionSpace) -> tuple[int, 
     """The function-space map of a 0/1 continuous distributor X -|-> Y.
 
     psi |-> (x |-> sup of psi over the row of x): ``c_of_levels`` of the
-    rows read as levels 0 and n, which refuses a misshapen phi.
+    rows read as levels 0 and n, which refuses a misshapen phi.  An entry
+    other than 0 or 1 raises ValueError.
     """
-    level = (0, cy.n).__getitem__
-    return c_of_levels([tuple(map(level, row)) for row in phi01], cy, cx)
+    level = {0: 0, 1: cy.n}.__getitem__
+    try:
+        rows = [tuple(map(level, row)) for row in phi01]
+    except KeyError as exc:
+        raise ValueError(f"distributor entry {exc.args[0]!r} is neither 0 nor 1") from None
+    return c_of_levels(rows, cy, cx)
 
 
 def c_of_levels(phi, cy: FunctionSpace, cx: FunctionSpace) -> tuple[int, ...]:

@@ -1,9 +1,9 @@
 """Continuous t-norms on [0,1] and their residuals, in exact arithmetic.
 
 Implements the minimum, product and Lukasiewicz tensors plus the piecewise
-ordinal-sum construction, each with its right adjoint hom, and the audit
-helpers (axiom sweeps, zero-divisor checks, grid closure) that the
-exhaustive suites are built on.
+ordinal-sum construction, each a ``Quantale`` with its right adjoint hom,
+and the audit helpers (axiom sweeps, zero-divisor checks, grid closure)
+that the exhaustive suites are built on.
 """
 
 from __future__ import annotations
@@ -22,7 +22,25 @@ class MalformedOrdinalSum(ValueError):
 
 
 @dataclass(frozen=True)
-class Minimum:
+class Quantale:
+    """[0,1] with a chosen continuous t-norm and its residual: each
+    subclass is one t-norm, with its ``name``, ``tensor`` and ``hom``."""
+
+    # every continuous t-norm has unit 1; not a field
+    unit: ClassVar[Fraction] = ONE
+    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def grid(self, n: int) -> "GridOps":
+        """The GridOps of Q_n, built on first use and kept on this quantale;
+        raises GridNotClosed, keeping nothing, when Q_n is not closed."""
+        gops = self._grids.get(n)
+        if gops is None:
+            gops = self._grids[n] = GridOps(self, n)
+        return gops
+
+
+@dataclass(frozen=True)
+class Minimum(Quantale):
     name: str = "minimum"
 
     def tensor(self, u: Fraction, v: Fraction) -> Fraction:
@@ -33,7 +51,7 @@ class Minimum:
 
 
 @dataclass(frozen=True)
-class Product:
+class Product(Quantale):
     name: str = "product"
 
     def tensor(self, u: Fraction, v: Fraction) -> Fraction:
@@ -47,7 +65,7 @@ class Product:
 
 
 @dataclass(frozen=True)
-class Lukasiewicz:
+class Lukasiewicz(Quantale):
     name: str = "lukasiewicz"
 
     def tensor(self, u: Fraction, v: Fraction) -> Fraction:
@@ -60,10 +78,10 @@ class Lukasiewicz:
 
 
 @dataclass(frozen=True)
-class OrdinalSum:
-    """Piecewise tensor: rescaled inner t-norms on [a_i, b_i], minimum elsewhere."""
+class OrdinalSum(Quantale):
+    """Piecewise tensor: rescaled inner quantales on [a_i, b_i], minimum elsewhere."""
 
-    segments: tuple[tuple[Fraction, Fraction, "TNormSpec"], ...]
+    segments: tuple[tuple[Fraction, Fraction, Quantale], ...]
     name: str = "ordinal-sum"
 
     def __post_init__(self):
@@ -104,56 +122,12 @@ class OrdinalSum:
         return a + w * inner.hom((u - a) / w, (v - a) / w)
 
 
-TNormSpec = Union[Minimum, Product, Lukasiewicz, OrdinalSum]
+minimum, product, lukasiewicz = Minimum, Product, Lukasiewicz
 
 
-@dataclass(frozen=True)
-class Quantale:
-    """[0,1] with a chosen continuous t-norm and its residual."""
-
-    tnorm: TNormSpec
-    # every continuous t-norm has unit 1; not a field
-    unit: ClassVar[Fraction] = ONE
-    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def name(self) -> str:
-        return self.tnorm.name
-
-    def grid(self, n: int) -> "GridOps":
-        """The GridOps of Q_n, built on first use and kept on this quantale;
-        raises GridNotClosed, keeping nothing, when Q_n is not closed."""
-        gops = self._grids.get(n)
-        if gops is None:
-            gops = self._grids[n] = GridOps(self, n)
-        return gops
-
-    def tensor(self, u: Fraction, v: Fraction) -> Fraction:
-        return self.tnorm.tensor(u, v)
-
-    def hom(self, u: Fraction, v: Fraction) -> Fraction:
-        return self.tnorm.hom(u, v)
-
-
-def minimum() -> Quantale:
-    return Quantale(Minimum())
-
-
-def product() -> Quantale:
-    return Quantale(Product())
-
-
-def lukasiewicz() -> Quantale:
-    return Quantale(Lukasiewicz())
-
-
-def ordinal_sum(*segments) -> Quantale:
-    """Each segment is (a, b, inner) with inner a TNormSpec or Quantale."""
-    segs = tuple(
-        (as_value(a), as_value(b), inner.tnorm if isinstance(inner, Quantale) else inner)
-        for a, b, inner in segments
-    )
-    return Quantale(OrdinalSum(segs))
+def ordinal_sum(*segments) -> OrdinalSum:
+    """Each segment is (a, b, inner) with inner a Quantale."""
+    return OrdinalSum(segments)
 
 
 def is_nilpotent(q: Quantale, u) -> tuple[bool, Optional[int]]:
@@ -163,39 +137,30 @@ def is_nilpotent(q: Quantale, u) -> tuple[bool, Optional[int]]:
     Lukasiewicz has least power ceil(1/(1-u)), and ordinal sums reduce to
     the rescaled element of their zero-based segment.
     """
-    return _nilpotency(q.tnorm, as_value(u))
-
-
-def _nilpotency(tn: TNormSpec, u: Fraction) -> tuple[bool, Optional[int]]:
-    if u == 0:
+    u = as_value(u)
+    if u == 0 or isinstance(q, (Minimum, Product)):
         return False, None
-    if isinstance(tn, (Minimum, Product)):
-        return False, None
-    if isinstance(tn, Lukasiewicz):
+    if isinstance(q, Lukasiewicz):
         if u == 1:
             return False, None
         gap = 1 - u
         n = (gap.denominator + gap.numerator - 1) // gap.numerator  # ceil(1/(1-u))
         return True, n
-    if isinstance(tn, OrdinalSum):
-        for a, b, inner in tn.segments:
+    if isinstance(q, OrdinalSum):
+        for a, b, inner in q.segments:
             if a == 0 and u <= b:
-                return _nilpotency(inner, u / b)
+                return is_nilpotent(inner, u / b)
         return False, None
-    raise TypeError(f"unknown t-norm {tn!r}")
+    raise TypeError(f"unknown t-norm {q!r}")
 
 
 def nilpotent_free(q: Quantale) -> bool:
     """True when no element of [0,1] is nilpotent for this tensor."""
-    return _nilpotent_free(q.tnorm)
-
-
-def _nilpotent_free(tn: TNormSpec) -> bool:
-    if isinstance(tn, (Minimum, Product)):
+    if isinstance(q, (Minimum, Product)):
         return True
-    if isinstance(tn, Lukasiewicz):
+    if isinstance(q, Lukasiewicz):
         return False
-    return all(a != 0 or _nilpotent_free(inner) for a, b, inner in tn.segments)
+    return all(a != 0 or nilpotent_free(inner) for a, b, inner in q.segments)
 
 
 @dataclass(frozen=True)

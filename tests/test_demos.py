@@ -1,3 +1,8 @@
+"""Every demo runs and prints the same text, pinned by the SHA-256 of its
+stdout.  A change that alters a demo's output on purpose updates the
+digest here and says so in the change log."""
+
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,9 +13,17 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
+STDOUT_SHA256 = {
+    "01_tnorm_arithmetic.py": "ef7e6995a9dfba0990436ce9854f496753f2f4bb6c492333e701ea15f00944c7",
+    "03_vietoris_monad.py": "8e261577069f52f0210070260e4953cae20ab002569b2e0100d1e96ff785e440",
+    "04_functional_duality.py": "87abdcf7e1a2050c23a308f3e2e345b6d47645de9fa861166d479c519530b176",
+    "05_density.py": "3b20361864992ab78c0516006e6ed4539de6b1cb5481b58ede7d582b2f870b16",
+    "06_enriched_roundtrip.py": "9687e9b44960aec5b9116f4e4c8683f5ef894e877666720b629715fb4123eb49",
+}
+
 
 def test_demos_found():
-    assert len(DEMOS) == 5
+    assert [demo.name for demo in DEMOS] == sorted(STDOUT_SHA256)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
@@ -28,4 +41,4 @@ def test_demo_runs(demo):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == STDOUT_SHA256[demo.name]

@@ -166,6 +166,19 @@ def test_zero_set_examples():
     assert D.anti_set(top) == 0b11
 
 
+def test_functionals_refuse_a_table_of_the_wrong_length():
+    # a padded table was kept, and zero_set and anti_set read its first
+    # six levels; a short one made zero_set raise a bare IndexError
+    sp = D.function_space(CHAIN2, LUK, 2)
+    padded = D.phi_of(0b10, sp).itable + (2, 2, 2)
+    with pytest.raises(ValueError, match="a table of 9 levels on 6 functions"):
+        D.Functional.from_levels(sp, padded)
+    with pytest.raises(ValueError, match="a table of 2 levels on 6 functions"):
+        D.Functional.from_levels(sp, (0, 0))
+    with pytest.raises(ValueError, match="a table of 7 levels on 6 functions"):
+        D.Functional(sp, [F(0)] * 7)
+
+
 def test_zero_anti_roundtrip_on_upper_sets():
     for q in (LUK, MIN):
         for size in (1, 2, 3):
@@ -419,6 +432,18 @@ def test_c_of_distributor_refuses_a_misshapen_phi():
         D.c_of_distributor(((1, 1),), sp, sp)
     with pytest.raises(ValueError, match="lengths \\[2, 3\\] are not 2 rows of 2"):
         D.c_of_distributor(((1, 1), (0, 1, 1)), sp, sp)
+
+
+def test_c_of_distributor_refuses_an_entry_other_than_0_or_1():
+    # entries were read as positions of (0, n): -1 as 1, -2 as 0, and 2
+    # raised a bare IndexError
+    for entry in (-1, -2, 2):
+        with pytest.raises(ValueError, match=f"distributor entry {entry} is neither 0 nor 1"):
+            D.total_partial_audit(((entry,),), POINT, POINT, LUK, 2)
+    sp = D.function_space(CHAIN2, LUK, 2)
+    assert D.c_of_distributor(((True, True), (False, True)), sp, sp) == (
+        D.c_of_distributor(((1, 1), (0, 1)), sp, sp)
+    )
 
 
 def test_c_of_distributor_refuses_an_image_outside_cx():

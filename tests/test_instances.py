@@ -72,7 +72,7 @@ def test_tnorm_parsing():
     assert I.parse_tnorm("product").name == "product"
     assert I.parse_tnorm("lukasiewicz").name == "lukasiewicz"
     q = I.parse_tnorm("ordinal:0-1/2-lukasiewicz,1/2-1-product")
-    assert q.name == "ordinal-sum" and len(q.tnorm.segments) == 2
+    assert q.name == "ordinal-sum" and len(q.segments) == 2
     with pytest.raises(I.InstanceError):
         I.parse_tnorm("ordinal:0-1/2")
     with pytest.raises(I.InstanceError):
@@ -90,7 +90,7 @@ def test_every_tensor_alias_parses_at_the_top_level_and_in_a_segment():
     for alias, name in aliases.items():
         assert I.parse_tnorm(f" {alias.upper()} ").name == name, alias
         q = I.parse_tnorm(f"ordinal:0-1/2-{alias}")
-        (segment,) = q.tnorm.segments
+        (segment,) = q.segments
         assert segment[2].name == name, alias
     with pytest.raises(I.InstanceError) as exc:
         I.parse_tnorm("ordinal:0-1/2-frobenius")

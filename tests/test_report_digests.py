@@ -281,6 +281,14 @@ def test_report_text_unchanged(config):
     assert _digests(config) == DIGESTS[_label(config)]
 
 
+def test_every_config_has_its_own_label_and_digest():
+    # DIGESTS is keyed by label, and a dict literal silently keeps the
+    # later of two equal keys, so two configs must never share a label
+    labels = [_label(config) for config in CONFIGS]
+    assert len(set(labels)) == len(CONFIGS)
+    assert set(DIGESTS) == set(labels) and len(DIGESTS) == len(CONFIGS)
+
+
 def test_functoriality_maps_each_exhaustive_distributor_once(monkeypatch):
     # the exhaustive part maps its 98 distinct (phi, Y, X) once each, the
     # sampled part three per pair; the report is the pinned one

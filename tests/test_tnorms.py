@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import truncated_minus
+from unitcat import instances as I
 from unitcat import tnorms as T
 
 LUK = T.lukasiewicz()
@@ -37,7 +38,7 @@ def test_ordinal_sum_outside_segment_is_min():
 
 
 def test_ordinal_sum_zero_segments_is_minimum():
-    empty = T.Quantale(T.OrdinalSum(()))
+    empty = T.OrdinalSum(())
     for u in (F(0), F(1, 3), F(1)):
         for v in (F(0), F(2, 5), F(1)):
             assert empty.tensor(u, v) == MIN.tensor(u, v)
@@ -194,6 +195,15 @@ def test_grid_is_built_once_per_quantale():
     assert q.grid(3) is not T.lukasiewicz().grid(3)
     assert q == T.lukasiewicz() and hash(q) == hash(T.lukasiewicz())
     assert repr(q) == repr(T.lukasiewicz())
+    # each tensor equals a fresh instance of itself, with the same hash,
+    # and no other tensor; its grid cache stays its own
+    ordinal = I.parse_tnorm("ordinal:0-1/2-luk")
+    fresh = (T.minimum(), T.product(), T.lukasiewicz(), T.ordinal_sum((0, "1/2", T.lukasiewicz())))
+    for k, a in enumerate((T.minimum(), T.product(), T.lukasiewicz(), ordinal)):
+        for m, b in enumerate(fresh):
+            assert (a == b) == (k == m), (a, b)
+        assert hash(a) == hash(fresh[k])
+    assert ordinal.grid(2) is not fresh[3].grid(2)
 
 
 def test_rational_sample_deterministic():
