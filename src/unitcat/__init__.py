@@ -41,7 +41,6 @@ from .vcat import (
     VCategory,
     from_poset,
     is_separated,
-    natural_order,
     unit_category,
     validate_vcategory,
     vcategory,

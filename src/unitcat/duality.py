@@ -342,20 +342,24 @@ class FunctionSpace:
     def unary_ops(self, op: str) -> list[tuple[int, ...]]:
         """The "act", "minus" or "power" table, built on first read: row u
         holds the index of u tensor f, f minus u or u hom f for each f.
-        Row u applies the level map ``maps[u]`` to every function; a map
-        that is the identity gives every f itself, and a constant map the
-        one constant function, both read off without a gather (act, power
-        and minus at 0 and at 1).
+        Row u applies the level map ``maps[u]`` to every function (for
+        minus, column u of ``GridOps.minus_t``); a map that is the identity
+        gives every f itself, and a constant map the one constant function,
+        both read off without a gather (act, power and minus at 0 and at 1).
         Minus and powers can leave the space over enriched carriers; such
-        a table raises ValueError naming its first escaping function."""
+        a table raises ValueError naming its first escaping function; an
+        unknown name raises KeyError."""
         table = self._unary.get(op)
         if table is None:
-            n, idx = self.n, self.iindex
-            maps = {
-                "act": self.gops.tensor_t,
-                "minus": [[max(a - u, 0) for a in range(n + 1)] for u in range(n + 1)],
-                "power": self.gops.hom_t,
-            }[op]
+            n, idx, gops = self.n, self.iindex, self.gops
+            if op == "act":
+                maps = gops.tensor_t
+            elif op == "power":
+                maps = gops.hom_t
+            elif op == "minus":
+                maps = [list(column) for column in zip(*gops.minus_t)]
+            else:
+                raise KeyError(op)
             identity = list(range(n + 1))
             table = []
             for u, level in enumerate(maps):
@@ -458,7 +462,8 @@ def cx_space(base, gops: GridOps) -> FunctionSpace:
         space = FunctionSpace(base, gops, cx_levels(gops, ia))
         space.structure = ia
         space.tensor_closed = all(v in (0, gops.n) for row in ia for v in row)
-        del kept[: len(kept) + 1 - SPACES_KEPT]
+        # clamped at 0: a negative stop would count from the end
+        del kept[: max(0, len(kept) + 1 - SPACES_KEPT)]
     kept.append(space)
     return space
 

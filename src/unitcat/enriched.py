@@ -365,8 +365,10 @@ def enumerate_enriched_categories(size: int, q: Quantale, n: int) -> Iterator[VC
     representables separate points and attain the infimum).
 
     Fractions are built only for the categories yielded, and each is
-    checked again by ``validate_vcategory`` and ``is_separated``; a
-    disagreement raises RuntimeError.  The grid must be closed.
+    checked again by ``validate_vcategory`` (in Fractions, tensored once
+    per quantale and set of values, not once per matrix) and
+    ``is_separated``; a disagreement raises RuntimeError.  The grid must
+    be closed.
     """
     gops = q.grid(n)
     tt, values = gops.tensor_t, gops.values

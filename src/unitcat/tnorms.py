@@ -9,6 +9,7 @@ that the exhaustive suites are built on.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar, Optional, Union
@@ -29,6 +30,7 @@ class Quantale:
     # every continuous t-norm has unit 1; not a field
     unit: ClassVar[Fraction] = ONE
     _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def grid(self, n: int) -> "GridOps":
         """The GridOps of Q_n, built on first use and kept on this quantale;
@@ -37,6 +39,19 @@ class Quantale:
         if gops is None:
             gops = self._grids[n] = GridOps(self, n)
         return gops
+
+    def tensor_ranks(self, values: tuple[Fraction, ...]) -> list[list[int]]:
+        """For ascending distinct ``values``: row i, column j counts the
+        values below values[i] tensor values[j], so the tensor exceeds
+        values[k] exactly when k is less than the count.  Taken in exact
+        Fractions on first use and kept on this quantale, one table per
+        tuple."""
+        table = self._ranks.get(values)
+        if table is None:
+            table = self._ranks[values] = [
+                [bisect_left(values, self.tensor(u, v)) for v in values] for u in values
+            ]
+        return table
 
 
 @dataclass(frozen=True)

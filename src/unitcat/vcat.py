@@ -40,49 +40,47 @@ def vcategory(q: Quantale, rows) -> VCategory:
 def validate_vcategory(X: VCategory) -> CheckReport:
     """Reflexivity (a(x,x) = 1) and the tensor triangle inequality, on
     every point and triple, in the quantale's exact Fraction tensor and
-    order.  The matrix is read as positions of its distinct values, and
-    each pair of those is tensored once per call."""
+    order.  The matrix is read as ranks of its distinct values, so the
+    triangle test compares ranks in ``Quantale.tensor_ranks``, whose
+    tensors are taken once per quantale and set of values."""
     failures = []
-    checked = 0
     q = X.quantale
     matrix = X.matrix
-    for x in range(X.size):
-        checked += 1
+    size = X.size
+    for x in range(size):
         if matrix[x][x] != ONE:
             failures.append(f"reflexivity: a({x},{x}) = {format_value(matrix[x][x])}")
     position: dict[Fraction, int] = {}
-    rows = [[position.setdefault(v, len(position)) for v in row] for row in matrix]
-    values = list(position)
-    tensors = [[q.tensor(u, v) for v in values] for u in values]
+    cells = [[position.setdefault(v, len(position)) for v in row] for row in matrix]
+    values = tuple(sorted(position))
+    rank = [values.index(v) for v in position]
+    rows = [[rank[p] for p in row] for row in cells]
+    below = q.tensor_ranks(values)
     for x, row in enumerate(rows):
         for y, i in enumerate(row):
+            limit = below[i]
             for z, j in enumerate(rows[y]):
-                checked += 1
-                if tensors[i][j] > matrix[x][z]:
+                if row[z] < limit[j]:
                     failures.append(
                         f"transitivity at ({x},{y},{z}): "
                         f"{format_value(values[i])} (x) {format_value(values[j])} "
                         f"> {format_value(matrix[x][z])}"
                     )
     return CheckReport(
-        name="vcategory-axioms", checked=checked, failures=tuple(failures[:8])
-    )
-
-
-def natural_order(X: VCategory) -> tuple[tuple[bool, ...], ...]:
-    """x <= y whenever the structure reaches the unit."""
-    return tuple(
-        tuple(X.a(x, y) == ONE for y in range(X.size)) for x in range(X.size)
+        name="vcategory-axioms",
+        checked=size + size**3,
+        failures=tuple(failures[:8]),
     )
 
 
 def is_separated(X: VCategory) -> bool:
-    order = natural_order(X)
+    """No two points reach each other at the unit: a(x,y) = a(y,x) = 1
+    for no x < y."""
+    m = X.matrix
     return not any(
-        order[x][y] and order[y][x]
-        for x in range(X.size)
-        for y in range(X.size)
-        if x != y
+        m[x][y] == ONE and m[y][x] == ONE
+        for x in range(len(m))
+        for y in range(x + 1, len(m))
     )
 
 

@@ -27,6 +27,12 @@ enumerator replaced by the upper sets of X^op x Y, and
 ``all_posets_by_clash``, the backtrack ``posets.all_posets`` replaced,
 which also orders related pairs and undoes on a cycle.
 
+The third group is the category check before its tensors were kept
+per set of values: ``validate_vcategory_by_positions`` tensors each
+pair of the matrix's distinct values on every call, and
+``is_separated_by_order`` reads the whole ``natural_order``, which only
+the tests read.
+
 Run as a script to compare the first group on the 1,971 spaces named in
 ``full_comparison_spaces``, then the second on the C(X) of every poset
 of size <= 5 and enriched category of size <= 3 at n <= 4, the closures
@@ -48,7 +54,7 @@ from unitcat import stone as S
 from unitcat import tnorms as T
 from unitcat import vcat as VC
 from unitcat.reports import CheckReport
-from unitcat.values import ZERO, as_value, format_value
+from unitcat.values import ONE, ZERO, as_value, format_value
 
 LUK = T.lukasiewicz()
 MIN = T.minimum()
@@ -437,6 +443,55 @@ def lemma1_audit_by_scan(X, n):
                     f"{format_value(gops.values[best])}"
                 )
     return CheckReport(name="structure-recovery", checked=checked, failures=tuple(failures))
+
+
+def validate_vcategory_by_positions(X):
+    """``vcat.validate_vcategory`` with the matrix read as positions of its
+    distinct values in order of appearance, each pair of them tensored in
+    Fractions on every call and compared with the value of a(x,z)."""
+    failures = []
+    checked = 0
+    q = X.quantale
+    matrix = X.matrix
+    for x in range(X.size):
+        checked += 1
+        if matrix[x][x] != ONE:
+            failures.append(f"reflexivity: a({x},{x}) = {format_value(matrix[x][x])}")
+    position = {}
+    rows = [[position.setdefault(v, len(position)) for v in row] for row in matrix]
+    values = list(position)
+    tensors = [[q.tensor(u, v) for v in values] for u in values]
+    for x, row in enumerate(rows):
+        for y, i in enumerate(row):
+            for z, j in enumerate(rows[y]):
+                checked += 1
+                if tensors[i][j] > matrix[x][z]:
+                    failures.append(
+                        f"transitivity at ({x},{y},{z}): "
+                        f"{format_value(values[i])} (x) {format_value(values[j])} "
+                        f"> {format_value(matrix[x][z])}"
+                    )
+    return CheckReport(
+        name="vcategory-axioms", checked=checked, failures=tuple(failures[:8])
+    )
+
+
+def natural_order(X):
+    """x <= y whenever the structure reaches the unit."""
+    return tuple(
+        tuple(X.a(x, y) == ONE for y in range(X.size)) for x in range(X.size)
+    )
+
+
+def is_separated_by_order(X):
+    """``vcat.is_separated`` on every ordered pair of the natural order."""
+    order = natural_order(X)
+    return not any(
+        order[x][y] and order[y][x]
+        for x in range(X.size)
+        for y in range(X.size)
+        if x != y
+    )
 
 
 def thinned_copies(space):

@@ -73,6 +73,21 @@ def test_third_carrier_evicts_the_least_recently_requested(builds):
     assert len(q.grid(2).spaces) == 2
 
 
+def test_a_larger_limit_keeps_as_many_spaces(monkeypatch, builds):
+    # the oldest space is dropped only once the list is full, whatever
+    # the limit
+    monkeypatch.setattr(D, "SPACES_KEPT", 4)
+    q = T.lukasiewicz()
+    carriers = [P.chain(1), P.chain(2), P.antichain(2), P.vee()]
+    spaces = [D.function_space(Q, q, 2) for Q in carriers]
+    assert q.grid(2).spaces == spaces
+    assert all(D.function_space(Q, q, 2) is sp for Q, sp in zip(carriers, spaces))
+    assert builds[0] == 4
+    D.function_space(P.chain(3), q, 2)  # evicts the least recently requested
+    assert q.grid(2).spaces[:3] == spaces[1:]
+    assert len(q.grid(2).spaces) == 4
+
+
 def test_quantales_grids_and_base_kinds_never_share_a_space():
     Q = P.vee()
     q, other = T.lukasiewicz(), T.lukasiewicz()

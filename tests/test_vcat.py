@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction as F
 from itertools import product as iproduct
 
 import pytest
+from oracles import is_separated_by_order, natural_order, validate_vcategory_by_positions
 
 from unitcat import duality as D
 from unitcat import enriched as E
@@ -44,15 +46,77 @@ def test_validate_rejects_broken_triangle():
     assert not rep.passed and "transitivity" in rep.failures[0]
 
 
+def _agree(X):
+    """The rank check and the separation test against their references,
+    whole reports compared; returns the report."""
+    got = VC.validate_vcategory(X)
+    assert got == validate_vcategory_by_positions(X), X.matrix
+    assert VC.is_separated(X) == is_separated_by_order(X), X.matrix
+    return got
+
+
+def test_validation_matches_the_reference_on_enumerated_categories():
+    counted = 0
+    for q in (LUK, T.minimum()):
+        for n in (1, 2, 3):
+            for size in (1, 2, 3):
+                for X in E.enumerate_enriched_categories(size, q, n):
+                    assert _agree(X).passed
+                    counted += 1
+    assert counted == 2647  # 1,748 under Lukasiewicz, 899 under min
+
+
+def test_validation_matches_the_reference_on_every_small_matrix():
+    # every 2x2 and 3x3 matrix over Q_2, diagonal included
+    values = T.GridChain(2).elements
+    for q in (T.lukasiewicz(), T.minimum()):
+        outcomes = set()
+        for size in (2, 3):
+            for flat in iproduct(values, repeat=size * size):
+                X = VC.VCategory(q, tuple(flat[i : i + size] for i in range(0, len(flat), size)))
+                outcomes.add(_agree(X).passed)
+        assert outcomes == {True, False}
+        # 3 reflexivity and 6 transitivity failures, the first 8 kept
+        swapped = VC.vcategory(q, [["0", "1", "1"], ["1", "0", "1"], ["1", "1", "0"]])
+        assert len(VC.validate_vcategory(swapped).failures) == 8
+        # one table per set of values, whatever their order in the matrix
+        assert len(q._ranks) == 7
+
+
+def test_validation_matches_the_reference_on_arbitrary_rationals():
+    rng = random.Random(24)
+    q = T.product()
+    outcomes = set()
+    for _ in range(400):
+        size = rng.randint(1, 4)
+        pool = [F(1), F(0)] + [F(rng.randint(0, d), d) for d in rng.choices(range(1, 13), k=3)]
+        rows = [[rng.choice(pool) for _ in range(size)] for _ in range(size)]
+        if rng.random() < 0.5:
+            for x in range(size):
+                rows[x][x] = F(1)
+        rep = _agree(VC.vcategory(q, rows))
+        outcomes.add(rep.passed)
+    assert outcomes == {True, False}
+
+
+def test_quantales_never_share_a_rank_table():
+    # the same values, passing under Lukasiewicz (1/2 (x) 1/2 = 0) and
+    # failing under min: the min check must not read Lukasiewicz's table
+    rows = [["1", "1/2", "0"], ["0", "1", "1/2"], ["0", "0", "1"]]
+    assert VC.validate_vcategory(VC.vcategory(T.lukasiewicz(), rows)).passed
+    rep = VC.validate_vcategory(VC.vcategory(T.minimum(), rows))
+    assert rep.failures == ("transitivity at (0,1,2): 1/2 (x) 1/2 > 0",)
+
+
 def test_natural_order_and_separation():
     disc = VC.from_poset(P.antichain(2), LUK)
-    assert VC.natural_order(disc) == ((True, False), (False, True))
+    assert natural_order(disc) == ((True, False), (False, True))
     assert VC.is_separated(disc)
     glued = VC.vcategory(LUK, [["1", "1"], ["1", "1"]])
     assert not VC.is_separated(glued)
     # Q_3 with structure hom: level i reaches level j at the unit iff i <= j
     chain = VC.vcategory(LUK, [[LUK.hom(F(i, 3), F(j, 3)) for j in range(4)] for i in range(4)])
-    order = VC.natural_order(chain)
+    order = natural_order(chain)
     assert all(order[i][j] == (i <= j) for i in range(4) for j in range(4))
     assert VC.is_separated(chain)
 
@@ -63,7 +127,7 @@ def test_from_poset_roundtrip():
             X = VC.from_poset(Q, LUK)
             assert VC.validate_vcategory(X).passed
             assert VC.is_separated(X)
-            assert VC.natural_order(X) == Q.leq
+            assert natural_order(X) == Q.leq
 
 
 def test_unit_category():
@@ -77,7 +141,7 @@ def test_functors_are_monotone():
     X = VC.vcategory(LUK, [["1", "1/2"], ["0", "1"]])
     cats = [X] + [VC.from_poset(Q, LUK) for Q in P.all_posets(3)]
     for Y in cats:
-        order = VC.natural_order(Y)
+        order = natural_order(Y)
         below = [(x, y) for x in range(Y.size) for y in range(Y.size) if order[x][y]]
         rows = [phi for (phi,) in E.grid_distributors(VC.unit_category(LUK), Y, 2)]
         assert rows
@@ -110,7 +174,7 @@ def test_power_space_separated_pointwise_order():
         assert VC.validate_vcategory(ps).passed
         assert VC.is_separated(ps)
         funcs = space.functions
-        order = VC.natural_order(ps)
+        order = natural_order(ps)
         for i, h in enumerate(funcs):
             for j, l in enumerate(funcs):
                 assert order[i][j] == all(a <= b for a, b in zip(h, l))
