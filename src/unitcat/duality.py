@@ -45,8 +45,7 @@ class FunctionSpace:
     by one row gather.  The pair tables, join and tensor in ``pair_ops``
     (row gathers for every i <= j) and the tensor again as an index-pair
     lookup in ``tensor_table``, are built only for the audits that still
-    walk every pair (``check_conditions``, ``total_partial_audit``,
-    ``twovalued_audit``).
+    walk every pair (``check_conditions``, ``total_partial_audit``).
     ``structure`` holds the base's structure levels
     (``structure_levels``).  ``tensor_closed``
     certifies that no pair's tensor leaves the space; only ``cx_space``
@@ -697,10 +696,10 @@ def join_homomorphisms(
     are checked on the pairs of J whose tensor stays in the space, and
     never refused.
     Each reads only positions up to p, and a failing prefix is dropped
-    with every table that extends it.  Each check is one instance of the
-    full condition, so no table the full checker accepts is dropped; the
-    full checker must still decide each table yielded.  An escaping minus
-    or an unknown name raises ValueError here, before any table.
+    with every table that extends it.  So the tables yielded are exactly
+    those ``certify`` accepts for the same names wherever it decides
+    them, and none needs deciding again.  An escaping minus or an unknown
+    name raises ValueError here, before any table.
     """
     n, tt = space.n, space.gops.tensor_t
     instances, _ = space.join_instances(conditions)
@@ -831,8 +830,9 @@ def representability_audit(P: FinPoset, q: Quantale, n: int) -> CheckReport:
     bottom to 0 (act at u=0), so the scan covers the tables of
     ``join_homomorphisms`` only, in lexicographic order, and is always
     exhaustive.  That search prunes on the cut's instances at the
-    join-irreducibles J (act, minus and, unless dropped, tenlax), and
-    ``passes_cut`` decides each table that survives; the number scanned is
+    join-irreducibles J (act, minus and, unless dropped, tenlax), and its
+    survivors pass the cut, none decided again; ``passes_cut`` decides
+    each upper-set functional instead.  The number scanned is
     ``count_join_homomorphisms``.  The note states that number, |J| and
     (n+1)^|CX|.  The tensor-lax condition is dropped from the cut for
     nilpotent-free tensors.  Passing functionals must equal the
@@ -846,11 +846,7 @@ def representability_audit(P: FinPoset, q: Quantale, n: int) -> CheckReport:
     expected = {phi_of(a, space).itable: a for a in upper_sets(P)}
 
     checked = count_join_homomorphisms(space)
-    passing = [
-        itable
-        for itable in join_homomorphisms(space, CUT_CONDITIONS[drop_tenlax])
-        if passes_cut(space, itable, drop_tenlax)
-    ]
+    passing = list(join_homomorphisms(space, CUT_CONDITIONS[drop_tenlax]))
     note = (
         f"exhaustive scan of {checked} join-preserving functionals "
         f"(|J| = {len(space.join_order[0])}, {n + 1}^{space.size} grid tables)"
@@ -861,7 +857,7 @@ def representability_audit(P: FinPoset, q: Quantale, n: int) -> CheckReport:
                 f"cut-passing functional {itable} is not any upper-set functional"
             )
     for itable, a in expected.items():
-        if itable not in passing:
+        if not passes_cut(space, itable, drop_tenlax):
             failures.append(
                 f"upper-set functional of {mask_elements(a)} rejected by the cut"
             )

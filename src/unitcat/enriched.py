@@ -136,13 +136,13 @@ def is_finsup_functional(phi_func: Functional) -> bool:
 def adjunction_audit(X: VCategory, n: int) -> CheckReport:
     """Roundtrip both ways between grid distributors and functionals.
 
-    Retraction after representation must be the identity on distributors
-    (exact); representation after retraction is checked against every
+    Each c(phi) must be finitely cocontinuous (``is_finsup_functional``),
+    and retraction after it the identity on distributors (exact);
+    representation after retraction is checked against every
     join/action-preserving functional, any positive gap logged in grid
-    steps as a finding.  Those functionals are found among the tables of
-    ``join_homomorphisms``, searched with pruning on the action's
-    instances at the join-irreducibles J; ``is_finsup_functional``
-    decides each table that survives, and the note counts every
+    steps as a finding.  Those functionals are the survivors of
+    ``join_homomorphisms`` pruned on the action's instances at the
+    join-irreducibles J, none decided again; the note counts every
     join-preserving table (``count_join_homomorphisms``).  The scan is
     always exhaustive; only a category the interval does not cogenerate
     is skipped, with a note.
@@ -161,6 +161,8 @@ def adjunction_audit(X: VCategory, n: int) -> CheckReport:
     for (phi,) in grid_distributors(unit_category(X.quantale), X, n):
         checked += 1
         rep = enriched_c(phi, space)
+        if not is_finsup_functional(rep):
+            failures.append(f"c(phi) is not finitely cocontinuous at phi={_row(gops, phi)}")
         back = retract_phi(rep)
         simp = retract_phi_simplified(rep)
         if back != simp:
@@ -175,8 +177,6 @@ def adjunction_audit(X: VCategory, n: int) -> CheckReport:
     scanned = count_join_homomorphisms(space)
     for itable in join_homomorphisms(space, ("act",)):
         func = Functional.from_levels(space, itable)
-        if not is_finsup_functional(func):
-            continue
         checked += 1
         back = enriched_c(retract_phi(func), space)
         if any(b > t for b, t in zip(back.itable, func.itable)):
@@ -254,39 +254,32 @@ def twovalued_audit(phi_matrix, src: VCategory, dst: VCategory, n: int) -> Check
     """Distributors (level rows) valued in the grid tensor's idempotents are
     exactly the ones whose functional map is lax for the pointwise tensor;
     under Lukasiewicz those are the 0/1-valued ones.  Only available over
-    poset-based carriers, where that tensor exists on the function space."""
+    poset-based carriers, where that tensor exists on the function space
+    and is ``tensor_closed``: ``certify`` decides each row lax on J x J,
+    in order up to the first that is not, the witness.  One check is
+    counted per row decided."""
     if not (is_poset_based(src) and is_poset_based(dst)):
         raise ValueError("the pointwise tensor on the space needs poset-based carriers")
     space = enumerate_cx(dst, n)
     tt = space.gops.tensor_t
     rows = list(phi_matrix)
-    failures = []
-    checked = 0
     idempotent = all(tt[v][v] == v for row in rows for v in row)
-    # lax tensor check of the induced map on every row functional
-    lax = True
     witness = None
     for x, row in enumerate(rows):
-        t = enriched_c(row, space).itable
-        for i, j, _, k_tens in space.pair_ops():
-            checked += 1
-            if t[k_tens] > tt[t[i]][t[j]]:
-                lax = False
-                witness = (x, i, j)
-                break
-        if not lax:
+        if not certify(space, enriched_c(row, space).itable, ("tenlax",)):
+            witness = x
             break
+    lax = witness is None
+    checked = len(rows) if lax else witness + 1
+    failures = notes = ()
     if idempotent != lax:
-        failures.append(
+        failures = (
             f"idempotent-valued={idempotent} but lax-tensor={lax}"
-            + (f" (witness row {witness[0]}, f{witness[1]}, f{witness[2]})" if witness else "")
+            + ("" if lax else f" (witness row {witness})"),
         )
-    notes = ()
-    if not idempotent and witness:
-        notes = (f"lax tensor fails at row {witness[0]} on (f{witness[1]}, f{witness[2]})",)
-    return CheckReport(
-        name="two-valued", checked=checked, failures=tuple(failures), notes=notes
-    )
+    if not (idempotent or lax):
+        notes = (f"lax tensor fails at row {witness}",)
+    return CheckReport(name="two-valued", checked=checked, failures=failures, notes=notes)
 
 
 def tensor_maximality_audit(X: VCategory, psi0: Sequence[Fraction], n: int) -> CheckReport:

@@ -22,6 +22,10 @@ KINDS = ("poset", "generators")
 # any GridOps is built, since building one is quadratic in the grid.
 GRID_CAP = 12
 
+# The most points a suite's or a document's poset may have; checked before
+# the cubic order check.  V(V(X)) passes 7 million members at 6 points.
+POSET_SIZE_CAP = 5
+
 
 class InstanceError(ValueError):
     """Parse/validation failure with a stable error code and location."""
@@ -94,7 +98,8 @@ def _matrix(rows, where) -> tuple[tuple[Fraction, ...], ...]:
 
 def parse_instance(text: str) -> InstanceDoc:
     """Validate a JSON instance document.  A grid above ``GRID_CAP`` is
-    refused first; a tensor/grid pair must leave the grid closed."""
+    refused first, a poset above ``POSET_SIZE_CAP`` before its order; a
+    tensor/grid pair must leave the grid closed."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
@@ -145,6 +150,8 @@ def _parse_poset(rows, where) -> FinPoset:
         rows = rows.get("leq")
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InstanceError("bad-document", "poset needs a 'leq' matrix", where)
+    if len(rows) > POSET_SIZE_CAP:
+        raise InstanceError("cap-exceeded", f"poset size capped at {POSET_SIZE_CAP}", where)
     try:
         return poset(rows)
     except InvalidPoset as exc:

@@ -31,7 +31,12 @@ class FinPoset:
 
 
 def poset(rows) -> FinPoset:
-    """Validate and build a finite poset from a 0/1 (or bool) matrix."""
+    """Validate and build a finite poset from a 0/1 (or bool) matrix; any
+    other entry is refused, naming its cell."""
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if type(v) not in (int, bool) or v not in (0, 1):
+                raise InvalidPoset(f"leq entry {v!r} at ({i},{j}) is neither 0 nor 1")
     leq = tuple(tuple(bool(v) for v in row) for row in rows)
     n = len(leq)
     if any(len(row) != n for row in leq):

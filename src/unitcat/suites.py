@@ -13,13 +13,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import duality, enriched, posets, stone, tnorms
-from .instances import GRID_CAP, InstanceDoc, InstanceError
+from .instances import GRID_CAP, POSET_SIZE_CAP, InstanceDoc, InstanceError
 from .posets import FinPoset, all_posets, kleisli_compose, upper_sets
 from .reports import SuiteReport
 from .tnorms import GridChain, Quantale, SampleSpec, grid_closed, lukasiewicz
 from .vcat import from_poset, unit_category
-
-POSET_SIZE_CAP = 5
 
 # Per-suite bounds on the config: run_suite refuses a config above one
 # before the runner, so a report is always of the config asked for.

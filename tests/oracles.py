@@ -33,18 +33,25 @@ pair of the matrix's distinct values on every call, and
 ``is_separated_by_order`` reads the whole ``natural_order``, which only
 the tests read.
 
+The fourth is the pair scan ``twovalued_audit`` made before it read the
+certificate on J x J: ``twovalued_lax_by_pairs`` finds the first row
+whose functional is not lax, and ``compare_twovalued`` holds the audit's
+verdict, witness row and check count to it.
+
 Run as a script to compare the first group on the 1,971 spaces named in
 ``full_comparison_spaces``, then the second on the C(X) of every poset
 of size <= 5 and enriched category of size <= 3 at n <= 4, the closures
 of every poset space of size <= 3 at n <= 4 and of size 4 at n <= 2,
 the 2,697 enriched categories of size <= 2 at n <= 4 and of size 3 at
-n <= 3, and every poset of size <= 5:
-``PYTHONPATH=src python tests/oracles.py``.  Both take about 20 minutes
-together on one core of a 2-core x86_64 machine, the second about 50 s
-of it.
+n <= 3, and every poset of size <= 5, then the fourth on every row over
+the posets of size <= 4 at n <= 3 under lukasiewicz, min and the ordinal
+sum: ``PYTHONPATH=src python tests/oracles.py``.  They take about 20
+minutes together on one core of a 2-core x86_64 machine, the second
+about 50 s of it and the fourth about 25 s.
 """
 
 import random
+from fractions import Fraction
 from itertools import product as iproduct
 
 from unitcat import duality as D
@@ -58,6 +65,7 @@ from unitcat.values import ONE, ZERO, as_value, format_value
 
 LUK = T.lukasiewicz()
 MIN = T.minimum()
+ORDINAL = T.ordinal_sum((Fraction(0), Fraction(1, 2), T.lukasiewicz()))
 
 
 def truncated_minus(u, v):
@@ -286,6 +294,51 @@ def retract_phi_by_generator(space, t):
     return tuple(
         min((ht[f[x]][v] for f, v in pairs), default=space.n) for x in range(space.carrier_size)
     )
+
+
+def twovalued_lax_by_pairs(rows, space):
+    """The first of the level rows whose functional (the generator
+    formula) is not lax for the pointwise tensor on some pair of the
+    space's ``pair_ops``, None when every row's is: the scan
+    ``twovalued_audit`` made before it read the certificate."""
+    tt = space.gops.tensor_t
+    for x, row in enumerate(rows):
+        t = enriched_c_by_generator(row, space)
+        for i, j, _, k_tens in space.pair_ops():
+            if t[k_tens] > tt[t[i]][t[j]]:
+                return x
+    return None
+
+
+def compare_twovalued(q, sizes, grids):
+    """``twovalued_audit`` against ``twovalued_lax_by_pairs`` on every row
+    the ``twovalued`` suite enumerates over the posets of the given sizes,
+    on each grid the tensor keeps closed: each row alone, then all of a
+    poset's rows as one matrix, whose first failing row the audit must
+    name; returns the number of rows compared."""
+    unit = VC.unit_category(q)
+    compared = 0
+    for n in grids:
+        if not T.grid_closed(q, n):
+            continue
+        tt = q.grid(n).tensor_t
+        for size in sizes:
+            for Q in P.all_posets(size):
+                X = VC.from_poset(Q, q)
+                space = E.enumerate_cx(X, n)
+                rows = [phi for (phi,) in E.grid_distributors(unit, X, n)]
+                for matrix in [*((row,) for row in rows), rows]:
+                    witness = twovalued_lax_by_pairs(matrix, space)
+                    lax = witness is None
+                    idempotent = all(tt[v][v] == v for row in matrix for v in row)
+                    rep = E.twovalued_audit(matrix, unit, X, n)
+                    case = (q.name, n, Q.leq, matrix)
+                    assert rep.passed == (idempotent == lax), case
+                    assert rep.checked == (len(matrix) if lax else witness + 1), case
+                    notes = () if idempotent or lax else (f"lax tensor fails at row {witness}",)
+                    assert rep.notes == notes, case
+                compared += len(rows)
+    return compared
 
 
 def cx_levels_by_filter(gops, ia):
@@ -696,6 +749,12 @@ def _sweep_comparison():
     )
 
 
+def _twovalued_comparison():
+    rows = sum(compare_twovalued(q, (1, 2, 3, 4), (1, 2, 3)) for q in (LUK, MIN, ORDINAL))
+    print(f"{rows} two-valued rows: all agree")
+
+
 if __name__ == "__main__":
     _full_comparison()
     _sweep_comparison()
+    _twovalued_comparison()

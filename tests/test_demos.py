@@ -18,7 +18,7 @@ STDOUT_SHA256 = {
     "03_vietoris_monad.py": "8e261577069f52f0210070260e4953cae20ab002569b2e0100d1e96ff785e440",
     "04_functional_duality.py": "87abdcf7e1a2050c23a308f3e2e345b6d47645de9fa861166d479c519530b176",
     "05_density.py": "3b20361864992ab78c0516006e6ed4539de6b1cb5481b58ede7d582b2f870b16",
-    "06_enriched_roundtrip.py": "9687e9b44960aec5b9116f4e4c8683f5ef894e877666720b629715fb4123eb49",
+    "06_enriched_roundtrip.py": "b63daf69b15fbf5f8da119b54ad22aeacaa4cc85e0e159ea0be4e9989c7a5150",
 }
 
 

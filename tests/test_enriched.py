@@ -8,6 +8,7 @@ from oracles import (
     c_of_levels_by_generator,
     compare_cogeneration,
     compare_enriched_maps,
+    compare_twovalued,
     is_cogenerated_by_scan,
     lemma1_audit_by_scan,
     retract_phi_by_generator,
@@ -16,6 +17,7 @@ from oracles import (
 from unitcat import duality as D
 from unitcat import enriched as E
 from unitcat import posets as P
+from unitcat import suites as SU
 from unitcat import tnorms as T
 from unitcat import vcat as VC
 
@@ -379,6 +381,88 @@ def test_twovalued_lax_exactly_on_idempotent_rows():
     assert rep.passed and not rep.notes
     rep = E.twovalued_audit(((1, 4),), unit, chain, 4)
     assert rep.passed and rep.notes
+
+
+def test_twovalued_matches_the_pair_scan():
+    # verdict, first failing row and check count on every row the suite
+    # enumerates at size <= 3 and n <= 3 (the script goes to size 4)
+    for q in (LUK, T.minimum(), ORDINAL):
+        assert compare_twovalued(q, (1, 2, 3), (1, 2, 3)) > 0
+
+
+def test_twovalued_builds_no_pair_table(monkeypatch):
+    def refuse(self):
+        raise AssertionError("pair table built")
+
+    monkeypatch.setattr(D.FunctionSpace, "pair_ops", refuse)
+    rep = E.twovalued_audit(((0, 1), (2, 2)), ONE, CHAIN2, 2)
+    assert rep.passed and rep.checked == 1 and rep.notes == ("lax tensor fails at row 0",)
+    for q in (LUK, T.minimum()):
+        assert SU.run_suite(SU.SuiteConfig(suite="twovalued", quantale=q, max_size=3)).passed
+
+
+@pytest.fixture
+def decisions(monkeypatch):
+    """In call order, ("certify", table) for each table ``certify`` is
+    asked about and ("survivor", table) for each table the pruned search
+    yields, through both modules' bindings."""
+    events = []
+    certify, search = D.certify, D.join_homomorphisms
+
+    def recorded_certify(space, itable, conditions):
+        events.append(("certify", tuple(itable)))
+        return certify(space, itable, conditions)
+
+    def recorded_search(space, conditions=()):
+        for itable in search(space, conditions):
+            events.append(("survivor", itable))
+            yield itable
+
+    for module in (D, E):
+        monkeypatch.setattr(module, "certify", recorded_certify)
+        monkeypatch.setattr(module, "join_homomorphisms", recorded_search)
+    return events
+
+
+def test_representability_decides_each_upper_set_once(decisions):
+    # the pruned search's survivors are the verdict: certify is asked only
+    # about the upper-set functionals, once each in upper-set order, after
+    # the search, so never about a survivor as it is found
+    for Q, q, n in ((P.vee(), LUK, 2), (P.chain(3), LUK, 3), (P.antichain(2), T.minimum(), 3)):
+        decisions.clear()
+        space = D.function_space(Q, q, n)
+        assert D.representability_audit(Q, q, n).passed
+        ups = [("certify", D.phi_of(a, space).itable) for a in P.upper_sets(Q)]
+        survivors = decisions[: len(decisions) - len(ups)]
+        assert decisions[len(survivors) :] == ups
+        assert {kind for kind, _ in survivors} == {"survivor"}
+
+
+def test_adjunction_decides_each_distributor_once(decisions):
+    # certify is asked about c(phi) for each grid distributor out of the
+    # unit, in order, before the fullness scan, and never about a survivor
+    vee = VC.from_poset(P.vee(), T.minimum())
+    for X, n in ((CHAIN2, 2), (HALF_PAIR, 2), (vee, 2)):
+        decisions.clear()
+        space = E.enumerate_cx(X, n)
+        assert E.adjunction_audit(X, n).passed
+        phis = [phi for (phi,) in E.grid_distributors(VC.unit_category(X.quantale), X, n)]
+        reps = [("certify", E.enriched_c(phi, space).itable) for phi in phis]
+        assert decisions[: len(reps)] == reps
+        assert {kind for kind, _ in decisions[len(reps) :]} == {"survivor"}
+
+
+def test_adjunction_reports_a_representation_that_breaks_joins(monkeypatch):
+    original = E.enriched_c
+
+    def bottom_at_top(phi, space):
+        itable = list(original(phi, space).itable)
+        itable[0] = space.n
+        return D.Functional.from_levels(space, itable)
+
+    monkeypatch.setattr(E, "enriched_c", bottom_at_top)
+    rep = E.adjunction_audit(CHAIN2, 2)
+    assert "c(phi) is not finitely cocontinuous at phi=(0,0)" in rep.failures
 
 
 def test_tensor_maximality_flagship():

@@ -67,6 +67,43 @@ def test_document_grid_above_the_cap_is_refused_before_any_grid_table(monkeypatc
     assert str(e.value) == f"[cap-exceeded] grid capped at {I.GRID_CAP}"
 
 
+def _antichain_leq(m):
+    return [[int(i == j) for j in range(m)] for i in range(m)]
+
+
+def test_document_poset_above_the_cap_is_refused_before_its_order(monkeypatch):
+    from unitcat import suites as SU
+
+    # the suites refuse --max-size with the same constant
+    assert SU.POSET_SIZE_CAP is I.POSET_SIZE_CAP
+    leq = _antichain_leq(I.POSET_SIZE_CAP)
+    assert I.parse_instance(json.dumps({"kind": "poset", "leq": leq})).poset.size == 5
+
+    def no_order(rows):
+        raise AssertionError("order validated")
+
+    monkeypatch.setattr(I, "poset", no_order)
+    leq = _antichain_leq(I.POSET_SIZE_CAP + 1)
+    for doc in (
+        {"kind": "poset", "leq": leq},
+        {"kind": "generators", "poset": {"leq": leq}, "functions": []},
+        {"kind": "generators", "poset": leq, "functions": []},
+    ):
+        with pytest.raises(I.InstanceError) as e:
+            I.parse_instance(json.dumps(doc))
+        assert e.value.code == "cap-exceeded"
+        assert str(e.value).startswith(f"[cap-exceeded] poset size capped at {I.POSET_SIZE_CAP}")
+
+
+@pytest.mark.parametrize("entry", ["0", 0.5, 2, None, 1.0])
+def test_leq_entries_other_than_0_and_1_are_bad_posets(entry):
+    # read through bool, each would have been a pair related or not
+    with pytest.raises(I.InstanceError) as e:
+        I.parse_instance(json.dumps({"kind": "poset", "leq": [[1, entry], [0, 1]]}))
+    assert e.value.code == "bad-poset"
+    assert f"leq entry {entry!r} at (0,1) is neither 0 nor 1" in str(e.value)
+
+
 def test_tnorm_parsing():
     assert I.parse_tnorm("min").name == "minimum"
     assert I.parse_tnorm("product").name == "product"

@@ -151,8 +151,8 @@ DIGESTS = {
         "b9c8ef43b1b9d60dcb637eb0ac8b16a4ad5960d02a0c59ee3521c502a494ecf1",
     ),
     "twovalued lukasiewicz g2 m2 c1000": (
-        "f26b299cf9e1077736874fa48166dc2267f489c684f66814c5be4ec373abe34b",
-        "592a7956282c9749afdb67f3e7f24ef1387027b9b812dbbf3b12dafe7c2633a8",
+        "04d43838dd38898aa68187b74c2869a731eeebc61065eaf1f3c81676a861346f",
+        "48109f3a60da0f996be63fcbd6a6337a46b4352583cb756afddc9ec73d034a21",
     ),
     "tensor-maximality lukasiewicz g2 m1 c1000": (
         "a88fe0482beae4f514af73db7eebc4b535269d52414e452440e0d10bd18b9a94",
@@ -163,8 +163,8 @@ DIGESTS = {
         "30d69df8c0b51215c1cc14c42b66c9325490aec26abccedfbda5ba85c7bacb5c",
     ),
     "twovalued lukasiewicz g2 m3 c1000": (
-        "bfd5a283f2c6f340e4776b844de5d3198563e37820e0f9534b6a89c91aff667e",
-        "fdb6285174732461411598e6d5a68ae764934ffc9e3a24e4ad048c4535ff8205",
+        "649633a2bac7b9d3c6a5136b62a8f9a29e1a3db672056ad88dbcd5c813ea1c17",
+        "321e696d31918dfdaee9c5ff653565a6b7d3ee8252accc232daf18a02b5137c0",
     ),
     "total-partial lukasiewicz g3 m2 c1000": (
         "4c1bf955f59d6313fca2dd89c58126dc07754f4c41187170f978a24ddfaaf60f",
@@ -187,8 +187,8 @@ DIGESTS = {
         "1102a44ee2bee23a5715f38adcd5175c785a4f1d5e9adf1ddd24bac1b6cbca16",
     ),
     "twovalued min g2 m2 c1000": (
-        "4e38fd25f97b0675c5d8cc47870df30deb074a8455bede2407744afa0aa832fc",
-        "c0fd9e31c5e22bda912f479ef582c0911aa5895b21009847fc1206875323abf6",
+        "b6fda31eaf761bdef287c5eaf40635889e069589469dc4fc90638b4913003488",
+        "6ea962e786b8d711dd4cc7dc1bab74085a54adf03d9cbd2f72be2aa41f479df9",
     ),
     "functoriality lukasiewicz g2 m4 c500": (
         "56e807d5be39504ac78186555fb9b64c822fcc82144357a89606b33a2bcec6a5",

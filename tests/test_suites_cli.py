@@ -134,6 +134,18 @@ def test_cli_pass_and_exit_codes(tmp_path, capsys):
     assert "bad-poset" in capsys.readouterr().err
 
 
+def test_cli_refuses_a_document_poset_above_the_cap(tmp_path, capsys):
+    # a 6-point antichain would take monad-laws past 7 million members of
+    # V(V(X)), whatever --max-size says
+    m = SU.POSET_SIZE_CAP + 1
+    doc = tmp_path / "antichain.json"
+    leq = [[int(i == j) for j in range(m)] for i in range(m)]
+    doc.write_text(json.dumps({"kind": "poset", "leq": leq}))
+    argv = ["verify", "--suite", "monad-laws", "--max-size", "1", "--instance", str(doc)]
+    assert cli.main(argv) == 3
+    assert "[cap-exceeded] poset size capped at 5" in capsys.readouterr().err
+
+
 def test_cli_refuses_an_unreadable_instance_file(tmp_path, capsys):
     # bytes that are not UTF-8 are a bad document, as invalid JSON is; a
     # missing file or a directory is unreadable; none escapes as a traceback
