@@ -440,11 +440,15 @@ def cx_space(base, gops: GridOps) -> FunctionSpace:
     ``gops.spaces`` keeps the ``SPACES_KEPT`` most recently requested
     spaces, oldest first, matched by their base (a FinPoset never equals a
     VCategory; comparing two bases is cheaper than hashing one).  A kept
-    base gets the same object back, with the tables it has built; a new
-    one evicts the least recently requested.  Two slots cover the audits
-    that alternate between a target and a source carrier, and keep sweeps
-    that never repeat a carrier from holding more.  Callers share the
-    returned space and must not mutate it.
+    base gets the same object back, with the tables it has built.  Any
+    other request first looks in ``gops.held``, which finds every space
+    still referenced anywhere by the identity of its base, and builds only
+    when that misses; either way the space becomes the most recent and
+    evicts the least recently requested.  So a caller that holds its
+    spaces, as ``total-partial`` holds one per poset of its pool, is
+    served them in any order, while sweeps that hold nothing keep at most
+    ``SPACES_KEPT`` alive.  Callers share the returned space and must not
+    mutate it.
 
     The structure levels are built only for a new space, which keeps them
     as ``structure``.  It is ``tensor_closed`` when every level is 0 or n:
@@ -457,10 +461,13 @@ def cx_space(base, gops: GridOps) -> FunctionSpace:
             del kept[k]
             break
     else:
-        ia = structure_levels(base, gops)
-        space = FunctionSpace(base, gops, cx_levels(gops, ia))
-        space.structure = ia
-        space.tensor_closed = all(v in (0, gops.n) for row in ia for v in row)
+        space = gops.held.get(id(base))
+        if space is None:
+            ia = structure_levels(base, gops)
+            space = FunctionSpace(base, gops, cx_levels(gops, ia))
+            space.structure = ia
+            space.tensor_closed = all(v in (0, gops.n) for row in ia for v in row)
+            gops.held[id(base)] = space
         # clamped at 0: a negative stop would count from the end
         del kept[: max(0, len(kept) + 1 - SPACES_KEPT)]
     kept.append(space)
@@ -471,7 +478,8 @@ def function_space(P: FinPoset, q: Quantale, n: int) -> FunctionSpace:
     """All antitone maps X -> Q_n (morphisms into the opposite interval).
 
     Served by ``cx_space``: the two most recently requested spaces of
-    each grid are reused, so the result is shared and must not be mutated.
+    each grid, and any space a caller still holds, are reused, so the
+    result is shared and must not be mutated.
     """
     return cx_space(P, q.grid(n))
 

@@ -22,6 +22,7 @@ from .duality import (
     cx_levels,
     cx_space,
     join_homomorphisms,
+    structure_levels,
 )
 from .reports import CheckReport
 from .tnorms import GridOps, Quantale
@@ -40,8 +41,8 @@ def enumerate_cx(X: VCategory, n: int) -> FunctionSpace:
     minus 1/2.
 
     Served by ``duality.cx_space``: the two most recently requested spaces
-    of each grid are reused, so the result is shared and must not be
-    mutated.
+    of each grid, and any space a caller still holds, are reused, so the
+    result is shared and must not be mutated.
     """
     return cx_space(X, X.quantale.grid(n))
 
@@ -257,12 +258,33 @@ def twovalued_audit(phi_matrix, src: VCategory, dst: VCategory, n: int) -> Check
     poset-based carriers, where that tensor exists on the function space
     and is ``tensor_closed``: ``certify`` decides each row lax on J x J,
     in order up to the first that is not, the witness.  One check is
-    counted per row decided."""
+    counted per row decided.  A matrix that is not one row of |dst| grid
+    levels per point of src, or whose rows break the distributor law of
+    ``grid_distributors``, raises ValueError naming the first bad row."""
     if not (is_poset_based(src) and is_poset_based(dst)):
         raise ValueError("the pointwise tensor on the space needs poset-based carriers")
     space = enumerate_cx(dst, n)
     tt = space.gops.tensor_t
     rows = list(phi_matrix)
+    if len(rows) != src.size:
+        raise ValueError(
+            f"{len(rows)} rows on a source of {src.size} points: row "
+            f"{min(len(rows), src.size)} is {'extra' if len(rows) > src.size else 'missing'}"
+        )
+    for x, row in enumerate(rows):
+        if len(row) != dst.size or not all(0 <= v <= n for v in row):
+            raise ValueError(f"row {x} {tuple(row)} is not {dst.size} levels of Q_{n}")
+    a = [[n]] if src.size == 1 else structure_levels(src, space.gops)
+    b = space.structure
+    for x, row in enumerate(rows):
+        if any(
+            tt[tt[a[x2][x]][v]][b[y][y2]] > rows[x2][y2]
+            for x2 in range(src.size)
+            if a[x2][x]
+            for y, v in enumerate(row)
+            for y2 in range(dst.size)
+        ):
+            raise ValueError(f"row {x} {tuple(row)} is not a distributor src -|-> dst")
     idempotent = all(tt[v][v] == v for row in rows for v in row)
     witness = None
     for x, row in enumerate(rows):

@@ -218,6 +218,9 @@ def _run_total_partial(config: SuiteConfig, report: SuiteReport):
     q = config.quantale
     _require_closed(q, config.grid)
     pool = [P for _, P in _poset_sweep(config)]
+    # held for the run: the X x Y loop cycles through more spaces than
+    # cx_space keeps, and a held space is served, not rebuilt
+    held = [duality.function_space(P, q, config.grid) for P in pool]
     for xi, X in enumerate(pool):
         for yi, Y in enumerate(pool):
             for k, phi in enumerate(posets.continuous_distributors(X, Y)):

@@ -9,6 +9,7 @@ that the exhaustive suites are built on.
 from __future__ import annotations
 
 import random
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -233,9 +234,12 @@ class GridOps:
         # truncated minus and join of grid points always stay on the grid
         self.minus_t = [[max(i - j, 0) for j in range(n + 1)] for i in range(n + 1)]
         self.join_t = [[max(i, j) for j in range(n + 1)] for i in range(n + 1)]
-        # the most recently requested C(X) spaces on this grid, oldest
-        # first; kept and evicted by duality.cx_space alone
+        # C(X) spaces on this grid, managed by duality.cx_space alone: the
+        # most recently requested, oldest first, and every space still
+        # alive, by the id of its base (a space holds its base, so the id
+        # is not reused while the entry lives)
         self.spaces: list = []
+        self.held = weakref.WeakValueDictionary()
 
     def index(self, v: Fraction) -> int:
         """The level of the grid point v, looked up among ``values``."""

@@ -314,9 +314,11 @@ def compare_twovalued(q, sizes, grids):
     """``twovalued_audit`` against ``twovalued_lax_by_pairs`` on every row
     the ``twovalued`` suite enumerates over the posets of the given sizes,
     on each grid the tensor keeps closed: each row alone, then all of a
-    poset's rows as one matrix, whose first failing row the audit must
-    name; returns the number of rows compared."""
+    poset's rows as one matrix out of a discrete source with a point per
+    row, whose first failing row the audit must name; returns the number
+    of rows compared."""
     unit = VC.unit_category(q)
+    discrete = {}
     compared = 0
     for n in grids:
         if not T.grid_closed(q, n):
@@ -331,7 +333,10 @@ def compare_twovalued(q, sizes, grids):
                     witness = twovalued_lax_by_pairs(matrix, space)
                     lax = witness is None
                     idempotent = all(tt[v][v] == v for row in matrix for v in row)
-                    rep = E.twovalued_audit(matrix, unit, X, n)
+                    m = len(matrix)
+                    if m not in discrete:
+                        discrete[m] = VC.from_poset(P.antichain(m), q)
+                    rep = E.twovalued_audit(matrix, discrete[m], X, n)
                     case = (q.name, n, Q.leq, matrix)
                     assert rep.passed == (idempotent == lax), case
                     assert rep.checked == (len(matrix) if lax else witness + 1), case

@@ -395,10 +395,40 @@ def test_twovalued_builds_no_pair_table(monkeypatch):
         raise AssertionError("pair table built")
 
     monkeypatch.setattr(D.FunctionSpace, "pair_ops", refuse)
-    rep = E.twovalued_audit(((0, 1), (2, 2)), ONE, CHAIN2, 2)
+    rep = E.twovalued_audit(((0, 1),), ONE, CHAIN2, 2)
     assert rep.passed and rep.checked == 1 and rep.notes == ("lax tensor fails at row 0",)
     for q in (LUK, T.minimum()):
         assert SU.run_suite(SU.SuiteConfig(suite="twovalued", quantale=q, max_size=3)).passed
+
+
+def test_twovalued_refuses_a_matrix_that_is_not_a_distributor():
+    for matrix, dst, row in [
+        (((0, 1), (2, 2)), ONE, "row 1 is extra"),
+        (((0, 1), (2, 2), (1, 1)), ONE, "row 1 is extra"),
+        ((), CHAIN2, "row 0 is missing"),
+        (((2, 0),), CHAIN2, "row 0 (2, 0) is not a distributor"),
+        (((0, 3),), CHAIN2, "row 0 (0, 3) is not 2 levels"),
+        (((0,),), CHAIN2, "row 0 (0,) is not 2 levels"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(row)):
+            E.twovalued_audit(matrix, ONE, dst, 2)
+    # over posets of size <= 2, a level matrix is audited exactly when
+    # grid_distributors lists it
+    carriers = [VC.from_poset(Q, LUK) for size in (1, 2) for Q in P.all_posets(size)]
+    audited = 0
+    for X in carriers:
+        for Y in carriers:
+            listed = set(E.grid_distributors(X, Y, 2))
+            for flat in iproduct(range(3), repeat=X.size * Y.size):
+                matrix = tuple(flat[x * Y.size : (x + 1) * Y.size] for x in range(X.size))
+                try:
+                    E.twovalued_audit(matrix, X, Y, 2)
+                except ValueError as exc:
+                    assert matrix not in listed and "is not a distributor" in str(exc)
+                else:
+                    assert matrix in listed
+                    audited += 1
+    assert audited == sum(len(E.grid_distributors(X, Y, 2)) for X in carriers for Y in carriers)
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """C(X) reuse: ``duality.cx_space`` keeps the two most recently requested
-spaces of each grid and serves ``function_space`` and ``enumerate_cx``.
+spaces of each grid, finds any other space still alive through the grid's
+``held`` registry, and serves ``function_space`` and ``enumerate_cx``.
 
 The build counts below are exact: every build goes through
 ``duality.cx_levels`` as called by ``cx_space``, which is wrapped there.
@@ -34,7 +35,9 @@ def builds(monkeypatch):
 @pytest.mark.parametrize(
     "suite, grid, max_size, expected",
     [
-        ("total-partial", 2, 2, 15),
+        # the run holds the space of each poset in its pool
+        ("total-partial", 2, 2, 4),
+        ("total-partial", 2, 3, 23),
         # the run-local dict asks for each poset once: one build per poset
         ("functoriality", 2, 3, 23),
         ("enriched-roundtrip", 2, 2, 13),
@@ -65,12 +68,38 @@ def test_third_carrier_evicts_the_least_recently_requested(builds):
     sa = D.function_space(a, q, 2)
     sb = D.function_space(b, q, 2)
     assert D.function_space(a, q, 2) is sa  # a is now the most recent
-    D.function_space(c, q, 2)  # evicts b
-    assert len(q.grid(2).spaces) == 2
+    sc = D.function_space(c, q, 2)  # evicts b
+    assert q.grid(2).spaces == [sa, sc]
     assert D.function_space(a, q, 2) is sa
-    assert D.function_space(b, q, 2) is not sb  # rebuilt, evicting c
+    assert D.function_space(b, q, 2) is sb  # held, so served, evicting c
+    assert q.grid(2).spaces == [sa, sb]
+    assert builds[0] == 3
+    D.function_space(c, q, 2)  # evicts a
+    D.function_space(a, q, 2)  # evicts b
+    del sb
+    D.function_space(b, q, 2)  # no longer held, so rebuilt
     assert builds[0] == 4
     assert len(q.grid(2).spaces) == 2
+
+
+def test_a_held_space_survives_eviction(builds):
+    q = T.lukasiewicz()
+    carriers = [P.chain(1), P.chain(2), P.antichain(2), P.vee(), P.chain(3)]
+    held = [D.function_space(Q, q, 2) for Q in carriers]
+    assert q.grid(2).spaces == held[-2:]
+    # every carrier is evicted and requested again, in reverse order
+    assert all(D.function_space(Q, q, 2) is sp for Q, sp in zip(carriers, held))
+    assert builds[0] == len(carriers)
+    assert len(q.grid(2).held) == len(carriers)
+
+
+def test_a_sweep_that_holds_nothing_keeps_no_more_than_the_kept_spaces():
+    q = T.lukasiewicz()
+    config = SU.SuiteConfig(suite="stone-weierstrass", quantale=q, grid=2, max_size=3)
+    assert SU.run_suite(config).passed
+    for n in (1, 2):
+        gops = q.grid(n)
+        assert gops.spaces and len(gops.held) <= D.SPACES_KEPT
 
 
 def test_a_larger_limit_keeps_as_many_spaces(monkeypatch, builds):
@@ -159,19 +188,35 @@ def test_served_spaces_match_fresh_builds():
     assert served == 2 * 3 * (2 * 23 + 21)
 
 
-def test_total_partial_reports_match_fresh_quantales():
+def test_total_partial_reports_match_fresh_quantales(monkeypatch):
+    # the direct audits share the kept spaces; the suite run, which holds
+    # its spaces, must report each instance as the fresh audit does
+    absorbed = []
+    absorb = SU.SuiteReport.absorb
+
+    def recorded(report, rep, instance=None):
+        absorbed.append((instance, rep))
+        absorb(report, rep, instance)
+
+    monkeypatch.setattr(SU.SuiteReport, "absorb", recorded)
     posets = [Q for size in (1, 2) for Q in P.all_posets(size)]
     compared = 0
     for make in (T.lukasiewicz, T.minimum):
         for n in (1, 2, 3):
             q = make()
-            for X in posets:
-                for Y in posets:
-                    for phi in P.continuous_distributors(X, Y):
+            fresh_reports = []
+            for xi, X in enumerate(posets):
+                for yi, Y in enumerate(posets):
+                    for k, phi in enumerate(P.continuous_distributors(X, Y)):
                         shared = D.total_partial_audit(phi, X, Y, q, n)
                         fresh = D.total_partial_audit(phi, X, Y, make(), n)
                         assert shared == fresh, (make.__name__, n, X.leq, Y.leq, phi)
+                        fresh_reports.append((f"{xi}.{yi}.{k}", fresh))
                         compared += 1
+            absorbed.clear()
+            config = SU.SuiteConfig(suite="total-partial", quantale=q, grid=n, max_size=2)
+            SU.run_suite(config)
+            assert absorbed == fresh_reports, (make.__name__, n)
     assert compared == 2 * 3 * 98
 
 
@@ -189,10 +234,10 @@ def test_total_partial_builds_each_tensor_lookup_once_per_kept_space(builds, mon
         suite="total-partial", quantale=T.lukasiewicz(), grid=2, max_size=2
     )
     assert SU.run_suite(config).passed
-    # only the source spaces CX are read; the run keeps CX of each source
-    # poset through its loop over the targets, so each is built once
+    # only the source spaces CX are read; the run holds the space of each
+    # poset in its pool, so each is built once
     assert len({id(space) for space in built}) == len(built) == 4
-    assert builds[0] == 15
+    assert builds[0] == 4
 
 
 @pytest.fixture
