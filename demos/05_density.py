@@ -28,7 +28,7 @@ cx = function_space(c2, luk, 2)
 print("== closing the down-set indicators ==")
 gens = down_set_indicators(cx)
 L = generate_closure(cx, gens, ("join", "tensor", "act"))
-print(f"{len(gens)} generators close to {len(L.members)} of {cx.size} functions")
+print(f"{len(gens)} generators close to {L.mask.bit_count()} of {cx.size} functions")
 
 print("\n== separation and density ==")
 print(check_sep(L).summary())

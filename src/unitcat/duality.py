@@ -10,6 +10,7 @@ only grid levels; Fractions appear at the boundary, via the space's GridOps.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -153,13 +154,16 @@ class FunctionSpace:
         level 0 adds nothing.  Levels are never below 0, so two zero
         columns change no max and give ``max`` at least two arguments, for
         the zero row and a single point alike.  A row whose length is not
-        the number of points raises ValueError."""
+        the number of points, or with a level outside 0..n, raises
+        ValueError."""
         column = self._row_columns.get(levels)
         if column is None:
             if len(levels) != self.carrier_size:
                 raise ValueError(
                     f"level row of length {len(levels)} on {self.carrier_size} points"
                 )
+            if not all(0 <= u <= self.n for u in levels):
+                raise ValueError(f"level row {levels} has a level outside 0..{self.n}")
             n, tt, zero = self.n, self.gops.tensor_t, (0,) * self.size
             columns = [
                 points if u == n else tuple(map(tt[u].__getitem__, points))
@@ -431,55 +435,48 @@ def cx_levels(gops: GridOps, ia) -> list[tuple[int, ...]]:
     return tables
 
 
-SPACES_KEPT = 2
+# every live C(X), by the ids of its base and grid: a space holds both, so
+# neither id is reused while its entry lives
+_SPACES: dict[tuple[int, int], weakref.ref] = {}
 
 
 def cx_space(base, gops: GridOps) -> FunctionSpace:
-    """The space of ``cx_levels`` over ``base``'s structure levels, shared.
+    """The space of ``cx_levels`` over ``base``'s structure levels, shared
+    while something holds it.
 
-    ``gops.spaces`` keeps the ``SPACES_KEPT`` most recently requested
-    spaces, oldest first, matched by their base (a FinPoset never equals a
-    VCategory; comparing two bases is cheaper than hashing one).  A kept
-    base gets the same object back, with the tables it has built.  Any
-    other request first looks in ``gops.held``, which finds every space
-    still referenced anywhere by the identity of its base, and builds only
-    when that misses; either way the space becomes the most recent and
-    evicts the least recently requested.  So a caller that holds its
-    spaces, as ``total-partial`` holds one per poset of its pool, is
-    served them in any order, while sweeps that hold nothing keep at most
-    ``SPACES_KEPT`` alive.  Callers share the returned space and must not
-    mutate it.
+    A request for the same base object on the same grid gets the same
+    space back, with every table it has built, for as long as any caller
+    still references that space; once none does, the next request builds
+    it again.  So a caller that asks for a space more than once holds it
+    (``total-partial`` one per poset of its pool, ``enriched-roundtrip``
+    one per category), and a sweep that holds nothing keeps no space
+    alive.  Callers share the returned space and must not mutate it.
 
     The structure levels are built only for a new space, which keeps them
     as ``structure``.  It is ``tensor_closed`` when every level is 0 or n:
     it is then the antitone maps of a preorder, closed under any monotone
     pointwise op.
     """
-    kept = gops.spaces
-    for k, space in enumerate(kept):
-        if space.base == base:
-            del kept[k]
-            break
-    else:
-        space = gops.held.get(id(base))
-        if space is None:
-            ia = structure_levels(base, gops)
-            space = FunctionSpace(base, gops, cx_levels(gops, ia))
-            space.structure = ia
-            space.tensor_closed = all(v in (0, gops.n) for row in ia for v in row)
-            gops.held[id(base)] = space
-        # clamped at 0: a negative stop would count from the end
-        del kept[: max(0, len(kept) + 1 - SPACES_KEPT)]
-    kept.append(space)
+    key = (id(base), id(gops))
+    ref = _SPACES.get(key)
+    space = ref() if ref is not None else None
+    if space is None:
+        ia = structure_levels(base, gops)
+        space = FunctionSpace(base, gops, cx_levels(gops, ia))
+        space.structure = ia
+        space.tensor_closed = all(v in (0, gops.n) for row in ia for v in row)
+        # the callback drops the entry only while it is still this ref's
+        _SPACES[key] = weakref.ref(
+            space, lambda ref, key=key: _SPACES.get(key) is ref and _SPACES.pop(key)
+        )
     return space
 
 
 def function_space(P: FinPoset, q: Quantale, n: int) -> FunctionSpace:
     """All antitone maps X -> Q_n (morphisms into the opposite interval).
 
-    Served by ``cx_space``: the two most recently requested spaces of
-    each grid, and any space a caller still holds, are reused, so the
-    result is shared and must not be mutated.
+    Served by ``cx_space``: the space of this poset object is reused while
+    a caller holds it, so the result is shared and must not be mutated.
     """
     return cx_space(P, q.grid(n))
 

@@ -40,9 +40,9 @@ def enumerate_cx(X: VCategory, n: int) -> FunctionSpace:
     pair with a(0,1) = 1/2 admits (1/2, 1) but not (0, 1/2) = (1/2, 1)
     minus 1/2.
 
-    Served by ``duality.cx_space``: the two most recently requested spaces
-    of each grid, and any space a caller still holds, are reused, so the
-    result is shared and must not be mutated.
+    Served by ``duality.cx_space``: the space of this category object is
+    reused while a caller holds it, so the result is shared and must not
+    be mutated.
     """
     return cx_space(X, X.quantale.grid(n))
 
@@ -84,9 +84,10 @@ def grid_distributors(X: VCategory, Y: VCategory, n: int) -> list[tuple[tuple[in
     row phi with phi(y) tensor b(y,y2) <= phi(y2): a [0,1]-functor from Y
     into the interval.  With Y = X it is an endodistributor of X.
 
-    Each side's structure levels are read off its kept C(.), which every
-    caller serves too, except a one-point side's: that is [[n]] by
-    reflexivity, so the unit's C is never built here.
+    Each side's structure levels are read off its C(.) from ``cx_space``,
+    which a caller that holds that space is served, except a one-point
+    side's: that is [[n]] by reflexivity, so the unit's C is never built
+    here.
     """
     gops = Y.quantale.grid(n)
     tt = gops.tensor_t
@@ -310,8 +311,9 @@ def tensor_maximality_audit(X: VCategory, psi0: Sequence[Fraction], n: int) -> C
     the pointwise maximum (and itself satisfies the constraints).  psi0
     is read through the space's Fraction ``index``; a psi0 outside the
     space raises ValueError."""
-    k = enumerate_cx(X, n).index.get(tuple(psi0), -1)
-    return tensor_maximality_audits(X, (k,), n)[0]
+    # held, so the audits are served the space psi0 is looked up in
+    space = enumerate_cx(X, n)
+    return tensor_maximality_audits(X, (space.index.get(tuple(psi0), -1),), n)[0]
 
 
 def tensor_maximality_audits(X: VCategory, psi0s: Sequence[int], n: int) -> list[CheckReport]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
 from operator import or_
 from typing import Iterable, Optional, Sequence
@@ -32,22 +31,12 @@ DEGENERACY_NOTE = (
 
 @dataclass(frozen=True)
 class SubStructure:
-    """A generated subset of a function space.
-
-    ``mask`` is the subset as a bitmask over the enumeration, and
-    ``members`` its function indices, ascending, read off the mask on
-    first use.
-    """
+    """A generated subset of a function space: ``mask`` is the subset as a
+    bitmask over the enumeration, whose function indices ``mask_elements``
+    lists."""
 
     space: FunctionSpace
     mask: int
-
-    def __contains__(self, i: int) -> bool:
-        return i >= 0 and self.mask >> i & 1 == 1
-
-    @cached_property
-    def members(self) -> tuple[int, ...]:
-        return mask_elements(self.mask)
 
 
 def down_set_indicators(space: FunctionSpace) -> tuple[int, ...]:

@@ -218,8 +218,8 @@ def _run_total_partial(config: SuiteConfig, report: SuiteReport):
     q = config.quantale
     _require_closed(q, config.grid)
     pool = [P for _, P in _poset_sweep(config)]
-    # held for the run: the X x Y loop cycles through more spaces than
-    # cx_space keeps, and a held space is served, not rebuilt
+    # held for the run, so each audit of the X x Y loop is served the
+    # space of its posets, not a rebuild
     held = [duality.function_space(P, q, config.grid) for P in pool]
     for xi, X in enumerate(pool):
         for yi, Y in enumerate(pool):
@@ -261,6 +261,8 @@ def _enriched_sweep(config: SuiteConfig):
 def _run_enriched_roundtrip(config: SuiteConfig, report: SuiteReport):
     _require_closed(config.quantale, *range(1, config.grid + 1))
     for label, X, n in _enriched_sweep(config):
+        # held, so both audits are served one space
+        held = enriched.enumerate_cx(X, n)
         report.absorb(enriched.adjunction_audit(X, n), label)
         report.absorb(enriched.pointsep_extension_audit(X, n), label)
 
@@ -277,6 +279,8 @@ def _run_twovalued(config: SuiteConfig, report: SuiteReport):
     g = unit_category(q)
     for label, P in _poset_sweep(config):
         X = from_poset(P, q)
+        # held, so grid_distributors and every row's audit share one space
+        held = enriched.enumerate_cx(X, config.grid)
         for k, phi in enumerate(enriched.grid_distributors(g, X, config.grid)):
             rep = enriched.twovalued_audit(phi, g, X, config.grid)
             report.absorb(rep, f"{label} row {k}")
@@ -288,8 +292,9 @@ def _run_tensor_maximality(config: SuiteConfig, report: SuiteReport):
     _require_closed(q, n)
     for label, P in _poset_sweep(config):
         X = from_poset(P, q)
-        psi0s = range(enriched.enumerate_cx(X, n).size)
-        reps = enriched.tensor_maximality_audits(X, psi0s, n)
+        # held, so the audits are served the space that psi0s index into
+        space = enriched.enumerate_cx(X, n)
+        reps = enriched.tensor_maximality_audits(X, range(space.size), n)
         for fi, rep in enumerate(reps):
             report.absorb(rep, f"{label} psi0={fi}")
 

@@ -370,13 +370,14 @@ def check_sep_by_members(L):
     Q = space.base
     n = space.n
     fs = space.ifuncs
+    members = P.mask_elements(L.mask)
     failures, notes, checked = [], [], 0
     for x in range(Q.size):
         for y in range(Q.size):
             if Q.leq[y][x]:
                 continue
             checked += 1
-            witness = next((i for i in L.members if fs[i][x] == n and fs[i][y] == 0), None)
+            witness = next((i for i in members if fs[i][x] == n and fs[i][y] == 0), None)
             if witness is None:
                 failures.append(f"no separator for x={x}, y={y}")
             elif len(notes) < 4:
@@ -397,14 +398,15 @@ def density_at_level_by_members(space, L, u):
     fs = space.ifuncs
     failures = []
     exact = True
-    member_set = set(L.members)
+    members = P.mask_elements(L.mask)
+    member_set = set(members)
     for i in range(space.size):
         if i in member_set:
             continue
         exact = False
         if not any(
             all(ht[a][b] >= level and ht[b][a] >= level for a, b in zip(fs[i], fs[j]))
-            for j in L.members
+            for j in members
         ):
             failures.append(f"f{i} has no member within level {format_value(u)}")
     notes = [S.DEGENERACY_NOTE]
@@ -607,10 +609,11 @@ def compare_stone_checks(L):
     """``check_sep`` and ``density_at_level`` at every grid level against
     the member scans."""
     space = L.space
-    assert S.check_sep(L) == check_sep_by_members(L), (space.base, space.n, L.members)
+    where = (space.base, space.n, P.mask_elements(L.mask))
+    assert S.check_sep(L) == check_sep_by_members(L), where
     for u in T.GridChain(space.n).elements:
         got = S.density_at_level(space, L, u)
-        assert got == density_at_level_by_members(space, L, u), (space.base, space.n, L.members, u)
+        assert got == density_at_level_by_members(space, L, u), (*where, u)
 
 
 OP_SUBSETS = (

@@ -389,6 +389,8 @@ def test_distributor_maps_match_the_row_by_row_oracle():
     tensors: dict = {}
     compared = 0
     for n in (1, 2, 3):
+        # held, so every audit below is served its spaces, not a rebuild
+        held = [D.function_space(Q, q, n) for q in (LUK, MIN) for Q in posets]
         for X in posets:
             for Y in posets:
                 for phi in P.continuous_distributors(X, Y):
@@ -482,6 +484,16 @@ def test_row_column_refuses_a_row_of_the_wrong_length():
             sp.row_column(row)
         with pytest.raises(ValueError, match=f"level row of length {len(row)} on 2 points"):
             E.enriched_c(row, sp)
+
+
+def test_row_column_refuses_a_level_outside_the_grid():
+    # a level of -1 read the top tensor row, so (-1, 0) gave the column of
+    # (2, 0), and a level of 3 raised a bare IndexError
+    sp = D.function_space(CHAIN2, LUK, 2)
+    for row in ((-1, 0), (3, 0), (0, -2), (2, 3)):
+        with pytest.raises(ValueError, match=re.escape(f"level row {row} has a level outside 0..2")):
+            sp.row_column(row)
+    assert sp.row_column((2, 0)) == tuple(f[0] for f in sp.ifuncs)
 
 
 def test_certify_refuses_a_table_of_the_wrong_length():

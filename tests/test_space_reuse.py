@@ -1,12 +1,15 @@
-"""C(X) reuse: ``duality.cx_space`` keeps the two most recently requested
-spaces of each grid, finds any other space still alive through the grid's
-``held`` registry, and serves ``function_space`` and ``enumerate_cx``.
+"""C(X) reuse: ``duality.cx_space`` serves ``function_space`` and
+``enumerate_cx`` the space of a base object on a grid while something
+holds that space, and builds it again once nothing does.
 
 The build counts below are exact: every build goes through
 ``duality.cx_levels`` as called by ``cx_space``, which is wrapped there.
 ``enriched`` binds ``cx_levels`` too, to enumerate grid distributors;
 those calls build no space and are not counted.
 """
+
+import dataclasses
+import gc
 
 import pytest
 
@@ -56,65 +59,92 @@ def test_cx_builds_per_suite_run(builds, suite, grid, max_size, expected):
 
 
 def test_consecutive_requests_share_one_space():
+    # the first result is still referenced while the second is requested
     q = T.lukasiewicz()
-    assert D.function_space(P.vee(), q, 2) is D.function_space(P.vee(), q, 2)
+    Q = P.vee()
+    assert D.function_space(Q, q, 2) is D.function_space(Q, q, 2)
     X = VC.from_poset(P.chain(2), q)
     assert E.enumerate_cx(X, 2) is E.enumerate_cx(X, 2)
 
 
-def test_third_carrier_evicts_the_least_recently_requested(builds):
+CARRIERS = (P.chain(1), P.chain(2), P.antichain(2), P.vee(), P.chain(3))
+
+
+def test_a_held_space_is_served_in_any_order(builds):
     q = T.lukasiewicz()
-    a, b, c = P.chain(1), P.chain(2), P.antichain(2)
-    sa = D.function_space(a, q, 2)
-    sb = D.function_space(b, q, 2)
-    assert D.function_space(a, q, 2) is sa  # a is now the most recent
-    sc = D.function_space(c, q, 2)  # evicts b
-    assert q.grid(2).spaces == [sa, sc]
-    assert D.function_space(a, q, 2) is sa
-    assert D.function_space(b, q, 2) is sb  # held, so served, evicting c
-    assert q.grid(2).spaces == [sa, sb]
+    held = [D.function_space(Q, q, 2) for Q in CARRIERS]
+    for order in (range(4, -1, -1), (2, 0, 4, 1, 3), range(5)):
+        assert all(D.function_space(CARRIERS[k], q, 2) is held[k] for k in order)
+    assert builds[0] == len(CARRIERS)
+
+
+def test_an_unheld_space_is_rebuilt(builds):
+    q = T.lukasiewicz()
+    a, b, c = CARRIERS[:3]
+    sa, sb = D.function_space(a, q, 2), D.function_space(b, q, 2)
+    D.function_space(c, q, 2)  # held by nothing once returned
+    del sa
+    gc.collect()
     assert builds[0] == 3
-    D.function_space(c, q, 2)  # evicts a
-    D.function_space(a, q, 2)  # evicts b
-    del sb
-    D.function_space(b, q, 2)  # no longer held, so rebuilt
-    assert builds[0] == 4
-    assert len(q.grid(2).spaces) == 2
+    rebuilt = [D.function_space(Q, q, 2) for Q in (a, b, c)]
+    assert rebuilt[1] is sb and builds[0] == 5
+    assert [sp.base for sp in rebuilt] == [a, b, c]
 
 
-def test_a_held_space_survives_eviction(builds):
-    q = T.lukasiewicz()
-    carriers = [P.chain(1), P.chain(2), P.antichain(2), P.vee(), P.chain(3)]
-    held = [D.function_space(Q, q, 2) for Q in carriers]
-    assert q.grid(2).spaces == held[-2:]
-    # every carrier is evicted and requested again, in reverse order
-    assert all(D.function_space(Q, q, 2) is sp for Q, sp in zip(carriers, held))
-    assert builds[0] == len(carriers)
-    assert len(q.grid(2).held) == len(carriers)
+def _registered(q, grids):
+    """The live registry entries of this quantale's grids."""
+    ids = {id(q.grid(n)) for n in grids}
+    return [ref for (_, gops), ref in D._SPACES.items() if gops in ids and ref() is not None]
 
 
-def test_a_sweep_that_holds_nothing_keeps_no_more_than_the_kept_spaces():
+def test_a_sweep_that_holds_nothing_leaves_no_space_registered():
     q = T.lukasiewicz()
     config = SU.SuiteConfig(suite="stone-weierstrass", quantale=q, grid=2, max_size=3)
     assert SU.run_suite(config).passed
-    for n in (1, 2):
-        gops = q.grid(n)
-        assert gops.spaces and len(gops.held) <= D.SPACES_KEPT
+    gc.collect()
+    assert _registered(q, (1, 2)) == []
+    # what a caller holds stays registered, and only that
+    held = D.function_space(P.vee(), q, 2)
+    assert [ref() for ref in _registered(q, (1, 2))] == [held]
 
 
-def test_a_larger_limit_keeps_as_many_spaces(monkeypatch, builds):
-    # the oldest space is dropped only once the list is full, whatever
-    # the limit
-    monkeypatch.setattr(D, "SPACES_KEPT", 4)
+def test_a_space_is_never_served_for_another_base():
+    # each base is a temporary copy, freed with its space before the next
+    # is made, so later copies get freed ids; every request still gets
+    # its own base's space
     q = T.lukasiewicz()
-    carriers = [P.chain(1), P.chain(2), P.antichain(2), P.vee()]
-    spaces = [D.function_space(Q, q, 2) for Q in carriers]
-    assert q.grid(2).spaces == spaces
-    assert all(D.function_space(Q, q, 2) is sp for Q, sp in zip(carriers, spaces))
+    gops = q.grid(2)
+    originals = [Q for size in (1, 2, 3) for Q in P.all_posets(size)]
+    originals += E.enumerate_enriched_categories(2, q, 2)
+    expected = [D.cx_space(base, gops).ifuncs for base in originals]
+    ids, bases = set(), 0
+    for _ in range(3):
+        for original, ifuncs in zip(originals, expected):
+            base = dataclasses.replace(original)
+            space = D.cx_space(base, gops)
+            assert space.base is base and space.ifuncs == ifuncs
+            ids.add(id(base))
+            bases += 1
+            del base, space
+    assert len(ids) < bases  # some ids were reused
+
+
+def test_distinct_bases_with_equal_structure_get_distinct_spaces(builds):
+    # a space is shared by base object, not by structure: demo 06's
+    # enriched pair, built from its matrix, is not the enumerated category
+    # with that matrix, and two vee posets are two carriers
+    q = T.lukasiewicz()
+    built = VC.vcategory(q, [["1", "1/2"], ["0", "1"]])
+    (enumerated,) = (
+        X for X in E.enumerate_enriched_categories(2, q, 2) if X.matrix == built.matrix
+    )
+    assert built == enumerated and built is not enumerated
+    s1, s2 = E.enumerate_cx(built, 2), E.enumerate_cx(enumerated, 2)
+    assert s1 is not s2 and s1.ifuncs == s2.ifuncs
+    v1, v2 = P.vee(), P.vee()
+    t1, t2 = D.function_space(v1, q, 2), D.function_space(v2, q, 2)
+    assert t1 is not t2 and t1.ifuncs == t2.ifuncs
     assert builds[0] == 4
-    D.function_space(P.chain(3), q, 2)  # evicts the least recently requested
-    assert q.grid(2).spaces[:3] == spaces[1:]
-    assert len(q.grid(2).spaces) == 4
 
 
 def test_quantales_grids_and_base_kinds_never_share_a_space():
@@ -128,17 +158,6 @@ def test_quantales_grids_and_base_kinds_never_share_a_space():
     assert poset_space.base is Q and category_space.base is X
     assert D.function_space(Q, q, 2) is poset_space
     assert E.enumerate_cx(X, 2) is category_space
-
-
-def test_a_built_category_and_an_enumerated_one_share_a_space():
-    # demo 06's enriched pair, built from its matrix, is the same base as
-    # the enumerated category with that matrix
-    q = T.lukasiewicz()
-    built = VC.vcategory(q, [["1", "1/2"], ["0", "1"]])
-    (enumerated,) = (
-        X for X in E.enumerate_enriched_categories(2, q, 2) if X.matrix == built.matrix
-    )
-    assert E.enumerate_cx(built, 2) is E.enumerate_cx(enumerated, 2)
 
 
 def _fresh(Q, gops):
@@ -167,8 +186,8 @@ def _indicator_rows(Q, n):
 
 def test_served_spaces_match_fresh_builds():
     # each poset space is checked when built, when served again with its
-    # tables built (reuse), and when built again after eviction: at step k
-    # the two kept spaces are posets k - 3 and k, so poset k - 2 is rebuilt
+    # tables built (reuse), and when requested again once nothing holds
+    # it: at step k, poset k - 2's
     posets = [Q for size in (1, 2, 3) for Q in P.all_posets(size)]
     served = 0
     for q in (T.lukasiewicz(), T.minimum()):
@@ -180,17 +199,17 @@ def test_served_spaces_match_fresh_builds():
                 again = D.function_space(Q, q, n)
                 assert again is first and _same_tables(again, _fresh(Q, gops))
                 if k >= 2:
-                    evicted = posets[k - 2]
-                    rebuilt = D.function_space(evicted, q, n)
-                    assert _same_tables(rebuilt, _fresh(evicted, gops))
+                    dropped = posets[k - 2]
+                    rebuilt = D.function_space(dropped, q, n)
+                    assert _same_tables(rebuilt, _fresh(dropped, gops))
                     served += 1
                 served += 2
     assert served == 2 * 3 * (2 * 23 + 21)
 
 
 def test_total_partial_reports_match_fresh_quantales(monkeypatch):
-    # the direct audits share the kept spaces; the suite run, which holds
-    # its spaces, must report each instance as the fresh audit does
+    # the direct audits hold no space between calls; the suite run, which
+    # holds its spaces, must report each instance as the fresh audit does
     absorbed = []
     absorb = SU.SuiteReport.absorb
 
@@ -262,11 +281,13 @@ def test_a_kept_space_builds_no_structure_levels(structures):
     X = VC.vcategory(q, [["1", "1/2"], ["0", "1"]])
     space = E.enumerate_cx(X, 2)
     assert structures[0] == 1 and space.structure == [[2, 1], [0, 2]]
-    # a hit, and every reader of the structure, build none
+    # a request for the held space, and every reader of the structure,
+    # build none
     assert E.enumerate_cx(X, 2) is space
     assert E.is_cogenerated(space) and E.lemma1_audit(X, 2).passed
     assert [tuple(row[x] for row in space.structure) for x in range(2)] == [(2, 0), (1, 2)]
-    assert D.function_space(P.vee(), q, 2) is D.function_space(P.vee(), q, 2)
+    Q = P.vee()
+    assert D.function_space(Q, q, 2) is D.function_space(Q, q, 2)
     assert structures[0] == 2
     # a space built directly reads its base's structure on first use
     direct = D.FunctionSpace(X, space.gops, space.ifuncs)
