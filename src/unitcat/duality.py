@@ -712,7 +712,10 @@ def join_homomorphisms(
     # g holds one more slot, always 0, that ``extension`` reads
     g = [0] * (len(covers) + 1)
 
-    def extend(p: int):
+    # extend is handed itself: read from its own closure cell it would
+    # make a cycle that keeps the space alive until the cyclic collector
+    # runs
+    def extend(p: int, extend):
         if p == len(covers):
             yield tuple(space.extension(g))
             return
@@ -720,9 +723,9 @@ def join_homomorphisms(
         for v in range(max((g[q] for q in covers[p]), default=0), n + 1):
             g[p] = v
             if not pruned or _holds(instances[p], g, v, tt):
-                yield from extend(p + 1)
+                yield from extend(p + 1, extend)
 
-    return extend(0)
+    return extend(0, extend)
 
 
 def count_join_homomorphisms(space: FunctionSpace) -> int:

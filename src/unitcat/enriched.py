@@ -403,7 +403,10 @@ def enumerate_enriched_categories(size: int, q: Quantale, n: int) -> Iterator[VC
                     triangles[max(trio)].append(trio)
     level = [0] * len(cells)
 
-    def extend(p: int):
+    # extend is handed itself, so that it closes over no cell of its own:
+    # that would be a cycle outliving the search until the cyclic
+    # collector runs
+    def extend(p: int, extend):
         if p == len(cells):
             yield _checked_category(q, values, size, cells, level)
             return
@@ -413,9 +416,9 @@ def enumerate_enriched_categories(size: int, q: Quantale, n: int) -> Iterator[VC
             if v == n and c < p and level[c] == n:
                 continue
             if all(tt[level[a]][level[b]] <= level[k] for a, b, k in triangles[p]):
-                yield from extend(p + 1)
+                yield from extend(p + 1, extend)
 
-    return extend(0)
+    return extend(0, extend)
 
 
 def _checked_category(q: Quantale, values, size: int, cells, level) -> VCategory:

@@ -38,6 +38,13 @@ certificate on J x J: ``twovalued_lax_by_pairs`` finds the first row
 whose functional is not lax, and ``compare_twovalued`` holds the audit's
 verdict, witness row and check count to it.
 
+The fifth is the pairwise functoriality check the suite made before it
+decided a pair column by column: ``composite_ok`` (acceptance criterion
+8's) builds C(phi), C(phi2) and the composite's map and compares the
+composed index maps, ``functoriality_failures_by_pairs`` runs it over
+the suite's pairs, and ``random_distributor_by_repair`` is the seeded
+draw before it read its tables.
+
 Run as a script to compare the first group on the 1,971 spaces named in
 ``full_comparison_spaces``, then the second on the C(X) of every poset
 of size <= 5 and enriched category of size <= 3 at n <= 4, the closures
@@ -344,6 +351,72 @@ def compare_twovalued(q, sizes, grids):
                     assert rep.notes == notes, case
                 compared += len(rows)
     return compared
+
+
+def random_distributor_by_repair(rng, X, Y):
+    """The seeded draw ``functoriality`` made before it read its tables:
+    one upper set of Y per point, each row the AND of the draws at the
+    points below it, the upper sets and bit rows rebuilt on every call."""
+    ups = P.upper_sets(Y)
+    raw = [ups[rng.randrange(len(ups))] for _ in range(X.size)]
+    rows = []
+    for x in range(X.size):
+        acc = (1 << Y.size) - 1
+        for x2 in range(X.size):
+            if X.leq[x2][x]:
+                acc &= raw[x2]
+        rows.append(acc)
+    return tuple(
+        tuple(int(rows[x] >> y & 1) for y in range(Y.size)) for x in range(X.size)
+    )
+
+
+def composite_ok(cx, cy, cz, phi, phi2, compose=P.kleisli_compose):
+    """Acceptance criterion 8's pairwise check: the three index maps, the
+    composite's against C(phi) after C(phi2)."""
+    via = D.c_of_distributor(compose(phi2, phi), cz, cx)
+    c1 = D.c_of_distributor(phi, cy, cx)
+    c2 = D.c_of_distributor(phi2, cz, cy)
+    return via == tuple(c1[i] for i in c2)
+
+
+def functoriality_failures_by_pairs(q, n, max_size, corpus, seed, compose=P.kleisli_compose):
+    """The failures the ``functoriality`` suite reports, each pair decided
+    by ``composite_ok`` with ``compose``, in the suite's order and labels:
+    every pair over the posets of size <= 2, then ``corpus`` seeded pairs
+    over the posets of size <= ``max_size``, drawn by
+    ``random_distributor_by_repair``."""
+    spaces = {}
+
+    def space(Q):
+        if Q.leq not in spaces:
+            spaces[Q.leq] = D.function_space(Q, q, n)
+        return spaces[Q.leq]
+
+    def ok(X, Y, Z, phi, phi2):
+        return composite_ok(space(X), space(Y), space(Z), phi, phi2, compose)
+
+    failures = []
+    small = [Q for size in (1, 2) for Q in P.all_posets(size)]
+    for xi, X in enumerate(small):
+        for yi, Y in enumerate(small):
+            phis = list(P.continuous_distributors(X, Y))
+            for zi, Z in enumerate(small):
+                phi2s = list(P.continuous_distributors(Y, Z))
+                for a, phi in enumerate(phis):
+                    for b, phi2 in enumerate(phi2s):
+                        if not ok(X, Y, Z, phi, phi2):
+                            label = f"exhaustive {xi}.{yi}.{zi}.{a}.{b}"
+                            failures.append(f"[{label}] composite map mismatch")
+    rng = random.Random(seed)
+    pool = [Q for size in range(1, max_size + 1) for Q in P.all_posets(size)]
+    for k in range(corpus):
+        X, Y, Z = (pool[rng.randrange(len(pool))] for _ in range(3))
+        phi = random_distributor_by_repair(rng, X, Y)
+        phi2 = random_distributor_by_repair(rng, Y, Z)
+        if not ok(X, Y, Z, phi, phi2):
+            failures.append(f"[sampled {k}] composite map mismatch")
+    return failures
 
 
 def cx_levels_by_filter(gops, ia):

@@ -13,8 +13,10 @@ from oracles import (
     count_by_walk,
     cx_structures,
     enriched_c_by_generator,
+    functoriality_failures_by_pairs,
     join_order_by_pairs,
     pair_ops_by_pairs,
+    random_distributor_by_repair,
     truncated_minus,
 )
 from unitcat import duality as D
@@ -426,6 +428,47 @@ def test_sampled_functoriality_maps_match_the_row_by_row_oracle():
             assert D.c_of_distributor(psi, source, target) == (
                 _c_of_distributor_by_rows(psi, source, target)
             )
+
+
+def test_the_table_draw_matches_the_repair_draw():
+    # the 1,000 seed-0 pairs of --max-size 4: the same distributors from
+    # the same calls on the generator, which ends in the same state
+    pool = [Q for size in range(1, 5) for Q in P.all_posets(size)]
+    tables, repair = random.Random(0), random.Random(0)
+    for _ in range(1000):
+        X, Y, Z = (pool[tables.randrange(len(pool))] for _ in range(3))
+        assert (X, Y, Z) == tuple(pool[repair.randrange(len(pool))] for _ in range(3))
+        for src, dst in ((X, Y), (Y, Z)):
+            phi = _random_distributor(tables, src, dst)
+            assert phi == random_distributor_by_repair(repair, src, dst)
+            assert tables.getstate() == repair.getstate()
+
+
+def _compose_topping_each_row(phi2, phi):
+    """A wrong composite that is still a distributor: each nonempty row of
+    the true one becomes the full row.  It acts row by row, as a
+    relational composite does, and it is monotone in the row, so its rows
+    stay upper sets and antitone along the source."""
+    return tuple(
+        tuple(int(any(row)) for _ in row) for row in P.kleisli_compose(phi2, phi)
+    )
+
+
+@pytest.mark.parametrize("compose", [P.kleisli_compose, _compose_topping_each_row])
+def test_column_check_matches_the_pairwise_check(monkeypatch, compose):
+    monkeypatch.setattr(SU, "kleisli_compose", compose)
+    config = SU.SuiteConfig(suite="functoriality", max_size=3, corpus=200, seed=0)
+    report = SU.run_suite(config)
+    expected = functoriality_failures_by_pairs(LUK, 2, 3, 200, 0, compose)
+    assert report.failures == expected
+    assert report.instances == 2740 + 200
+    if compose is P.kleisli_compose:
+        assert expected == []
+    else:
+        # both parts see the fault, and neither sees it on every pair
+        for part in ("exhaustive", "sampled"):
+            failed = sum(f.startswith(f"[{part} ") for f in expected)
+            assert 0 < failed < (2740 if part == "exhaustive" else 200), part
 
 
 def test_c_of_distributor_refuses_a_misshapen_phi():

@@ -108,6 +108,36 @@ def test_a_sweep_that_holds_nothing_leaves_no_space_registered():
     assert [ref() for ref in _registered(q, (1, 2))] == [held]
 
 
+def test_an_audit_leaves_no_cycle_holding_its_space():
+    # with the cyclic collector off, an unheld space must die with the
+    # last reference the audit dropped, not wait for a collection
+    q = T.lukasiewicz()
+    gc.collect()
+    gc.disable()
+    try:
+        assert D.representability_audit(P.chain(2), q, 2).passed
+        assert _registered(q, (2,)) == []
+        assert E.adjunction_audit(VC.from_poset(P.chain(2), q), 2).passed
+        assert _registered(q, (2,)) == []
+    finally:
+        gc.enable()
+
+
+def test_the_category_search_leaves_no_cycle():
+    # the same shape as join_homomorphisms' search, holding no space: a
+    # search run to its end, or dropped after its first category, leaves
+    # nothing for the cyclic collector
+    q = T.lukasiewicz()
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(list(E.enumerate_enriched_categories(2, q, 2))) > 1
+        next(E.enumerate_enriched_categories(3, q, 2))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_a_space_is_never_served_for_another_base():
     # each base is a temporary copy, freed with its space before the next
     # is made, so later copies get freed ids; every request still gets
