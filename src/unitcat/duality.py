@@ -34,11 +34,11 @@ class FunctionSpace:
     the points x of levels[x] tensor f(x) for each level row in
     ``row_column`` (the one column C reads, for 0/1 distributors, upper
     sets and grid distributors alike), each point's hom rows in
-    ``point_hom_rows``, and the
-    join-irreducibles with the order on them in ``join_order``, read off
-    the pointwise meets with no pair of functions.  ``top_columns`` and
-    ``cover_pairs`` rearrange ``join_order`` for the functional scans, and
-    ``extension`` reads a level list on J back as a table.
+    ``point_hom_rows``, and the join-irreducibles with the order on them
+    in ``join_order``, read off the structure as a(-, x) tensor l.
+    ``top_columns`` and ``cover_pairs`` rearrange ``join_order`` for the
+    functional scans, and ``extension`` reads a level list on J back as a
+    table.
     ``join_instances`` is the one table of each condition set's instances
     at J: the pruned search (``join_homomorphisms``) and the certificate
     (``certify``) both check it.
@@ -48,9 +48,10 @@ class FunctionSpace:
     lookup in ``tensor_table``, are built only for the audits that still
     walk every pair (``check_conditions``, ``total_partial_audit``).
     ``structure`` holds the base's structure levels
-    (``structure_levels``).  ``tensor_closed``
-    certifies that no pair's tensor leaves the space; only ``cx_space``
-    sets it, so a space built any other way is not certified.
+    (``structure_levels``), ``grid_levels`` the levels 0..n.
+    ``tensor_closed`` certifies that no pair's tensor leaves the space;
+    only ``cx_space`` sets it, so a space built any other way is not
+    certified.
     """
 
     def __init__(self, base, gops: GridOps, levels):
@@ -58,6 +59,7 @@ class FunctionSpace:
         self.gops = gops
         self.quantale = gops.quantale
         self.n = gops.n
+        self.grid_levels = frozenset(range(self.n + 1))
         self.ifuncs = tuple(levels)
         self.iindex = {f: i for i, f in enumerate(self.ifuncs)}
         self.carrier_size = len(self.ifuncs[0]) if self.ifuncs else 0
@@ -66,6 +68,7 @@ class FunctionSpace:
         self._tensor_table = None
         self._unary: dict[str, list[tuple[int, ...]]] = {}
         self._row_columns: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._join_instances: dict[frozenset, tuple] = {}
 
     @property
     def size(self) -> int:
@@ -193,72 +196,61 @@ class FunctionSpace:
     def join_order(self):
         """J, the join-irreducibles ascending; for each function f, the
         positions in J of the maximal join-irreducibles below f, ascending;
-        then each position p's lower covers in J.  Read off the pointwise
-        meets, kept.
+        then each position p's lower covers in J.  J is read off the
+        structure in closed form; only the tops read each function.  Kept.
 
         The space must be closed under pointwise joins, as every
-        ``cx_space`` is; it is then a distributive lattice.  For a point x
-        and a level l, m(x, l) is the pointwise min of the functions f
-        with f(x) >= l: the least such function, so m(x, l) <= f exactly
-        when f(x) >= l.  A meet that leaves the space raises ValueError.
+        ``cx_space`` is.  For a point x and a level l, m(x, l) is
+        (a(y, x) tensor l)_y, the representable a(-, x) tensored by l.
+        Every f with f(x) >= l lies above it, since a(y, x) tensor f(x) <=
+        f(y).  So when m(x, l) is a member with level l at x, it is the
+        least function at least l at x, and m(x, l) <= f exactly when
+        f(x) >= l.  On the C(X) of a category it always is: transitivity
+        keeps it in the space, reflexivity gives it l at x.  Anywhere else
+        ValueError names the first x and l where it is not.
         m(x, 0) is the bottom, and every f is the join of the m(x, f(x)).
-        So every join-irreducible is some m(x, l); and every m(x, l) other
-        than the bottom is join-prime, since m(x, l) <= g join h means
-        g(x) >= l or h(x) >= l, hence join-irreducible.  J is therefore
-        the distinct m(x, l) other than the bottom, none of them the join
-        of the others below it.  Each j in J keeps one (x_j, l_j) with
+        So every join-irreducible is some m(x, l) with l >= 1; and each of
+        them is join-prime, since m(x, l) <= g join h means g(x) >= l or
+        h(x) >= l, hence join-irreducible.  J is therefore the distinct
+        m(x, l) for l = 1..n.  Each j in J keeps one (x_j, l_j) with
         j = m(x_j, l_j), and j <= f is read as f(x_j) >= l_j.  The
         join-irreducibles below f lie below some m(x, f(x)), so the
         maximal ones are among those.  A monotone g on J extends to
         t(f) = max{g(j) : j <= f}, and the max over the maximal such j is
         the same.
         """
-        n, idx = self.n, self.iindex
-        top = (n,) * self.carrier_size
-        # meets[x][l]: the index of m(x, l), None while no function reaches
-        # l at x.  The meet starts at the top row, and a second top row
-        # gives min at least two arguments; levels never exceed n, so
-        # neither changes a min
+        n, ia, tt, idx = self.n, self.structure, self.gops.tensor_t, self.iindex
+        # meets[x][l]: the index of m(x, l), l >= 1; generator[j]: the first
+        # (x, l) with j = m(x, l)
         meets: list[list] = []
-        for x, column in enumerate(self.point_columns):
-            at: list[list] = [[] for _ in range(n + 1)]
-            for f, v in zip(self.ifuncs, column):
-                at[v].append(f)
-            row: list = [None] * (n + 1)
-            meet, reached = top, False
-            for level in range(n, -1, -1):
-                if at[level]:
-                    meet, reached = tuple(map(min, meet, top, *at[level])), True
-                if reached:
-                    row[level] = idx.get(meet)
-                    if row[level] is None:
-                        raise ValueError(
-                            f"the meet of the functions at least {level}/{n} at "
-                            f"point {x} leaves the function space"
-                        )
-            meets.append(row)
-        # each row[0] is the meet of every function: the bottom
-        bottoms = {row[0] for row in meets}
-        J = tuple(sorted({k for row in meets for k in row[1:] if k is not None} - bottoms))
-        position = {j: p for p, j in enumerate(J)}
         generator: dict[int, tuple[int, int]] = {}
-        for x, row in enumerate(meets):
-            for level, k in enumerate(row):
-                if k in position:
-                    generator.setdefault(position[k], (x, level))
+        for x in range(self.carrier_size):
+            row: list = [None]
+            for level in range(1, n + 1):
+                m = tuple(tt[a[x]][level] for a in ia)
+                k = idx.get(m)
+                if k is None or m[x] != level:
+                    raise ValueError(
+                        f"the closed form a(-, {x}) tensor {level}/{n} of the least function "
+                        f"at least {level}/{n} at point {x} leaves the function space or is "
+                        f"not {level}/{n} at {x}: the base is not a category, or the space "
+                        "is not its C(X)"
+                    )
+                row.append(k)
+                generator.setdefault(k, (x, level))
+            meets.append(row)
+        J = tuple(sorted(generator))
+        position = {j: p for p, j in enumerate(J)}
         fs = self.ifuncs
         strictly = [
-            {q for q in range(len(J)) if q != p and fs[j][generator[q][0]] >= generator[q][1]}
-            for p, j in enumerate(J)
+            {q for q, k in enumerate(J) if k != j and fs[j][generator[k][0]] >= generator[k][1]}
+            for j in J
         ]
 
         def maximal(b) -> list[int]:
             return sorted(q for q in b if not any(q in strictly[r] for r in b))
 
-        tops = [
-            maximal({position[meets[x][v]] for x, v in enumerate(f) if meets[x][v] in position})
-            for f in fs
-        ]
+        tops = [maximal({position[meets[x][v]] for x, v in enumerate(f) if v}) for f in fs]
         return J, tops, [maximal(b) for b in strictly]
 
     @cached_property
@@ -285,11 +277,6 @@ class FunctionSpace:
         ``top_columns``, maxed pointwise."""
         return map(max, *[map(g.__getitem__, column) for column in self.top_columns])
 
-    @cached_property
-    def _join_instances(self) -> dict:
-        """``join_instances`` tables by set of condition names."""
-        return {}
-
     def join_instances(self, conditions: Sequence[str]):
         """The instances at J of the named conditions ("act", "minus",
         "tenlax"), built on first read per set of names and kept, and the
@@ -304,9 +291,12 @@ class FunctionSpace:
         t(j minus u) = g(j) minus u for u >= 1, t(u tensor j) = u tensor
         g(j) for 0 < u < n, and t(j tensor k) <= g(j) tensor g(k) for each
         k = J[q] with q <= p whose tensor with j stays in the space.  Each
-        such f lies below j, so tops[f] holds positions up to p only.  The
-        minus table is read first, so an escaping minus raises ValueError
-        before anything else; an unknown name raises too.
+        such f lies below j, so tops[f] holds positions up to p only.  Each
+        j minus u and u tensor j is j's levels mapped through the row, looked
+        up once.  Minus comes first, so an escaping minus raises ValueError,
+        naming j, before anything else; on a ``cx_space`` that is exactly
+        when some f minus u leaves, as minus u distributes over pointwise
+        joins.  An unknown name raises too.
         """
         key = frozenset(conditions)
         built = self._join_instances.get(key)
@@ -314,23 +304,23 @@ class FunctionSpace:
             unknown = sorted(key - set(PRUNING_CONDITIONS))
             if unknown:
                 raise ValueError(f"no pruning on {unknown}: pick from {PRUNING_CONDITIONS}")
-            n, tt = self.n, self.gops.tensor_t
+            n, tt, idx = self.n, self.gops.tensor_t, self.iindex
             J, tops, _ = self.join_order
             equal: list[list] = [[] for _ in J]
             lax: list[list] = [[] for _ in J]
             escape, zero = None, len(J)
-            # for each u of an equal instance: the op's row of function
-            # indices and its row of levels
+            # (op, u, op's level row at u) for each u of an equal instance
             ops = []
             if "minus" in key:
-                minus_t, mt = self.unary_ops("minus"), self.gops.minus_t
-                ops += [(minus_t[u], [mt[v][u] for v in range(n + 1)]) for u in range(1, n + 1)]
+                mt = self.gops.minus_t
+                ops += [("minus", u, [mt[v][u] for v in range(n + 1)]) for u in range(1, n + 1)]
             if "act" in key:
-                act_t = self.unary_ops("act")
-                ops += [(act_t[u], tt[u]) for u in range(1, n)]
-            for p, j in enumerate(J):
-                for indices, row in ops:
-                    f = indices[j]
+                ops += [("act", u, tt[u]) for u in range(1, n)]
+            for op, u, row in ops:
+                for p, j in enumerate(J):
+                    f = idx.get(tuple(map(row.__getitem__, self.ifuncs[j])))
+                    if f is None:
+                        raise ValueError(f"{op} of f{j} at {u}/{n} leaves the function space")
                     equal[p].append(((*tops[f], zero), row))
             if "tenlax" in key:
                 for p, j in enumerate(J):
@@ -496,8 +486,7 @@ class Functional:
     @classmethod
     def from_levels(cls, space: FunctionSpace, itable) -> "Functional":
         itable = tuple(itable)
-        if len(itable) != space.size:
-            raise ValueError(f"a table of {len(itable)} levels on {space.size} functions")
+        _refuse_misshapen(space, itable)
         f = cls.__new__(cls)
         f.space = space
         f.itable = itable
@@ -509,7 +498,8 @@ class Functional:
         return tuple(values[i] for i in self.itable)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Functional) and self.itable == other.itable
+        same = isinstance(other, Functional) and self.space is other.space
+        return same and self.itable == other.itable
 
     def __hash__(self) -> int:
         return hash(self.itable)
@@ -628,11 +618,11 @@ def certify(space: FunctionSpace, itable, conditions: Sequence[str]) -> bool:
     there with ValueError, never decided on J.
 
     Every refusal comes before any check of the table: a table whose
-    length is not the space's size first, then an escaping minus.  The
-    first failing check decides.
+    length is not the space's size or with a level outside 0..n first,
+    then an escaping minus at a join-irreducible.  The first failing check
+    decides.
     """
-    if len(itable) != space.size:
-        raise ValueError(f"a table of {len(itable)} levels on {space.size} functions")
+    _refuse_misshapen(space, itable)
     instances, escape = space.join_instances(conditions)
     if escape is not None:
         raise ValueError(
@@ -650,6 +640,15 @@ def certify(space: FunctionSpace, itable, conditions: Sequence[str]) -> bool:
     if not all(_holds(entry, g, v, tt) for entry, v in zip(instances, g)):
         return False
     return not any(map(ne, itable, space.extension(g)))
+
+
+def _refuse_misshapen(space: FunctionSpace, itable) -> None:
+    """Refuse a level table of the wrong length or with a level outside 0..n."""
+    if len(itable) != space.size:
+        raise ValueError(f"a table of {len(itable)} levels on {space.size} functions")
+    if not space.grid_levels.issuperset(itable):
+        bad = next(v for v in itable if v not in space.grid_levels)
+        raise ValueError(f"a table with level {bad} outside 0..{space.n}")
 
 
 def _holds(entry, g, v: int, tt) -> bool:

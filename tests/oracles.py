@@ -1,7 +1,7 @@
 """Reference implementations for the J-first and mask-based code.
 
 The first group is the formula the library used before J was read off
-the pointwise meets: the join-irreducibles and their order from the full
+the structure: the join-irreducibles and their order from the full
 pair table, the memo walk over J for the count, the full pair scans of
 the functional checks, and the generator formulas of the enriched maps.
 They walk every pair (or every function) on purpose, so they share no

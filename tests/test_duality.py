@@ -560,6 +560,30 @@ def test_certify_refuses_a_table_of_the_wrong_length():
             check()
 
 
+def test_tables_with_a_level_outside_the_grid_are_refused():
+    # a level of 3 raised a bare IndexError from _holds, a level of -1 read
+    # the top tensor row and failed the cut, and from_levels took both
+    sp = D.function_space(CHAIN2, LUK, 2)
+    for bad in (3, -1):
+        table = (0, 0, 1, 0, 1, bad)
+        for check in (
+            lambda: D.passes_cut(sp, table),
+            lambda: D.certify(sp, table, ("act",)),
+            lambda: D.Functional.from_levels(sp, table),
+        ):
+            with pytest.raises(ValueError, match=f"a table with level {bad} outside 0..2"):
+                check()
+
+
+def test_functionals_on_different_spaces_differ():
+    # the same levels on C(1) under two tensors: equal tables, two spaces
+    luk = D.phi_of(0b1, D.function_space(POINT, LUK, 2))
+    mn = D.phi_of(0b1, D.function_space(POINT, MIN, 2))
+    assert luk.itable == mn.itable
+    assert luk != mn and len({luk, mn}) == 2
+    assert luk == D.Functional.from_levels(luk.space, luk.itable)
+
+
 def test_total_partial_refuses_a_tensor_leaving_cy(monkeypatch):
     # 1/2 tensor 1/2 is 0 under Lukasiewicz, and 0 is not in the space
     sp = D.FunctionSpace(POINT, LUK.grid(2), [(1,), (2,)])
@@ -733,7 +757,7 @@ def test_cx_levels_match_the_filter():
 
 
 def test_join_order_and_count_match_the_pair_oracles():
-    # J, tops and covers from the meets equal those from the pair table,
+    # J, tops and covers from the closed form equal those from the pair table,
     # down to list order, and the prefix sums over the grid equal the memo
     # walk over that J
     compared = 0
@@ -751,6 +775,18 @@ def test_a_meet_leaving_the_space_is_refused():
     # a member: the least function reaching 1/2 at point 0 does not exist
     sp = D.FunctionSpace(P.antichain(2), LUK.grid(2), [(0, 0), (1, 2), (2, 1), (2, 2)])
     with pytest.raises(ValueError, match="at least 1/2 at point 0 leaves"):
+        sp.join_order
+
+
+def test_join_order_refuses_a_base_that_is_not_a_category():
+    # a(0, 0) = 1/2: a(-, 0) tensor 1/2 is the bottom, not 1/2 at point 0;
+    # unguarded, the closed form gives J = (1, 2, 3) where the pointwise
+    # meets give (1, 2, 3, 6)
+    from unitcat import enriched as E
+    from unitcat import vcat as VC
+
+    sp = E.enumerate_cx(VC.vcategory(LUK, [["1/2", "0"], ["0", "1"]]), 2)
+    with pytest.raises(ValueError, match=re.escape("a(-, 0) tensor 1/2 of the least function")):
         sp.join_order
 
 
@@ -779,7 +815,7 @@ def test_multichain_count_is_fast_where_the_walk_is_not():
 
 
 def test_join_order_is_derived_once_per_space(monkeypatch):
-    # J and the order on it are read off the meets, with no pair table,
+    # J and the order on it are read off the structure, with no pair table,
     # and kept on the space: no reader of J builds one either
     calls = [0]
     original = D.FunctionSpace.pair_ops
@@ -988,6 +1024,40 @@ def test_minus_leaving_the_space_is_refused():
     with pytest.raises(ValueError, match="leaves the function space"):
         D.check_conditions(D.Functional.from_levels(sp, (0,) * sp.size))
     assert len(sp.unary_ops("act")) == 3
+
+
+def test_scan_and_roundtrip_build_no_unary_table(monkeypatch):
+    # the act and minus instances at J are gathered one join-irreducible
+    # at a time: representability on every poset of size <= 3 at n <= 3,
+    # and both enriched roundtrips on every category of size <= 2 at
+    # n <= 2, pass with the whole-table builder raising
+    from unitcat import enriched as E
+    from unitcat import vcat as VC
+
+    def refuse(self, op):
+        raise AssertionError(f"unary table {op} built")
+
+    monkeypatch.setattr(D.FunctionSpace, "unary_ops", refuse)
+    audits = 0
+    for q in (LUK, MIN):
+        for n in (1, 2, 3):
+            for size in (1, 2, 3):
+                for Q in P.all_posets(size):
+                    assert D.representability_audit(Q, q, n).passed, (Q, q.name, n)
+                    audits += 1
+    for q in (LUK, MIN, ORDINAL):
+        for n in (1, 2):
+            for size in (1, 2):
+                for X in E.enumerate_enriched_categories(size, q, n):
+                    assert E.adjunction_audit(X, n).passed, (X, n)
+                    assert E.pointsep_extension_audit(X, n).passed, (X, n)
+                    audits += 1
+    assert audits == 2 * 3 * 23 + 3 * (1 + 3 + 1 + 8)
+    # the escaping minus is refused at a join-irreducible, by the gather
+    sp = E.enumerate_cx(VC.vcategory(MIN, [["1", "1/2"], ["0", "1"]]), 2)
+    assert 3 in sp.join_order[0]
+    with pytest.raises(ValueError, match=re.escape("minus of f3 at 1/2 leaves the function space")):
+        sp.join_instances(("minus",))
 
 
 def _spaces():
